@@ -84,20 +84,13 @@ def _parse_gamma(text: str) -> float | None:
         raise ParameterError(f"gamma must be a number or 'auto', got {text!r}") from None
 
 
-def _feature_mode(text: str) -> FeatureMode:
-    for mode in FeatureMode:
-        if mode.value == text:
-            return mode
-    choices = ", ".join(m.value for m in FeatureMode)
-    raise ParameterError(f"unknown feature mode {text!r} (choose from: {choices})")
-
-
-def _mwu_mode(text: str) -> MwuMode:
-    for mode in MwuMode:
-        if mode.value == text:
-            return mode
-    choices = ", ".join(m.value for m in MwuMode)
-    raise ParameterError(f"unknown mode {text!r} (choose from: {choices})")
+def _parse_enum(enum_cls, text: str, what: str):
+    """The member of ``enum_cls`` whose value is ``text``."""
+    for member in enum_cls:
+        if member.value == text:
+            return member
+    choices = ", ".join(m.value for m in enum_cls)
+    raise ParameterError(f"unknown {what} {text!r} (choose from: {choices})")
 
 
 def _add_audit_options(p: argparse.ArgumentParser) -> None:
@@ -133,7 +126,7 @@ def _config_from_args(args: argparse.Namespace) -> AuditConfig:
         svm_c=args.svm_c,
         svm_gamma=_parse_gamma(args.svm_gamma),
         svm_folds=args.svm_folds,
-        feature_mode=_feature_mode(args.feature_mode),
+        feature_mode=_parse_enum(FeatureMode, args.feature_mode, "feature mode"),
         workers=args.workers,
     )
 
@@ -208,7 +201,7 @@ def _cmd_mwu(args) -> int:
     ds = load_csv(args.data)
     a = bona_fide_responses(ds, args.group_a)
     b = bona_fide_responses(ds, args.group_b)
-    res = mann_whitney_u(a, b, _mwu_mode(args.mode))
+    res = mann_whitney_u(a, b, _parse_enum(MwuMode, args.mode, "mode"))
     named = {"a": args.group_a, "b": args.group_b}
     print(f"U {res.statistic!r}")
     print(f"p_value {res.p_value!r}")
@@ -225,6 +218,7 @@ def _cmd_dip(args) -> int:
     verdict = "unimodal" if d < cv else "NOT unimodal"
     print(f"dip {d!r}")
     print(f"critical_value {cv!r} (n={len(vals)}, alpha={args.alpha:g})")
+    print(f"critical_value_se {cv.se!r} (replicas={args.replicas})")
     print(f"verdict {verdict}")
     return 0
 
@@ -267,7 +261,7 @@ def _cmd_svm_sep(args) -> int:
         for j in range(i + 1, len(groups)):
             auc = cross_validated_auc(
                 by_group[groups[i]] + by_group[groups[j]],
-                mode=_feature_mode(args.feature_mode),
+                mode=_parse_enum(FeatureMode, args.feature_mode, "feature mode"),
                 c=args.svm_c,
                 gamma=_parse_gamma(args.svm_gamma),
                 folds=FoldSpec(k=args.svm_folds, seed=args.seed),

@@ -23,7 +23,7 @@ from .data import (
     bona_fide_responses,
     group_pairs,
 )
-from .dip import DipResult, dip_critical_value, dip_statistic
+from .dip import CriticalValue, DipResult, dip_critical_value, dip_statistic
 from .errors import InsufficientDataError, ParameterError
 from .stats import (
     ContingencyTable2x2,
@@ -212,6 +212,8 @@ def _dip_dict(r: DipResult) -> dict:
         "critical_value": r.critical_value,
         "alpha": r.alpha,
         "unimodal": r.unimodal,
+        "replicas": r.replicas,
+        "critical_value_se": r.critical_value_se,
     }
 
 
@@ -311,7 +313,7 @@ def run_audit(
     # Per-group distribution shape. Null critical values depend only on the
     # sample size, so cache them per n.
     per_group_summary = {g: summary_stats(bona[g]) for g in groups}
-    cv_cache: dict[int, float] = {}
+    cv_cache: dict[int, CriticalValue] = {}
     per_group_dip = {}
     for g in groups:
         n = len(bona[g])
@@ -319,14 +321,17 @@ def run_audit(
             cv_cache[n] = dip_critical_value(
                 n, cfg.alpha, cfg.dip_replicas, cfg.seed, bins=cfg.dip_bins
             )
+        cv = cv_cache[n]
         d = dip_statistic(bona[g], bins=cfg.dip_bins)
         per_group_dip[g] = DipResult(
             dip=d,
             n=n,
             bins=cfg.dip_bins,
-            critical_value=cv_cache[n],
+            critical_value=float(cv),
             alpha=cfg.alpha,
-            unimodal=d < cv_cache[n],
+            unimodal=d < cv,
+            replicas=cfg.dip_replicas,
+            critical_value_se=cv.se,
         )
 
     # Anchor thresholds: pooled bona fide error quantiles, plus the pooled

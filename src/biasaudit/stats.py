@@ -354,4 +354,4 @@ def summary_stats(a: Sequence[float]) -> SummaryStats:
     vals = sorted(float(v) for v in a)
     mean = math.fsum(vals) / n
     sd = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (n - 1))
-    return SummaryStats(n=n, mean=mean, std_dev=sd, dip=_dip_sorted(vals))
+    return SummaryStats(n=n, mean=mean, std_dev=sd, dip=_dip_sorted(vals, [1] * n))

@@ -259,6 +259,15 @@ class TestStatSubcommands:
         assert code == 1
         assert "unknown mode" in capsys.readouterr().err
 
+    def test_svm_sep_bad_feature_mode(self, synth_dir, capsys):
+        code = main(
+            ["svm-sep", "--codes", str(synth_dir / "codes.csv"), "--feature-mode", "bogus"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown feature mode 'bogus'" in err
+        assert "scaled-indices" in err
+
     def test_dip(self, synth_dir, capsys):
         code = main(
             [
@@ -272,6 +281,7 @@ class TestStatSubcommands:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("dip ")
+        assert "critical_value_se " in out
         assert "verdict NOT unimodal" in out  # delta is the bimodal group
 
     def test_sw(self, synth_dir, capsys):

@@ -1,8 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import stats as sps
 
-from biasaudit.dip import dip_statistic, dip_critical_value
+from _dip_oracle import _dip_sorted as oracle_dip
+from biasaudit.dip import (
+    _bin_to_right_edges,
+    _dip_null,
+    _dip_sorted,
+    _null_quantile,
+    dip_critical_value,
+    dip_statistic,
+)
 from biasaudit.errors import InsufficientDataError, ParameterError
+
+SIZES = st.integers(4, 400)
+CONTINUOUS = SIZES.flatmap(
+    lambda n: st.lists(
+        st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False), min_size=n, max_size=n
+    )
+)
+# few distinct values, so nearly every point sits in a long tie run
+TIED = st.tuples(SIZES, st.integers(1, 6)).flatmap(
+    lambda nk: hnp.arrays(np.int64, nk[0], elements=st.integers(0, nk[1]))
+)
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def _seed_binned_null(n, replicas, seed, bins):
+    """The null as simulated before the multinomial draws: n uniforms per
+    replica from stream (seed, i), binned between their own min and max."""
+    dips = np.empty(replicas)
+    for i in range(replicas):
+        sample = np.sort(np.random.default_rng([seed, i]).random(n))
+        dips[i] = oracle_dip(_bin_to_right_edges(sample, bins).tolist())
+    return dips
 
 
 class TestDipExactValues:
@@ -36,6 +70,43 @@ class TestDipExactValues:
         x = list(np.arange(200, dtype=float))
         assert dip_statistic(x) == pytest.approx(1 / 400, abs=1e-12)
         assert dip_statistic(x) < 0.037
+
+
+class TestRunKernelMatchesOracle:
+    """The tie-run kernel against the one-point-per-sample kernel it replaced:
+    equal bit for bit, not within a tolerance."""
+
+    @PROPERTY
+    @given(CONTINUOUS)
+    def test_continuous(self, x):
+        assert dip_statistic(x) == oracle_dip(sorted(x))
+
+    @PROPERTY
+    @given(TIED)
+    def test_heavily_tied(self, x):
+        x = x.astype(float)
+        assert dip_statistic(x) == oracle_dip(sorted(x.tolist()))
+
+    @PROPERTY
+    @given(CONTINUOUS, st.integers(2, 59))
+    def test_binned(self, x, bins):
+        values = np.sort(np.asarray(x))
+        if values[0] != values[-1]:
+            values = _bin_to_right_edges(values, bins)
+        assert dip_statistic(x, bins=bins) == oracle_dip(values.tolist())
+
+    @PROPERTY
+    @given(st.lists(st.integers(0, 9), min_size=2, max_size=30))
+    def test_counts_with_zeros_and_split_runs(self, counts):
+        # zero counts are skipped and a run may arrive split in two entries
+        values = [float(v) for v in range(len(counts))]
+        expanded = [v for v, c in zip(values, counts) for _ in range(c)]
+        assume(len(expanded) >= 2)
+        split_values = [v for v in values for _ in range(2)]
+        split_counts = [half for c in counts for half in (c // 2, c - c // 2)]
+        want = oracle_dip(expanded)
+        assert _dip_sorted(values, counts) == want
+        assert _dip_sorted(split_values, split_counts) == want
 
 
 class TestDipProperties:
@@ -121,6 +192,45 @@ class TestDipCriticalValue:
         d = dip_statistic(x)
         cv = dip_critical_value(200, 0.05, 500, seed=9)
         assert d > cv
+
+    def test_unbinned_null_matches_oracle(self):
+        # the unbinned null keeps its per-replica uniform streams
+        for i, got in enumerate(_dip_null(60, 50, 11, None)):
+            sample = np.sort(np.random.default_rng([11, i]).random(60))
+            assert got == oracle_dip(sample.tolist())
+
+    def test_chunked_draws_are_prefix_stable(self):
+        # replica i does not depend on how many replicas were asked for,
+        # inside the first chunk and across the chunk boundary
+        full = _dip_null(120, 1500, 5, 20)
+        assert np.array_equal(_dip_null(120, 300, 5, 20), full[:300])
+        assert np.array_equal(_dip_null(120, 1100, 5, 20), full[:1100])
+
+    @pytest.mark.parametrize("n, bins", [(200, 50), (30, 10)])
+    def test_binned_null_matches_uniform_then_bin(self, n, bins):
+        # multinomial bin counts against binning n uniforms: same distribution
+        new = _dip_null(n, 2000, 21, bins)
+        old = _seed_binned_null(n, 2000, 22, bins)
+        assert sps.ks_2samp(new, old).pvalue > 0.01
+
+    def test_binned_reference_value(self):
+        # 0.042045... is the value of uniform-then-bin draws from the same seed
+        cv = dip_critical_value(200, 0.05, 10000, seed=12345, bins=50)
+        assert cv == pytest.approx(0.042045, abs=0.002)
+
+    def test_standard_error_order_statistics(self):
+        # q = 0.95, R = 100: cv at rank 95; SE from ranks
+        # floor(95 - 2.18) = 92 and ceil(95 + 2.18) = 98
+        cv = _null_quantile(np.arange(100, 0, -1) / 100, 0.05)
+        assert cv == 0.95
+        assert cv.se == pytest.approx((0.98 - 0.92) / 2, abs=1e-15)
+        one = _null_quantile(np.array([0.3]), 0.05)
+        assert (one, one.se) == (0.3, 0.0)
+
+    def test_standard_error_shrinks_with_replicas(self):
+        few = dip_critical_value(100, 0.05, 400, seed=4, bins=20)
+        many = dip_critical_value(100, 0.05, 6400, seed=4, bins=20)
+        assert 0 < many.se < few.se
 
     def test_parameter_validation(self):
         with pytest.raises(InsufficientDataError):

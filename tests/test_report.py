@@ -112,6 +112,8 @@ class TestReportStructure:
             dip = entry["dip_test"]
             assert dip["bins"] == 50
             assert dip["unimodal"] == (dip["dip"] < dip["critical_value"])
+            assert dip["replicas"] == 200
+            assert 0.0 <= dip["critical_value_se"] < dip["critical_value"]
 
     def test_operating_points(self, report_dict):
         ops = report_dict["operating_points"]
