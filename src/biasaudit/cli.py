@@ -27,7 +27,7 @@ from .stats import (
 from .svm import (
     FeatureMode,
     FoldSpec,
-    cross_validated_auc,
+    _pairwise_aucs,
     load_codes_csv,
     save_codes_csv,
 )
@@ -44,7 +44,6 @@ _CONFIG_KEYS = {
     "svm_gamma": str,
     "svm_folds": int,
     "feature_mode": str,
-    "workers": int,
 }
 
 
@@ -113,7 +112,6 @@ def _add_audit_options(p: argparse.ArgumentParser) -> None:
         default=FeatureMode.SCALED_INDICES.value,
         help="code featurization: scaled-indices or code-histogram",
     )
-    p.add_argument("--workers", type=int, default=1, help="parallel pair analyses")
 
 
 def _config_from_args(args: argparse.Namespace) -> AuditConfig:
@@ -127,7 +125,6 @@ def _config_from_args(args: argparse.Namespace) -> AuditConfig:
         svm_gamma=_parse_gamma(args.svm_gamma),
         svm_folds=args.svm_folds,
         feature_mode=_parse_enum(FeatureMode, args.feature_mode, "feature mode"),
-        workers=args.workers,
     )
 
 
@@ -212,7 +209,7 @@ def _cmd_mwu(args) -> int:
 def _cmd_dip(args) -> int:
     ds = load_csv(args.data)
     vals = bona_fide_responses(ds, args.group)
-    bins = args.bins if args.bins > 0 else None
+    bins = None if args.bins == 0 else args.bins
     d = dip_statistic(vals, bins=bins)
     cv = dip_critical_value(len(vals), args.alpha, args.replicas, args.seed, bins=bins)
     verdict = "unimodal" if d < cv else "NOT unimodal"
@@ -256,17 +253,16 @@ def _cmd_svm_sep(args) -> int:
     groups = sorted({v.group for v in codes})
     if len(groups) < 2:
         raise ParameterError(f"need at least two groups in {args.codes}")
-    by_group = {g: [v for v in codes if v.group == g] for g in groups}
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            auc = cross_validated_auc(
-                by_group[groups[i]] + by_group[groups[j]],
-                mode=_parse_enum(FeatureMode, args.feature_mode, "feature mode"),
-                c=args.svm_c,
-                gamma=_parse_gamma(args.svm_gamma),
-                folds=FoldSpec(k=args.svm_folds, seed=args.seed),
-            )
-            print(f"{groups[i]}|{groups[j]} auc {auc:.6f}")
+    aucs = _pairwise_aucs(
+        codes,
+        groups,
+        mode=_parse_enum(FeatureMode, args.feature_mode, "feature mode"),
+        c=args.svm_c,
+        gamma=_parse_gamma(args.svm_gamma),
+        folds=FoldSpec(k=args.svm_folds, seed=args.seed),
+    )
+    for key, auc in aucs.items():
+        print(f"{key} auc {auc:.6f}")
     return 0
 
 

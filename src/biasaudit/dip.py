@@ -250,25 +250,27 @@ def _dip_sorted(values: Sequence[float], counts: Sequence[int]) -> float:
 
 
 def _bin_to_right_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Map each value to the right edge of its equal-width bin.
+    """Map each value of an ascending, non-constant sample to the right edge
+    of its equal-width bin between the sample's min and max, on the grid
+    1..bins that the binned null uses.
 
-    The dip of the mapped sample is the dip of the binned step CDF with all
-    bin mass at the right edge.
+    The dip is affine invariant, so this is the dip of the binned step CDF
+    with all bin mass at the right edge, without the rounding that edges in
+    data units would bring.
     """
-    lo = float(values[0])
-    hi = float(values[-1])
-    idx = np.floor((values - lo) / (hi - lo) * bins).astype(np.int64)
+    lo = values[0]
+    idx = np.floor((values - lo) / (values[-1] - lo) * bins).astype(np.int64)
     np.clip(idx, 0, bins - 1, out=idx)
-    width = (hi - lo) / bins
-    return lo + (idx + 1) * width
+    return (idx + 1).astype(float)
 
 
 def dip_statistic(a: Sequence[float], bins: int | None = None) -> float:
     """Dip statistic of a sample; ``bins=None`` uses the raw values.
 
     With ``bins=k`` the sample is first discretized onto k equal-width bins
-    spanning [min, max] (mass at each bin's right edge), which is the form
-    used for screening histogrammed response distributions.
+    spanning [min, max] (mass at each bin's right edge, on the same grid
+    1..k as the binned null), which is the form used for screening
+    histogrammed response distributions.
     """
     n = len(a)
     if n < 4:
@@ -296,7 +298,7 @@ def _dip_null(n: int, replicas: int, seed: int, bins: int | None) -> np.ndarray:
             sample.sort()
             dips[i] = _dip_sorted(sample.tolist(), ones)
     else:
-        # The dip is affine invariant, so bin k's right edge can be k + 1.
+        # bin k's right edge is k + 1, as in _bin_to_right_edges
         grid = [float(k) for k in range(1, bins + 1)]
         p = np.full(bins, 1.0 / bins)
         for start in range(0, replicas, _CHUNK):

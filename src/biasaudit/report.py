@@ -9,8 +9,7 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ from .stats import (
     mann_whitney_u,
     summary_stats,
 )
-from .svm import CodeVector, FeatureMode, FoldSpec, cross_validated_auc
+from .svm import CodeVector, FeatureMode, FoldSpec, _pairwise_aucs
 from .thresholds import (
     BiasCurve,
     BiasRegion,
@@ -66,7 +65,6 @@ class AuditConfig:
     svm_gamma: float | None = None  # None = auto (1 / (d * var))
     svm_folds: int = 5
     feature_mode: FeatureMode = FeatureMode.SCALED_INDICES
-    workers: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -88,8 +86,6 @@ class AuditConfig:
             raise ParameterError(f"svm_gamma must be > 0, got {self.svm_gamma}")
         if self.svm_folds < 2:
             raise ParameterError(f"svm_folds must be >= 2, got {self.svm_folds}")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         return {
@@ -102,7 +98,6 @@ class AuditConfig:
             "svm_gamma": "auto" if self.svm_gamma is None else self.svm_gamma,
             "svm_folds": self.svm_folds,
             "feature_mode": self.feature_mode.value,
-            "workers": self.workers,
         }
 
 
@@ -356,14 +351,7 @@ def run_audit(
             if att_g:
                 per_group_hter[g] = hter_at(bona[g], att_g, eer.threshold)
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [
-                pool.submit(_analyze_pair, p, bona, anchors, cfg.alpha) for p in pairs
-            ]
-            analyses = tuple(f.result() for f in futures)
-    else:
-        analyses = tuple(_analyze_pair(p, bona, anchors, cfg.alpha) for p in pairs)
+    analyses = tuple(_analyze_pair(p, bona, anchors, cfg.alpha) for p in pairs)
 
     histograms = tuple(
         _pair_histogram(p, bona[p.a], bona[p.b], cfg.dip_bins) for p in pairs
@@ -371,25 +359,14 @@ def run_audit(
 
     svm_auc = None
     if codes is not None:
-        by_group: dict[str, list[CodeVector]] = {}
-        for v in codes:
-            by_group.setdefault(v.group, []).append(v)
-        for g in groups:
-            if len(by_group.get(g, ())) < cfg.svm_folds:
-                raise InsufficientDataError(
-                    f"code vectors for group {g!r}: have "
-                    f"{len(by_group.get(g, ()))}, need >= {cfg.svm_folds}"
-                )
-        svm_auc = {}
-        for p in pairs:
-            subset = by_group[p.a] + by_group[p.b]
-            svm_auc[p.key] = cross_validated_auc(
-                subset,
-                mode=cfg.feature_mode,
-                c=cfg.svm_c,
-                gamma=cfg.svm_gamma,
-                folds=FoldSpec(k=cfg.svm_folds, seed=cfg.seed),
-            )
+        svm_auc = _pairwise_aucs(
+            codes,
+            groups,
+            mode=cfg.feature_mode,
+            c=cfg.svm_c,
+            gamma=cfg.svm_gamma,
+            folds=FoldSpec(k=cfg.svm_folds, seed=cfg.seed),
+        )
 
     n_bona = len(pooled_bona)
     n_att = len(pooled_attack)

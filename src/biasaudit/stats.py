@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
+import numpy as np
+
 from .dip import _dip_sorted
 from .errors import (
     DegenerateDataError,
@@ -90,6 +92,31 @@ def chi2_survival(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
+def _one_sided_chi2(
+    acc_a: int, rej_a: int, acc_b: int, rej_b: int
+) -> tuple[float, float, int]:
+    """(statistic, one-sided p, sign) of the rate test on one 2x2 table.
+
+    ``sign`` is 1 when group a has the higher rejection rate, -1 when group
+    b has, and 0 on a tie. The counts must be Python ints: the statistic is
+    formed in exact integer arithmetic and rounded once.
+    """
+    row_a = acc_a + rej_a
+    row_b = acc_b + rej_b
+    if row_a == 0 or row_b == 0:
+        raise DegenerateDataError("both groups need at least one trial")
+    # Exact integer cross-comparison of rej_a/row_a vs rej_b/row_b.
+    lhs = rej_a * row_b
+    rhs = rej_b * row_a
+    if lhs == rhs:
+        return 0.0, 1.0, 0
+    n = row_a + row_b
+    det = acc_a * rej_b - acc_b * rej_a
+    # Unequal rates imply every margin is positive, so the denominator is too.
+    stat = n * det * det / (row_a * row_b * (acc_a + acc_b) * (rej_a + rej_b))
+    return stat, chi2_survival(stat) / 2.0, 1 if lhs > rhs else -1
+
+
 def chi_squared_one_sided(t: ContingencyTable2x2) -> TestResult:
     """One-sided two-proportion chi-squared test on a 2x2 table.
 
@@ -97,24 +124,11 @@ def chi_squared_one_sided(t: ContingencyTable2x2) -> TestResult:
     is the halved two-sided Pearson p (no Yates correction), attributed to the
     group with the higher rejection rate; exactly 1.0 when the rates tie.
     """
-    row_a = t.accepted_a + t.rejected_a
-    row_b = t.accepted_b + t.rejected_b
-    if row_a == 0 or row_b == 0:
-        raise DegenerateDataError("both groups need at least one trial")
-    # Exact integer cross-comparison of rejected_a/row_a vs rejected_b/row_b.
-    lhs = t.rejected_a * row_b
-    rhs = t.rejected_b * row_a
-    if lhs == rhs:
-        return TestResult(0.0, 1.0, Sidedness.ONE_SIDED, None)
-    n = row_a + row_b
-    col_acc = t.accepted_a + t.accepted_b
-    col_rej = t.rejected_a + t.rejected_b
-    det = t.accepted_a * t.rejected_b - t.accepted_b * t.rejected_a
-    # Unequal rates imply every margin is positive, so the denominator is too.
-    stat = n * det * det / (row_a * row_b * col_acc * col_rej)
-    p_one = chi2_survival(stat) / 2.0
-    worse = t.group_a if lhs > rhs else t.group_b
-    return TestResult(float(stat), p_one, Sidedness.ONE_SIDED, worse)
+    stat, p_one, sign = _one_sided_chi2(
+        t.accepted_a, t.rejected_a, t.accepted_b, t.rejected_b
+    )
+    worse = t.group_a if sign > 0 else t.group_b if sign < 0 else None
+    return TestResult(stat, p_one, Sidedness.ONE_SIDED, worse)
 
 
 class MwuMode(enum.Enum):
@@ -127,33 +141,25 @@ class MwuMode(enum.Enum):
 MWU_EXACT_LIMIT = 20
 
 
-def _doubled_midranks(pooled_sorted: list[tuple[float, int]]) -> list[int]:
-    """Doubled midranks (exact integers) for a sorted pooled sample.
+def _midranks(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Doubled midranks of the pooled sample, ``a`` first then ``b``, and the
+    size of each tie run.
 
-    Midranks are averages of 1-based positions over each tie group; doubling
-    keeps them integral so the exact mode can count in integer arithmetic.
+    A midrank is the average of the 1-based sorted positions of a tie run;
+    doubling keeps it an exact integer (first + last position).
     """
-    n = len(pooled_sorted)
-    out = [0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and pooled_sorted[j + 1][0] == pooled_sorted[i][0]:
-            j += 1
-        d = i + j + 2  # 2 * midrank, with 1-based positions i+1 .. j+1
-        for k in range(i, j + 1):
-            out[k] = d
-        i = j + 1
-    return out
+    pooled = np.concatenate([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
+    _, inverse, ties = np.unique(pooled, return_inverse=True, return_counts=True)
+    last = np.cumsum(ties)
+    return (2 * last - ties + 1)[inverse], ties
 
 
-def _exact_mwu_p(doubled: list[int], in_a: list[bool], n_a: int, n_b: int) -> float:
+def _exact_mwu_p(doubled: list[int], du_obs: int, n_a: int, n_b: int) -> float:
     """Two-sided exact permutation p for U, halved rank-sum distribution.
 
-    Counts size-n_a subsets of the doubled midranks whose U is at least as
-    far from the null mean as observed, via integer subset-sum DP.
+    Counts size-n_a subsets of the doubled midranks whose doubled U is at
+    least as far from the null mean as ``du_obs``, via integer subset-sum DP.
     """
-    du_obs = sum(d for d, flag in zip(doubled, in_a) if flag) - n_a * (n_a + 1)
     center = n_a * n_b  # 2 * E[U]
     dev_obs = abs(du_obs - center)
 
@@ -194,14 +200,8 @@ def mann_whitney_u(
         raise InsufficientDataError("both samples must be non-empty")
     n = n_a + n_b
 
-    pooled = sorted([(float(v), 0) for v in a] + [(float(v), 1) for v in b])
-    doubled = _doubled_midranks(pooled)
-    has_ties = any(
-        pooled[i][0] == pooled[i + 1][0] for i in range(n - 1)
-    )
-    du_a = sum(d for d, (_, src) in zip(doubled, pooled) if src == 0) - n_a * (
-        n_a + 1
-    )
+    doubled, ties = _midranks(a, b)
+    du_a = int(doubled[:n_a].sum()) - n_a * (n_a + 1)
     u_a = du_a / 2.0
 
     if mode is MwuMode.EXACT and n > MWU_EXACT_LIMIT:
@@ -212,7 +212,7 @@ def mann_whitney_u(
     if mode is MwuMode.AUTO:
         mode = (
             MwuMode.EXACT
-            if (n <= MWU_EXACT_LIMIT and not has_ties)
+            if (n <= MWU_EXACT_LIMIT and len(ties) == n)
             else MwuMode.NORMAL_APPROX
         )
 
@@ -225,21 +225,11 @@ def mann_whitney_u(
         direction = None
 
     if mode is MwuMode.EXACT:
-        in_a = [src == 0 for _, src in pooled]
-        p = _exact_mwu_p(doubled, in_a, n_a, n_b)
+        p = _exact_mwu_p(doubled.tolist(), du_a, n_a, n_b)
         return TestResult(u_a, p, Sidedness.TWO_SIDED, direction)
 
-    # Tie-corrected normal approximation.
-    tie_term = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and pooled[j + 1][0] == pooled[i][0]:
-            j += 1
-        t = j - i + 1
-        if t > 1:
-            tie_term += t**3 - t
-        i = j + 1
+    # Tie-corrected normal approximation; Python ints keep t**3 exact.
+    tie_term = sum(t**3 - t for t in ties[ties > 1].tolist())
     var = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var <= 0.0:
         # every observation tied: U is deterministic at its mean

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import GroupPair
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -26,6 +27,7 @@ from .errors import (
     RowError,
     SchemaError,
 )
+from .stats import _midranks
 
 __all__ = [
     "CodeVector",
@@ -268,19 +270,9 @@ def auc_from_scores(pos: Sequence[float], neg: Sequence[float]) -> float:
     n_p, n_n = len(pos), len(neg)
     if n_p == 0 or n_n == 0:
         raise InsufficientDataError("auc needs non-empty score sets")
-    pooled = sorted([(float(v), 0) for v in pos] + [(float(v), 1) for v in neg])
-    n = n_p + n_n
-    rank_sum_pos = 0.0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and pooled[j + 1][0] == pooled[i][0]:
-            j += 1
-        midrank = (i + j) / 2.0 + 1.0
-        rank_sum_pos += midrank * sum(1 for k in range(i, j + 1) if pooled[k][1] == 0)
-        i = j + 1
-    u = rank_sum_pos - n_p * (n_p + 1) / 2.0
-    return u / (n_p * n_n)
+    doubled, _ = _midranks(pos, neg)
+    du = int(doubled[:n_p].sum()) - n_p * (n_p + 1)  # 2 * U
+    return du / (2 * n_p * n_n)
 
 
 @dataclass(frozen=True)
@@ -337,6 +329,35 @@ def cross_validated_auc(
         y_test = y[test]
         aucs.append(auc_from_scores(scores[y_test > 0], scores[y_test < 0]))
     return float(np.mean(aucs))
+
+
+def _pairwise_aucs(
+    vectors: Sequence[CodeVector],
+    groups: Sequence[str],
+    mode: FeatureMode,
+    c: float,
+    gamma: float | None,
+    folds: FoldSpec,
+) -> dict[str, float]:
+    """cross_validated_auc for every pair of ``groups`` (ascending), keyed
+    like GroupPair.key. Vectors of other groups are ignored; every listed
+    group needs at least ``folds.k`` vectors."""
+    by_group: dict[str, list[CodeVector]] = {g: [] for g in groups}
+    for v in vectors:
+        if v.group in by_group:
+            by_group[v.group].append(v)
+    for g, members in by_group.items():
+        if len(members) < folds.k:
+            raise InsufficientDataError(
+                f"code vectors for group {g!r}: have {len(members)}, need >= {folds.k}"
+            )
+    return {
+        GroupPair(a, b).key: cross_validated_auc(
+            by_group[a] + by_group[b], mode=mode, c=c, gamma=gamma, folds=folds
+        )
+        for i, a in enumerate(groups)
+        for b in groups[i + 1 :]
+    }
 
 
 _CODES_K_PREFIX = "#k="

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import GroupPair
 from .errors import InsufficientDataError, ParameterError
-from .stats import ContingencyTable2x2, TestResult, chi_squared_one_sided
+from .stats import _one_sided_chi2
 
 __all__ = [
     "RocPoint",
@@ -147,8 +147,8 @@ def hter_at(
     """FAR/FRR/HTER at a fixed threshold."""
     if len(bona) == 0 or len(attack) == 0:
         raise InsufficientDataError("hter_at needs non-empty bona fide and attack samples")
-    far = sum(1 for v in attack if v <= threshold) / len(attack)
-    frr = sum(1 for v in bona if v > threshold) / len(bona)
+    far = np.count_nonzero(np.asarray(attack, dtype=float) <= threshold) / len(attack)
+    frr = np.count_nonzero(np.asarray(bona, dtype=float) > threshold) / len(bona)
     return OperatingPoint(float(threshold), far, frr, (far + frr) / 2)
 
 
@@ -190,30 +190,34 @@ def bias_sweep(
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     if pair is None:
         pair = GroupPair("a", "b")
-    a_s = sorted(float(v) for v in bona_a)
-    b_s = sorted(float(v) for v in bona_b)
+    # stable, so that of equal values (0.0 and -0.0) the grid keeps the one
+    # that comes first in the input
+    a_s = np.sort(np.asarray(bona_a, dtype=float), kind="stable")
+    b_s = np.sort(np.asarray(bona_b, dtype=float), kind="stable")
     if grid is None:
         grid_arr = np.unique(np.concatenate([a_s, b_s]))
     else:
-        grid_arr = np.asarray([float(t) for t in grid])
+        grid_arr = np.asarray(grid, dtype=float)
         if len(grid_arr) and np.any(np.diff(grid_arr) <= 0):
             raise ParameterError("grid must be strictly increasing")
     if len(grid_arr) < 2:
         raise ParameterError(f"degenerate sweep grid of size {len(grid_arr)}")
 
+    # Accept counts for the whole grid at once; the statistic itself stays in
+    # exact integer arithmetic, so the counts go in as Python ints.
+    n_a, n_b = len(a_s), len(b_s)
+    acc_a = np.searchsorted(a_s, grid_arr, side="right").tolist()
+    acc_b = np.searchsorted(b_s, grid_arr, side="right").tolist()
+    worse = {1: pair.a, -1: pair.b, 0: None}
     p_values = []
     directions = []
-    for t in grid_arr:
-        acc_a, rej_a = outcomes_at(a_s, float(t))
-        acc_b, rej_b = outcomes_at(b_s, float(t))
-        res = chi_squared_one_sided(
-            ContingencyTable2x2(acc_a, rej_a, acc_b, rej_b, pair.a, pair.b)
-        )
-        p_values.append(res.p_value)
-        directions.append(res.direction)
+    for ca, cb in zip(acc_a, acc_b):
+        _, p, sign = _one_sided_chi2(ca, n_a - ca, cb, n_b - cb)
+        p_values.append(p)
+        directions.append(worse[sign])
     return BiasCurve(
         pair=pair,
-        grid=tuple(float(t) for t in grid_arr),
+        grid=tuple(grid_arr.tolist()),
         p_values=tuple(p_values),
         alpha=alpha,
         directions=tuple(directions),

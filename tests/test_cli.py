@@ -284,6 +284,21 @@ class TestStatSubcommands:
         assert "critical_value_se " in out
         assert "verdict NOT unimodal" in out  # delta is the bimodal group
 
+    @pytest.mark.parametrize("bins", ["1", "-3"])
+    def test_dip_bins_below_two_rejected(self, synth_dir, capsys, bins):
+        # only --bins 0 means unbinned
+        code = main(
+            [
+                "dip",
+                "--data", str(synth_dir / "responses.csv"),
+                "--group", "delta",
+                "--bins", bins,
+                "--replicas", "50",
+            ]
+        )
+        assert code == 1
+        assert f"bins must be >= 2, got {bins}" in capsys.readouterr().err
+
     def test_sw(self, synth_dir, capsys):
         code = main(
             ["sw", "--data", str(synth_dir / "responses.csv"), "--group", "alpha"]

@@ -156,6 +156,24 @@ class TestDipProperties:
         x = list(np.concatenate([rng.normal(0, 1, 150), rng.normal(8, 1, 150)]))
         assert dip_statistic(x, bins=4) != dip_statistic(x)
 
+    def test_binned_statistic_uses_the_null_grid(self):
+        # a sample whose bin counts equal a binned-null row has exactly the
+        # dip the null computes for that row
+        bins, lo, hi = 20, 0.1, 0.7
+        width = (hi - lo) / bins
+        grid = [float(k) for k in range(1, bins + 1)]
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            row = rng.multinomial(int(rng.integers(2, 300)), np.full(bins, 1 / bins))
+            row[0] += 1  # the sample minimum, at lo
+            row[-1] += 1  # the sample maximum, at hi
+            x = [lo, hi] + [
+                lo + (k + 0.5) * width
+                for k, c in enumerate(row.tolist())
+                for _ in range(c - (k == 0) - (k == bins - 1))
+            ]
+            assert dip_statistic(x, bins=bins) == _dip_sorted(grid, row.tolist())
+
     def test_parameter_validation(self):
         with pytest.raises(InsufficientDataError):
             dip_statistic([1.0, 2.0, 3.0])

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,20 @@ class TestChiSquaredOneSided:
             assert r1.statistic == pytest.approx(r2.statistic, abs=1e-12)
             assert r1.p_value == pytest.approx(r2.p_value, abs=1e-12)
             assert r1.direction == r2.direction
+
+    def test_statistic_is_the_exact_quotient_rounded_once(self):
+        # counts of a 50k-per-group sweep: numerator and denominator pass
+        # 2**53, where float64 or int64 arithmetic would lose or wrap bits
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            acc_a, acc_b = (int(v) for v in rng.integers(1, 50_000, 2))
+            t = ContingencyTable2x2(acc_a, 50_000 - acc_a, acc_b, 50_000 - acc_b)
+            det = acc_a * t.rejected_b - acc_b * t.rejected_a
+            want = Fraction(
+                100_000 * det * det,
+                50_000 * 50_000 * (acc_a + acc_b) * (t.rejected_a + t.rejected_b),
+            )
+            assert chi_squared_one_sided(t).statistic == float(want)
 
     def test_empty_row_rejected(self):
         with pytest.raises(DegenerateDataError):
