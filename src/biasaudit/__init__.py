@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .data import (
     Dataset,
     GroupPair,
-    ResponseRecord,
-    SampleClass,
     attack_responses,
     bona_fide_responses,
     group_pairs,
@@ -73,7 +71,6 @@ from .thresholds import (
     BiasRegion,
     OperatingPoint,
     RocCurve,
-    RocPoint,
     bias_sweep,
     eer_operating_point,
     hter_at,
@@ -106,11 +103,8 @@ __all__ = [
     "OperatingPoint",
     "OutlierSpec",
     "ParameterError",
-    "ResponseRecord",
     "RocCurve",
-    "RocPoint",
     "RowError",
-    "SampleClass",
     "SchemaError",
     "Sidedness",
     "SummaryStats",

@@ -240,7 +240,7 @@ def _cmd_eer(args) -> int:
     )
     for g in ds.groups():
         att_g = attack_responses(ds, g)
-        if not att_g:
+        if len(att_g) == 0:
             print(f"{g}: no attack rows, skipped")
             continue
         op = hter_at(bona_fide_responses(ds, g), att_g, point.threshold)

@@ -1,6 +1,6 @@
 """Response dataset schema, CSV ingestion, and group partitioning.
 
-A dataset is a flat list of classifier responses, one row per presented
+A dataset is a table of classifier responses, one row per presented
 sample: who was presented (``sample_id``), which demographic group the
 sample belongs to, whether it was a bona fide presentation or an attack,
 and the classifier's scalar response. Responses are non-negative; lower
@@ -9,13 +9,14 @@ means more likely to be accepted (accept iff response <= threshold).
 from __future__ import annotations
 
 import csv
-import enum
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyDatasetError,
@@ -28,8 +29,6 @@ from .errors import (
 
 __all__ = [
     "EXPECTED_HEADER",
-    "SampleClass",
-    "ResponseRecord",
     "Dataset",
     "GroupPair",
     "load_csv",
@@ -46,32 +45,6 @@ EXPECTED_HEADER = ("sample_id", "group", "class", "response")
 # accepted spellings for the class column, case-insensitive
 _BONA_FIDE_NAMES = frozenset({"bonafide", "bona_fide", "bona-fide", "bona fide"})
 _ATTACK_NAMES = frozenset({"attack"})
-
-
-class SampleClass(enum.Enum):
-    BONA_FIDE = "bonafide"
-    ATTACK = "attack"
-
-
-@dataclass(frozen=True)
-class ResponseRecord:
-    """One presented sample: identity, group, class, and response."""
-
-    sample_id: str
-    group: str
-    sample_class: SampleClass
-    response: float
-
-    def __post_init__(self):
-        if not self.sample_id:
-            raise ParameterError("sample_id must be non-empty")
-        if not self.group:
-            raise ParameterError("group must be non-empty")
-        if not isinstance(self.sample_class, SampleClass):
-            raise ParameterError(f"bad sample class: {self.sample_class!r}")
-        r = self.response
-        if not isinstance(r, float) or not math.isfinite(r) or r < 0.0:
-            raise ParameterError(f"response must be a finite float >= 0, got {r!r}")
 
 
 @dataclass(frozen=True)
@@ -98,24 +71,58 @@ class GroupPair:
         return f"{self.a}|{self.b}"
 
 
-class Dataset:
-    """Immutable collection of ResponseRecords with a per-group index."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    def __init__(self, records: Iterable[ResponseRecord]):
-        self.records: tuple[ResponseRecord, ...] = tuple(records)
-        if not self.records:
+
+class Dataset:
+    """Immutable columns, one entry per row: ``sample_ids``, ``group_codes``
+    (indices into the sorted ``groups()``, built from group labels), the
+    ``bona_fide`` mask and float64 ``responses``. Each group's bona fide and
+    attack responses are sorted once, stably (ties keep input order)."""
+
+    def __init__(
+        self,
+        sample_ids: Sequence[str],
+        groups: Sequence[str],
+        bona_fide: Sequence[bool],
+        responses: Sequence[float],
+    ):
+        self.sample_ids = ids = tuple(sample_ids)
+        labels = list(groups)
+        mask = _read_only(np.array(bona_fide))
+        resp = _read_only(np.array(responses, dtype=np.float64))
+        n = len(ids)
+        if n == 0:
             raise EmptyDatasetError("dataset has no records")
-        index: dict[str, list[int]] = {}
-        for i, rec in enumerate(self.records):
-            index.setdefault(rec.group, []).append(i)
-        self.group_index: dict[str, tuple[int, ...]] = {
-            g: tuple(ix) for g, ix in sorted(index.items())
-        }
-        dupes = {
-            sid: c
-            for sid, c in Counter(r.sample_id for r in self.records).items()
-            if c > 1
-        }
+        if len(labels) != n or mask.shape != (n,) or resp.shape != (n,):
+            raise ParameterError("the four columns must have equal lengths")
+        if not all(ids):
+            raise ParameterError("sample_id must be non-empty")
+        if not all(labels):
+            raise ParameterError("group must be non-empty")
+        if mask.dtype != bool:
+            raise ParameterError(f"bona_fide must be a bool column, got {mask.dtype}")
+        bad = resp[~(np.isfinite(resp) & (resp >= 0.0))]
+        if bad.size:
+            raise ParameterError(f"response must be a finite float >= 0, got {bad[0]}")
+
+        self._groups = tuple(sorted(set(labels)))
+        code_of = {g: i for i, g in enumerate(self._groups)}
+        self.group_codes = _read_only(np.array([code_of[g] for g in labels]))
+        self.bona_fide = mask
+        self.responses = resp
+        # (group, or None for pooled; is bona fide) -> ascending responses
+        self._sorted: dict[tuple[str | None, bool], np.ndarray] = {}
+        for cls in (True, False):
+            in_cls = mask == cls
+            self._sorted[None, cls] = _read_only(np.sort(resp[in_cls], kind="stable"))
+            for code, g in enumerate(self._groups):
+                rows = in_cls & (self.group_codes == code)
+                self._sorted[g, cls] = _read_only(np.sort(resp[rows], kind="stable"))
+
+        dupes = {sid: c for sid, c in Counter(ids).items() if c > 1}
         if dupes:
             log.warning(
                 "dataset contains %d duplicated sample_id value(s), e.g. %r",
@@ -124,21 +131,22 @@ class Dataset:
             )
 
     def groups(self) -> list[str]:
-        return list(self.group_index)
+        return list(self._groups)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.sample_ids)
 
 
 def load_csv(path: str | Path) -> Dataset:
     """Load a response dataset from CSV.
 
-    Expects the exact header ``sample_id,group,class,response`` (UTF-8,
-    ``.`` decimal separator, LF or CRLF). Class values are case-insensitive.
-    Raises SchemaError / RowError / EmptyDatasetError accordingly.
+    Expects the exact header ``sample_id,group,class,response`` (UTF-8 with
+    or without a byte-order mark, ``.`` decimal separator, LF or CRLF).
+    Class values are case-insensitive. Raises SchemaError / RowError /
+    EmptyDatasetError accordingly.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -157,7 +165,7 @@ def load_csv(path: str | Path) -> Dataset:
                 detail.append(f"column order must be {','.join(EXPECTED_HEADER)}")
             raise SchemaError(f"{path}: bad header: {'; '.join(detail)}")
 
-        records = []
+        ids, groups, bona_fide, responses = [], [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue  # tolerate blank lines
@@ -170,9 +178,9 @@ def load_csv(path: str | Path) -> Dataset:
                 raise RowError(line_no, "empty group")
             cls_norm = cls_text.lower()
             if cls_norm in _BONA_FIDE_NAMES:
-                cls = SampleClass.BONA_FIDE
+                is_bona = True
             elif cls_norm in _ATTACK_NAMES:
-                cls = SampleClass.ATTACK
+                is_bona = False
             else:
                 raise RowError(line_no, f"unknown class {cls_text!r}")
             try:
@@ -183,46 +191,49 @@ def load_csv(path: str | Path) -> Dataset:
                 raise RowError(
                     line_no, f"response must be finite and >= 0, got {resp_text!r}"
                 )
-            records.append(ResponseRecord(sid, group, cls, resp))
+            ids.append(sid)
+            groups.append(group)
+            bona_fide.append(is_bona)
+            responses.append(resp)
 
-    if not records:
+    if not ids:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return Dataset(records)
+    return Dataset(ids, groups, bona_fide, responses)
 
 
 def save_csv(ds: Dataset, path: str | Path) -> None:
     """Write a dataset back to CSV; responses as shortest round-trip decimals."""
     path = Path(path)
+    groups = ds.groups()
+    class_text = {True: "bonafide", False: "attack"}
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(EXPECTED_HEADER)
-        for rec in ds.records:
-            writer.writerow(
-                [rec.sample_id, rec.group, rec.sample_class.value, repr(rec.response)]
-            )
+        for sid, code, is_bona, resp in zip(
+            ds.sample_ids,
+            ds.group_codes.tolist(),
+            ds.bona_fide.tolist(),
+            ds.responses.tolist(),
+        ):
+            writer.writerow([sid, groups[code], class_text[is_bona], repr(resp)])
 
 
-def _responses(ds: Dataset, cls: SampleClass, group: str | None) -> list[float]:
-    if group is not None:
-        if group not in ds.group_index:
-            known = ", ".join(ds.group_index)
-            raise UnknownGroupError(f"no such group {group!r} (have: {known})")
-        idx: Sequence[int] = ds.group_index[group]
-    else:
-        idx = range(len(ds.records))
-    out = [ds.records[i].response for i in idx if ds.records[i].sample_class is cls]
-    out.sort()
+def _responses(ds: Dataset, bona_fide: bool, group: str | None) -> np.ndarray:
+    out = ds._sorted.get((group, bona_fide))
+    if out is None:
+        known = ", ".join(ds.groups())
+        raise UnknownGroupError(f"no such group {group!r} (have: {known})")
     return out
 
 
-def bona_fide_responses(ds: Dataset, group: str | None = None) -> list[float]:
-    """Ascending bona fide responses for one group (or pooled when None)."""
-    return _responses(ds, SampleClass.BONA_FIDE, group)
+def bona_fide_responses(ds: Dataset, group: str | None = None) -> np.ndarray:
+    """Ascending read-only bona fide responses for one group (pooled when None)."""
+    return _responses(ds, True, group)
 
 
-def attack_responses(ds: Dataset, group: str | None = None) -> list[float]:
-    """Ascending attack responses for one group (or pooled when None)."""
-    return _responses(ds, SampleClass.ATTACK, group)
+def attack_responses(ds: Dataset, group: str | None = None) -> np.ndarray:
+    """Ascending read-only attack responses for one group (pooled when None)."""
+    return _responses(ds, False, group)
 
 
 def group_pairs(ds: Dataset) -> list[GroupPair]:

@@ -51,6 +51,11 @@ __all__ = ["AuditConfig", "AuditReport", "run_audit", "render_json"]
 DEFAULT_QUANTILES = (0.01, 0.02, 0.05, 0.10, 0.20)
 
 
+def _anchor_label(q: float) -> str:
+    """The anchor's key in ``chi_squared``, so it must be unique."""
+    return f"q={q:g}"
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Knobs for one audit run; everything downstream is deterministic in
@@ -74,6 +79,9 @@ class AuditConfig:
         for q in self.quantiles:
             if not 0.0 <= q <= 1.0:
                 raise ParameterError(f"quantiles must be in [0, 1], got {q}")
+        labels = [_anchor_label(q) for q in self.quantiles]
+        if len(set(labels)) < len(labels):
+            raise ParameterError(f"duplicate anchor labels: {', '.join(labels)}")
         if self.dip_bins < 2:
             raise ParameterError(f"dip_bins must be >= 2, got {self.dip_bins}")
         if self.dip_replicas < 1:
@@ -196,7 +204,7 @@ class AuditReport:
 
 
 def _summary_dict(s: SummaryStats) -> dict:
-    return {"n": s.n, "mean": s.mean, "std_dev": s.std_dev, "dip": s.dip}
+    return {"n": s.n, "mean": s.mean, "std_dev": s.std_dev}
 
 
 def _dip_dict(r: DipResult) -> dict:
@@ -237,7 +245,7 @@ def _op_dict(p: OperatingPoint) -> dict:
 
 
 def _pair_histogram(
-    pair: GroupPair, bona_a: list[float], bona_b: list[float], bins: int
+    pair: GroupPair, bona_a: np.ndarray, bona_b: np.ndarray, bins: int
 ) -> HistogramSeries:
     lo = min(bona_a[0], bona_b[0])
     hi = max(bona_a[-1], bona_b[-1])
@@ -258,7 +266,7 @@ def _pair_histogram(
 
 def _analyze_pair(
     pair: GroupPair,
-    bona: dict[str, list[float]],
+    bona: dict[str, np.ndarray],
     anchors: Sequence[dict],
     alpha: float,
 ) -> PairAnalysis:
@@ -294,7 +302,7 @@ def run_audit(
     pairs = group_pairs(ds)  # also enforces >= 2 groups
     groups = tuple(ds.groups())
 
-    bona: dict[str, list[float]] = {}
+    bona: dict[str, np.ndarray] = {}
     for g in groups:
         vals = bona_fide_responses(ds, g)
         if len(vals) < 4:
@@ -333,7 +341,7 @@ def run_audit(
     # EER threshold when attack rows exist.
     anchors = [
         {
-            "label": f"q={q:g}",
+            "label": _anchor_label(q),
             "kind": "quantile",
             "quantile": q,
             "threshold": threshold_for_bonafide_error(pooled_bona, q),
@@ -342,13 +350,13 @@ def run_audit(
     ]
     eer = None
     per_group_hter = None
-    if pooled_attack:
+    if len(pooled_attack):
         eer = eer_operating_point(roc_curve(pooled_bona, pooled_attack))
         anchors.append({"label": "eer", "kind": "eer", "threshold": eer.threshold})
         per_group_hter = {}
         for g in groups:
             att_g = attack_responses(ds, g)
-            if att_g:
+            if len(att_g):
                 per_group_hter[g] = hter_at(bona[g], att_g, eer.threshold)
 
     analyses = tuple(_analyze_pair(p, bona, anchors, cfg.alpha) for p in pairs)

@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dip import _dip_sorted
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -328,20 +327,19 @@ def shapiro_wilk(a: Sequence[float]) -> TestResult:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Location, spread, and shape summary for one group's responses."""
+    """Location and spread summary for one group's responses."""
 
     n: int
     mean: float
     std_dev: float
-    dip: float
 
 
 def summary_stats(a: Sequence[float]) -> SummaryStats:
-    """Mean, sample standard deviation (n - 1), and unbinned dip."""
+    """Mean and sample standard deviation (n - 1); exact sums, so order-free."""
     n = len(a)
     if n < 2:
         raise InsufficientDataError(f"summary needs at least 2 values, got {n}")
-    vals = sorted(float(v) for v in a)
+    vals = np.asarray(a, dtype=float).tolist()
     mean = math.fsum(vals) / n
     sd = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (n - 1))
-    return SummaryStats(n=n, mean=mean, std_dev=sd, dip=_dip_sorted(vals, [1] * n))
+    return SummaryStats(n=n, mean=mean, std_dev=sd)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, ResponseRecord, SampleClass
+from .data import Dataset
 from .errors import ParameterError
 from .svm import CodeVector
 
@@ -188,18 +188,13 @@ def demo_dataset(
     """
     if n_per_group < 4:
         raise ParameterError(f"n_per_group must be >= 4, got {n_per_group}")
-    records = []
+    ids, groups, bona_fide, responses = [], [], [], []
 
-    def add(group: str, cls: SampleClass, values: np.ndarray, tag: str):
-        for i, v in enumerate(values):
-            records.append(
-                ResponseRecord(
-                    sample_id=f"{group}-{tag}-{i:04d}",
-                    group=group,
-                    sample_class=cls,
-                    response=float(v),
-                )
-            )
+    def add(group: str, is_bona: bool, vals: np.ndarray, tag: str):
+        ids.extend(f"{group}-{tag}-{i:04d}" for i in range(len(vals)))
+        groups.extend([group] * len(vals))
+        bona_fide.extend([is_bona] * len(vals))
+        responses.append(vals)
 
     bona = {
         "alpha": gen_lognormal(
@@ -222,13 +217,13 @@ def demo_dataset(
             n_per_group,
         ),
     }
-    for group, values in bona.items():
-        add(group, SampleClass.BONA_FIDE, values, "bf")
+    for group, vals in bona.items():
+        add(group, True, vals, "bf")
     if with_attacks:
         for offset, group in enumerate(bona):
             att = gen_lognormal(
                 LognormalSpec(_DEMO_MU + 1.8, 0.35, n_per_group, group),
                 seed + 100 + offset,
             )
-            add(group, SampleClass.ATTACK, att, "att")
-    return Dataset(records)
+            add(group, False, att, "att")
+    return Dataset(ids, groups, bona_fide, np.concatenate(responses))

@@ -21,7 +21,6 @@ from .errors import InsufficientDataError, ParameterError
 from .stats import _one_sided_chi2
 
 __all__ = [
-    "RocPoint",
     "RocCurve",
     "OperatingPoint",
     "BiasCurve",
@@ -36,20 +35,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    far: float
-    frr: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Empirical ROC: one point per distinct pooled response value, plus a
-    sentinel below the minimum (nothing accepted) and one above the maximum
-    (everything accepted). Thresholds are strictly increasing."""
+    """Empirical ROC as parallel arrays: one point per distinct pooled value,
+    plus a sentinel below the minimum (nothing accepted) and one above the
+    maximum (everything accepted). Thresholds are strictly increasing."""
 
-    points: tuple[RocPoint, ...]
+    thresholds: np.ndarray
+    far: np.ndarray
+    frr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,10 +117,7 @@ def roc_curve(bona: Sequence[float], attack: Sequence[float]) -> RocCurve:
     n_b, n_a = len(bona_s), len(att_s)
     far = np.searchsorted(att_s, grid, side="right") / n_a
     frr = (n_b - np.searchsorted(bona_s, grid, side="right")) / n_b
-    points = tuple(
-        RocPoint(float(t), float(fa), float(fr)) for t, fa, fr in zip(grid, far, frr)
-    )
-    return RocCurve(points)
+    return RocCurve(grid, far, frr)
 
 
 def eer_operating_point(roc: RocCurve) -> OperatingPoint:
@@ -135,10 +126,11 @@ def eer_operating_point(roc: RocCurve) -> OperatingPoint:
     Ties prefer the smaller max(far, frr), then the smaller threshold. The
     reported equal error rate is this point's hter.
     """
-    best = min(
-        roc.points, key=lambda p: (abs(p.far - p.frr), max(p.far, p.frr), p.threshold)
-    )
-    return OperatingPoint(best.threshold, best.far, best.frr, (best.far + best.frr) / 2)
+    far, frr = roc.far, roc.frr
+    # np.lexsort orders by its last key first
+    i = np.lexsort((roc.thresholds, np.maximum(far, frr), np.abs(far - frr)))[0]
+    far_i, frr_i = float(far[i]), float(frr[i])
+    return OperatingPoint(float(roc.thresholds[i]), far_i, frr_i, (far_i + frr_i) / 2)
 
 
 def hter_at(
@@ -163,12 +155,12 @@ def threshold_for_bonafide_error(bona: Sequence[float], q: float) -> float:
     n = len(bona)
     if n == 0:
         raise InsufficientDataError("no bona fide responses")
-    s = sorted(bona)
+    s = np.sort(np.asarray(bona, dtype=float), kind="stable")
     # float-tolerant floor: q arriving as 0.1 + eps must still reject floor(q*n)
     m = int(math.floor(q * n + 1e-9))
     if m >= n:
         return _below(s[0])
-    return s[n - 1 - m]
+    return float(s[n - 1 - m])
 
 
 def bias_sweep(

@@ -1,6 +1,6 @@
 import pytest
 
-from biasaudit.data import Dataset, ResponseRecord, SampleClass
+from biasaudit.data import Dataset
 
 
 @pytest.fixture
@@ -8,17 +8,12 @@ def make_dataset():
     """Factory: build a Dataset from (group, class, response) triples."""
 
     def build(rows):
-        records = []
-        for i, (group, cls, resp) in enumerate(rows):
-            records.append(
-                ResponseRecord(
-                    sample_id=f"s{i:05d}",
-                    group=group,
-                    sample_class=SampleClass(cls),
-                    response=float(resp),
-                )
-            )
-        return Dataset(records)
+        return Dataset(
+            [f"s{i:05d}" for i in range(len(rows))],
+            [group for group, _, _ in rows],
+            [{"bonafide": True, "attack": False}[cls] for _, cls, _ in rows],
+            [float(resp) for _, _, resp in rows],
+        )
 
     return build
 

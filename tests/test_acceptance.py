@@ -194,7 +194,7 @@ def test_criterion_5_operating_points_match_counting_oracle():
             + pooled
             + [math.nextafter(pooled[-1], math.inf)]
         )
-        assert [p.threshold for p in curve.points] == cands
+        assert curve.thresholds.tolist() == cands
         best = None
         for t in cands:
             far = sum(1 for v in attack if v <= t) / n_a
@@ -202,9 +202,9 @@ def test_criterion_5_operating_points_match_counting_oracle():
             key = (abs(far - frr), max(far, frr), t)
             if best is None or key < best[0]:
                 best = (key, t, far, frr)
-        for p in curve.points:
-            assert p.far == sum(1 for v in attack if v <= p.threshold) / n_a
-            assert p.frr == sum(1 for v in bona if v > p.threshold) / n_b
+        for t, far, frr in zip(curve.thresholds, curve.far, curve.frr):
+            assert far == sum(1 for v in attack if v <= t) / n_a
+            assert frr == sum(1 for v in bona if v > t) / n_b
 
         op = eer_operating_point(curve)
         assert (op.threshold, op.far, op.frr) == (best[1], best[2], best[3])

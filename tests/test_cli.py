@@ -114,6 +114,15 @@ class TestAuditCommand:
         assert "pooled EER" in text
         assert text.count("pair ") == 6
 
+    def test_duplicate_anchor_labels_rejected(self, synth_dir, tmp_path, capsys):
+        code = main(
+            ["audit", "--data", str(synth_dir / "responses.csv"), "--out", str(tmp_path / "o")]
+            + ["--quantiles", "0.1,0.10,0.2"]
+            + AUDIT_FAST
+        )
+        assert code == 1
+        assert "q=0.1, q=0.1" in capsys.readouterr().err
+
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code = main(
             ["audit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]

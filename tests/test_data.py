@@ -4,8 +4,6 @@ import pytest
 from biasaudit.data import (
     Dataset,
     GroupPair,
-    ResponseRecord,
-    SampleClass,
     attack_responses,
     bona_fide_responses,
     group_pairs,
@@ -27,11 +25,10 @@ class TestLoadCsv:
         path = write_csv("sample_id,group,class,response\ns1,Asian,bonafide,0.031\n")
         ds = load_csv(path)
         assert len(ds) == 1
-        rec = ds.records[0]
-        assert rec.sample_id == "s1"
-        assert rec.group == "Asian"
-        assert rec.sample_class is SampleClass.BONA_FIDE
-        assert rec.response == 0.031
+        assert ds.sample_ids[0] == "s1"
+        assert ds.groups()[ds.group_codes[0]] == "Asian"
+        assert ds.bona_fide[0]
+        assert ds.responses[0] == 0.031
 
     def test_class_names_case_insensitive(self, write_csv):
         path = write_csv(
@@ -41,11 +38,13 @@ class TestLoadCsv:
             "s3,A,ATTACK,0.1\n"
         )
         ds = load_csv(path)
-        assert [r.sample_class for r in ds.records] == [
-            SampleClass.BONA_FIDE,
-            SampleClass.BONA_FIDE,
-            SampleClass.ATTACK,
-        ]
+        assert ds.bona_fide.tolist() == [True, True, False]
+
+    def test_byte_order_mark_accepted(self, write_csv):
+        path = write_csv("\ufeffsample_id,group,class,response\ns1,A,bonafide,0.5\n")
+        ds = load_csv(path)
+        assert ds.sample_ids == ("s1",)
+        assert ds.responses.tolist() == [0.5]
 
     def test_crlf_accepted(self, write_csv):
         path = write_csv(
@@ -53,7 +52,7 @@ class TestLoadCsv:
         )
         ds = load_csv(path)
         assert len(ds) == 2
-        assert ds.records[1].response == 0.7
+        assert ds.responses[1] == 0.7
 
     def test_negative_response_reports_line(self, write_csv):
         path = write_csv(
@@ -126,7 +125,10 @@ class TestLoadCsv:
         assert len(text.strip().splitlines()) - 1 == 400
         ds = load_csv(path)
         assert len(ds) == 400
-        assert {g: len(idx) for g, idx in ds.group_index.items()} == {"A": 200, "B": 200}
+        assert dict(zip(ds.groups(), np.bincount(ds.group_codes).tolist())) == {
+            "A": 200,
+            "B": 200,
+        }
 
     def test_duplicate_sample_id_warns(self, write_csv, caplog):
         path = write_csv(
@@ -151,11 +153,12 @@ class TestRoundTrip:
         save_csv(ds, path)
         back = load_csv(path)
         assert len(back) == len(ds)
-        for orig, re in zip(ds.records, back.records):
-            assert orig.sample_id == re.sample_id
-            assert orig.group == re.group
-            assert orig.sample_class is re.sample_class
-            assert orig.response == re.response  # exact, not approximate
+        assert back.sample_ids == ds.sample_ids
+        assert back.groups() == ds.groups()
+        assert back.group_codes.tolist() == ds.group_codes.tolist()
+        assert back.bona_fide.tolist() == ds.bona_fide.tolist()
+        # exact, not approximate
+        assert back.responses.tolist() == ds.responses.tolist()
 
 
 class TestDatasetInvariants:
@@ -166,9 +169,15 @@ class TestDatasetInvariants:
             for _ in range(257)
         ]
         ds = make_dataset(rows)
-        assert sum(len(idx) for idx in ds.group_index.values()) == len(ds)
-        seen = sorted(i for idx in ds.group_index.values() for i in idx)
+        per_group = [np.flatnonzero(ds.group_codes == c) for c in range(len(ds.groups()))]
+        assert sum(len(idx) for idx in per_group) == len(ds)
+        seen = sorted(i for idx in per_group for i in idx.tolist())
         assert seen == list(range(len(ds)))
+        # and the sorted per-group arrays partition the responses the same way
+        pooled = sorted(
+            v for g in ds.groups() for v in bona_fide_responses(ds, g).tolist()
+        )
+        assert pooled == sorted(r for _, _, r in rows)
 
     def test_groups_sorted(self, make_dataset):
         ds = make_dataset([("zeta", "bonafide", 0.1), ("alpha", "bonafide", 0.2)])
@@ -176,17 +185,21 @@ class TestDatasetInvariants:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDatasetError):
-            Dataset([])
+            Dataset([], [], [], [])
 
     def test_record_validation(self):
         with pytest.raises(ParameterError):
-            ResponseRecord("", "A", SampleClass.BONA_FIDE, 0.1)
+            Dataset([""], ["A"], [True], [0.1])
         with pytest.raises(ParameterError):
-            ResponseRecord("s1", "", SampleClass.BONA_FIDE, 0.1)
+            Dataset(["s1"], [""], [True], [0.1])
         with pytest.raises(ParameterError):
-            ResponseRecord("s1", "A", SampleClass.BONA_FIDE, -0.5)
+            Dataset(["s1"], ["A"], [True], [-0.5])
         with pytest.raises(ParameterError):
-            ResponseRecord("s1", "A", SampleClass.BONA_FIDE, float("nan"))
+            Dataset(["s1"], ["A"], [True], [float("nan")])
+        with pytest.raises(ParameterError):
+            Dataset(["s1"], ["A"], ["bonafide"], [0.1])  # class must be a bool mask
+        with pytest.raises(ParameterError):
+            Dataset(["s1", "s2"], ["A"], [True, True], [0.1, 0.2])  # unequal lengths
 
 
 class TestResponseQueries:
@@ -201,8 +214,8 @@ class TestResponseQueries:
         got = bona_fide_responses(ds, "A")
         # brute force over the raw rows
         want = sorted(r for g, c, r in rows if g == "A" and c == "bonafide")
-        assert got == want
-        assert attack_responses(ds, "B") == sorted(
+        assert got.tolist() == want
+        assert attack_responses(ds, "B").tolist() == sorted(
             r for g, c, r in rows if g == "B" and c == "attack"
         )
 
@@ -215,14 +228,25 @@ class TestResponseQueries:
 
     def test_attack_only_group_gives_empty_bona(self, make_dataset):
         ds = make_dataset([("A", "attack", 0.5), ("B", "bonafide", 0.1)])
-        assert bona_fide_responses(ds, "A") == []
+        assert bona_fide_responses(ds, "A").tolist() == []
 
     def test_none_group_pools_everything(self, make_dataset):
         ds = make_dataset(
             [("A", "bonafide", 0.3), ("B", "bonafide", 0.1), ("A", "attack", 0.9)]
         )
-        assert bona_fide_responses(ds) == [0.1, 0.3]
-        assert attack_responses(ds) == [0.9]
+        assert bona_fide_responses(ds).tolist() == [0.1, 0.3]
+        assert attack_responses(ds).tolist() == [0.9]
+
+    def test_sorted_once_read_only_and_stable(self, make_dataset):
+        ds = make_dataset(
+            [("A", "bonafide", 0.5), ("A", "bonafide", 0.0), ("A", "bonafide", -0.0)]
+        )
+        got = bona_fide_responses(ds, "A")
+        assert bona_fide_responses(ds, "A") is got  # no per-call copy or sort
+        assert not got.flags.writeable
+        # 0.0 and -0.0 tie and keep input order, as list.sort does
+        assert np.signbit(got).tolist() == [False, True, False]
+        assert np.signbit(bona_fide_responses(ds)).tolist() == [False, True, False]
 
     def test_unknown_group_named(self, make_dataset):
         ds = make_dataset([("A", "bonafide", 0.1)])

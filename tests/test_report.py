@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from biasaudit.data import Dataset, ResponseRecord, SampleClass
+from biasaudit.data import Dataset
 from biasaudit.errors import InsufficientDataError, ParameterError
 from biasaudit.report import AuditConfig, render_json, run_audit
 from biasaudit.svm import FeatureMode
@@ -57,6 +57,8 @@ class TestAuditConfig:
             AuditConfig(quantiles=())
         with pytest.raises(ParameterError):
             AuditConfig(quantiles=(0.1, 1.5))
+        with pytest.raises(ParameterError):
+            AuditConfig(quantiles=(0.1, 0.10, 0.2))  # two "q=0.1" anchors
         with pytest.raises(ParameterError):
             AuditConfig(dip_bins=1)
         with pytest.raises(ParameterError):
@@ -152,6 +154,22 @@ class TestReportDeterminism:
     def test_rerun_is_byte_identical(self, demo, report):
         again = run_audit(demo, AuditConfig(**FAST))
         assert render_json(again) == render_json(report)
+
+    def test_row_permutation_is_byte_identical(self, demo, report):
+        # strictly positive, so no 0.0/-0.0 ties whose order the input decides
+        assert demo.responses.min() > 0.0
+        want = render_json(report)
+        rng = np.random.default_rng(2718)
+        groups = demo.groups()
+        for _ in range(3):
+            p = rng.permutation(len(demo))
+            shuffled = Dataset(
+                [demo.sample_ids[i] for i in p],
+                [groups[c] for c in demo.group_codes[p]],
+                demo.bona_fide[p],
+                demo.responses[p],
+            )
+            assert render_json(run_audit(shuffled, AuditConfig(**FAST))) == want
 
     def test_render_round_trips(self, report):
         blob = render_json(report)

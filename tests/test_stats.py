@@ -349,7 +349,6 @@ class TestSummaryStats:
         s = summary_stats([0.0, 2.0])
         assert s.mean == 1.0
         assert s.std_dev == pytest.approx(math.sqrt(2), rel=1e-12)
-        assert s.dip == 0.25  # 1/(2n) floor for two points
 
     def test_lognormal_mean_near_analytic(self):
         mu, sigma, n = -3.6, 0.45, 200

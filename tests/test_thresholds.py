@@ -44,34 +44,34 @@ class TestOutcomesAt:
 class TestRocCurve:
     def test_separable_reaches_zero_error(self):
         curve = roc_curve(bona=[0.1, 0.2, 0.3], attack=[0.8, 0.9])
-        assert any(p.far == 0.0 and p.frr == 0.0 for p in curve.points)
+        assert any(fa == 0.0 and fr == 0.0 for fa, fr in zip(curve.far, curve.frr))
 
     def test_identical_distributions_floor_at_half(self):
         vals = [float(v) for v in range(1, 11)]
         curve = roc_curve(bona=vals, attack=list(vals))
-        assert min(max(p.far, p.frr) for p in curve.points) == 0.5
+        assert min(max(fa, fr) for fa, fr in zip(curve.far, curve.frr)) == 0.5
 
     def test_sentinel_points(self):
         curve = roc_curve(bona=[1.0, 2.0], attack=[1.5, 3.0])
-        first, last = curve.points[0], curve.points[-1]
-        assert (first.far, first.frr) == (0.0, 1.0)
-        assert (last.far, last.frr) == (1.0, 0.0)
-        assert first.threshold < 1.0
-        assert last.threshold > 3.0
+        assert (curve.far[0], curve.frr[0]) == (0.0, 1.0)
+        assert (curve.far[-1], curve.frr[-1]) == (1.0, 0.0)
+        assert curve.thresholds[0] < 1.0
+        assert curve.thresholds[-1] > 3.0
 
     def test_one_point_per_distinct_value(self):
         bona = [1.0, 1.0, 2.0]
         attack = [2.0, 3.0]
         curve = roc_curve(bona, attack)
-        assert len(curve.points) == 3 + 2  # distinct pooled values + sentinels
+        assert len(curve.thresholds) == 3 + 2  # distinct pooled values + sentinels
+        assert len(curve.far) == len(curve.frr) == len(curve.thresholds)
 
     def test_monotone_rates_and_thresholds(self):
         rng = np.random.default_rng(90)
         curve = roc_curve(rng.lognormal(-3.6, 0.5, 60), rng.lognormal(-2.8, 0.5, 45))
-        ts = [p.threshold for p in curve.points]
+        ts = curve.thresholds.tolist()
         assert all(a < b for a, b in zip(ts, ts[1:]))
-        fars = [p.far for p in curve.points]
-        frrs = [p.frr for p in curve.points]
+        fars = curve.far.tolist()
+        frrs = curve.frr.tolist()
         assert all(a <= b for a, b in zip(fars, fars[1:]))
         assert all(a >= b for a, b in zip(frrs, frrs[1:]))
 
@@ -80,9 +80,9 @@ class TestRocCurve:
         bona = list(rng.integers(0, 40, 50).astype(float))
         attack = list(rng.integers(20, 60, 50).astype(float))
         curve = roc_curve(bona, attack)
-        for p in curve.points:
-            assert p.far == sum(1 for v in attack if v <= p.threshold) / len(attack)
-            assert p.frr == sum(1 for v in bona if v > p.threshold) / len(bona)
+        for t, far, frr in zip(curve.thresholds, curve.far, curve.frr):
+            assert far == sum(1 for v in attack if v <= t) / len(attack)
+            assert frr == sum(1 for v in bona if v > t) / len(bona)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -97,6 +97,16 @@ class TestEqualErrorRate:
         op = eer_operating_point(roc_curve(vals, list(vals)))
         assert op.far == op.frr == 0.5
         assert op.hter == 0.5
+
+    def test_values_leave_as_python_floats(self):
+        rng = np.random.default_rng(77)
+        bona, attack = rng.lognormal(-3.6, 0.5, 40), rng.lognormal(-2.8, 0.5, 30)
+        op = eer_operating_point(roc_curve(bona, attack))
+        fields = (op.threshold, op.far, op.frr, op.hter)
+        assert all(type(v) is float for v in fields)
+        assert "np." not in repr(op)
+        for q in (0.0, 0.1, 1.0):
+            assert type(threshold_for_bonafide_error(bona, q)) is float
 
     def test_separable_distributions(self):
         op = eer_operating_point(roc_curve([0.1, 0.2], [0.8, 0.9]))
