@@ -44,7 +44,7 @@ from .stats import (
     summary_stats,
 )
 from .svm import (
-    CodeVector,
+    CodeMatrix,
     FeatureMode,
     FoldSpec,
     SvmModel,
@@ -87,7 +87,7 @@ __all__ = [
     "AuditReport",
     "BiasCurve",
     "BiasRegion",
-    "CodeVector",
+    "CodeMatrix",
     "ContingencyTable2x2",
     "Dataset",
     "DegenerateDataError",

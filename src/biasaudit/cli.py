@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import bona_fide_responses, attack_responses, load_csv, save_csv
 from .dip import dip_critical_value, dip_statistic
@@ -25,6 +27,7 @@ from .stats import (
     shapiro_wilk,
 )
 from .svm import (
+    CodeMatrix,
     FeatureMode,
     FoldSpec,
     _pairwise_aucs,
@@ -103,6 +106,11 @@ def _add_audit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--dip-replicas", type=int, default=10000, help="null replicas for dip critical values"
     )
+    _add_svm_options(p)
+
+
+def _add_svm_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--codes-k", type=int, help="codebook size when the CSV has no #K line")
     p.add_argument("--seed", type=int, default=12345, help="master RNG seed")
     p.add_argument("--svm-c", type=float, default=1.0, help="SVM soft-margin C")
     p.add_argument("--svm-gamma", default="auto", help="RBF gamma, or 'auto'")
@@ -250,7 +258,7 @@ def _cmd_eer(args) -> int:
 
 def _cmd_svm_sep(args) -> int:
     codes = load_codes_csv(args.codes, k=args.codes_k)
-    groups = sorted({v.group for v in codes})
+    groups = codes.groups()
     if len(groups) < 2:
         raise ParameterError(f"need at least two groups in {args.codes}")
     aucs = _pairwise_aucs(
@@ -278,23 +286,24 @@ def _cmd_synth(args) -> int:
     save_csv(ds, data_path)
     print(f"wrote {data_path} ({len(ds)} rows, groups: {', '.join(ds.groups())})")
     if not args.no_codes:
-        vectors = []
         group_list = ds.groups()
-        # chain pairs (alpha,beta), (gamma,delta) share one generator call each
-        for idx in range(0, len(group_list) - 1, 2):
-            vectors.extend(
-                gen_code_vectors(
-                    args.n_per_group,
-                    d=args.codes_d,
-                    k=args.codes_k,
-                    separability=args.codes_separability,
-                    seed=args.seed + 500 + idx,
-                    groups=(group_list[idx], group_list[idx + 1]),
-                )
+        # chain pairs (alpha,beta), (delta,gamma) share one generator call each
+        parts = [
+            gen_code_vectors(
+                args.n_per_group,
+                d=args.codes_d,
+                k=args.codes_k,
+                separability=args.codes_separability,
+                seed=args.seed + 500 + idx,
+                groups=(group_list[idx], group_list[idx + 1]),
             )
+            for idx in range(0, len(group_list) - 1, 2)
+        ]
+        labels = [g for p in parts for g in p.labels()]
+        codes = CodeMatrix(np.vstack([p.codes for p in parts]), labels, args.codes_k)
         codes_path = out / "codes.csv"
-        save_codes_csv(vectors, codes_path)
-        print(f"wrote {codes_path} ({len(vectors)} vectors, K={args.codes_k})")
+        save_codes_csv(codes, codes_path)
+        print(f"wrote {codes_path} ({len(codes)} vectors, K={args.codes_k})")
     return 0
 
 
@@ -318,7 +327,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="full audit: report.json plus plots")
     p.add_argument("--data", required=True, help="response CSV")
     p.add_argument("--codes", help="optional latent-code CSV enabling the SVM section")
-    p.add_argument("--codes-k", type=int, help="codebook size when the CSV has no #K line")
     p.add_argument("--out", required=True, help="output directory")
     _add_audit_options(p)
     p.set_defaults(func=_cmd_audit)
@@ -363,13 +371,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eer)
 
     p = sub.add_parser("svm-sep", help="cross-validated code separability AUC per pair")
-    p.add_argument("--codes", required=True)
-    p.add_argument("--codes-k", type=int)
-    p.add_argument("--svm-c", type=float, default=1.0)
-    p.add_argument("--svm-gamma", default="auto")
-    p.add_argument("--svm-folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--feature-mode", default=FeatureMode.SCALED_INDICES.value)
+    p.add_argument("--codes", required=True, help="latent-code CSV")
+    _add_svm_options(p)
     p.set_defaults(func=_cmd_svm_sep)
 
     p = sub.add_parser("synth", help="write a seeded synthetic dataset (and codes)")

@@ -76,6 +76,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _encode_groups(labels: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct group labels, and each row's index into them."""
+    if not all(labels):
+        raise ParameterError("group must be non-empty")
+    groups = tuple(sorted(set(labels)))
+    code_of = {g: i for i, g in enumerate(groups)}
+    return groups, _read_only(np.array([code_of[g] for g in labels], dtype=np.int64))
+
+
+def _numbered_rows(reader):
+    """(physical line where the record starts, fields) for each non-blank
+    record left in a csv.reader; a quoted field may span lines."""
+    end = reader.line_num
+    for row in reader:
+        start, end = end + 1, reader.line_num
+        if row:
+            yield start, row
+
+
 class Dataset:
     """Immutable columns, one entry per row: ``sample_ids``, ``group_codes``
     (indices into the sorted ``groups()``, built from group labels), the
@@ -100,17 +119,13 @@ class Dataset:
             raise ParameterError("the four columns must have equal lengths")
         if not all(ids):
             raise ParameterError("sample_id must be non-empty")
-        if not all(labels):
-            raise ParameterError("group must be non-empty")
+        self._groups, self.group_codes = _encode_groups(labels)
         if mask.dtype != bool:
             raise ParameterError(f"bona_fide must be a bool column, got {mask.dtype}")
         bad = resp[~(np.isfinite(resp) & (resp >= 0.0))]
         if bad.size:
             raise ParameterError(f"response must be a finite float >= 0, got {bad[0]}")
 
-        self._groups = tuple(sorted(set(labels)))
-        code_of = {g: i for i, g in enumerate(self._groups)}
-        self.group_codes = _read_only(np.array([code_of[g] for g in labels]))
         self.bona_fide = mask
         self.responses = resp
         # (group, or None for pooled; is bona fide) -> ascending responses
@@ -166,9 +181,7 @@ def load_csv(path: str | Path) -> Dataset:
             raise SchemaError(f"{path}: bad header: {'; '.join(detail)}")
 
         ids, groups, bona_fide, responses = [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate blank lines
+        for line_no, row in _numbered_rows(reader):  # blank lines tolerated
             if len(row) != 4:
                 raise RowError(line_no, f"expected 4 fields, got {len(row)}")
             sid, group, cls_text, resp_text = (f.strip() for f in row)

@@ -32,7 +32,7 @@ from .stats import (
     mann_whitney_u,
     summary_stats,
 )
-from .svm import CodeVector, FeatureMode, FoldSpec, _pairwise_aucs
+from .svm import CodeMatrix, FeatureMode, FoldSpec, _pairwise_aucs
 from .thresholds import (
     BiasCurve,
     BiasRegion,
@@ -289,7 +289,7 @@ def _analyze_pair(
 def run_audit(
     ds: Dataset,
     cfg: AuditConfig = AuditConfig(),
-    codes: Sequence[CodeVector] | None = None,
+    codes: CodeMatrix | None = None,
 ) -> AuditReport:
     """Run the full audit over every group pair.
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .data import GroupPair
+from .data import GroupPair, _encode_groups, _numbered_rows, _read_only
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -30,7 +30,7 @@ from .errors import (
 from .stats import _midranks
 
 __all__ = [
-    "CodeVector",
+    "CodeMatrix",
     "FeatureMode",
     "FoldSpec",
     "SvmModel",
@@ -44,27 +44,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CodeVector:
-    """A sample's discrete latent code: integer indices into a codebook of
-    size k, plus the sample's group label."""
+class CodeMatrix:
+    """Immutable discrete latent codes, one row per sample: a read-only int64
+    ``codes`` array of shape (n, d) holding indices into a codebook of size
+    ``k``, and ``group_codes`` (indices into the sorted ``groups()``, built
+    from group labels)."""
 
-    codes: tuple[int, ...]
-    k: int
-    group: str
+    def __init__(self, codes: np.ndarray | Sequence[Sequence[int]], groups: Sequence[str], k: int):
+        if k < 2:
+            raise ParameterError(f"codebook size must be >= 2, got {k}")
+        labels = list(groups)
+        try:
+            arr = np.array(codes)
+        except ValueError:
+            raise ParameterError("code vectors must all have the same length") from None
+        if arr.ndim != 2 or arr.size == 0 or len(arr) != len(labels):
+            raise ParameterError(
+                f"codes must be a non-empty (n, d) matrix with n group labels, "
+                f"got shape {arr.shape} and {len(labels)} labels"
+            )
+        self._groups, self.group_codes = _encode_groups(labels)
+        if arr.dtype.kind not in "iu":
+            raise ParameterError(f"code indices must be ints, got {arr.dtype}")
+        bad = arr[(arr < 0) | (arr >= k)]
+        if bad.size:
+            raise ParameterError(f"code indices must be ints in [0, {k - 1}], got {bad[0]}")
+        self.codes = _read_only(arr.astype(np.int64, copy=False))
+        self.k = k
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ParameterError(f"codebook size must be >= 2, got {self.k}")
-        if len(self.codes) == 0:
-            raise ParameterError("empty code vector")
-        if not self.group:
-            raise ParameterError("group must be non-empty")
-        for c in self.codes:
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < self.k:
-                raise ParameterError(
-                    f"code indices must be ints in [0, {self.k - 1}], got {c!r}"
-                )
+    def groups(self) -> list[str]:
+        return list(self._groups)
+
+    def labels(self) -> list[str]:
+        """Each row's group label."""
+        return [self._groups[c] for c in self.group_codes.tolist()]
+
+    def take(self, rows: Sequence[int]) -> "CodeMatrix":
+        """The given rows, in the given order."""
+        labels = [self._groups[c] for c in self.group_codes[rows].tolist()]
+        return CodeMatrix(self.codes[rows], labels, self.k)
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
 
 
 class FeatureMode(enum.Enum):
@@ -74,33 +95,15 @@ class FeatureMode(enum.Enum):
     CODE_HISTOGRAM = "code-histogram"
 
 
-def featurize(v: CodeVector, mode: FeatureMode = FeatureMode.SCALED_INDICES) -> np.ndarray:
-    """Turn one code vector into a real-valued feature vector."""
+def featurize(m: CodeMatrix, mode: FeatureMode = FeatureMode.SCALED_INDICES) -> np.ndarray:
+    """Real-valued features, one row per code vector: (n, d) scaled indices
+    or (n, k) code histograms."""
     if mode is FeatureMode.SCALED_INDICES:
-        return np.asarray(v.codes, dtype=float) / (v.k - 1)
-    counts = np.bincount(np.asarray(v.codes, dtype=np.int64), minlength=v.k)
-    return counts / len(v.codes)
-
-
-def _featurize_all(
-    vectors: Sequence[CodeVector], mode: FeatureMode
-) -> tuple[np.ndarray, list[str]]:
-    if not vectors:
-        raise InsufficientDataError("no code vectors")
-    d = len(vectors[0].codes)
-    k = vectors[0].k
-    for i, v in enumerate(vectors):
-        if len(v.codes) != d:
-            raise ParameterError(
-                f"vector {i} has length {len(v.codes)}, expected {d}: "
-                "all vectors in one analysis must share their length"
-            )
-        if v.k != k:
-            raise ParameterError(
-                f"vector {i} has codebook size {v.k}, expected {k}"
-            )
-    x = np.stack([featurize(v, mode) for v in vectors])
-    return x, [v.group for v in vectors]
+        return m.codes / (m.k - 1)
+    n, d = m.codes.shape
+    # row i's codes land in bins [i * k, (i + 1) * k)
+    flat = (m.codes + m.k * np.arange(n)[:, None]).ravel()
+    return np.bincount(flat, minlength=n * m.k).reshape(n, m.k) / d
 
 
 @dataclass(frozen=True)
@@ -138,6 +141,11 @@ def _resolve_gamma(x: np.ndarray, gamma: float | None) -> float:
     if var <= 0.0:
         return 1.0  # constant features; any scale works
     return 1.0 / (x.shape[1] * var)
+
+
+# train_svm_smo holds a dense n x n float64 kernel (and temporaries of that
+# size), so it refuses training sets above 11,585 rows
+_MAX_KERNEL_BYTES = 1 << 30
 
 
 def _rbf_matrix(x: np.ndarray, z: np.ndarray, gamma: float) -> np.ndarray:
@@ -181,8 +189,13 @@ def train_svm_smo(
         raise ParameterError(f"tol must be > 0, got {tol}")
     if max_passes < 1:
         raise ParameterError(f"max_passes must be >= 1, got {max_passes}")
-
     n = x.shape[0]
+    if n * n * 8 > _MAX_KERNEL_BYTES:
+        raise ParameterError(
+            f"{n} training rows need a {n * n * 8 / 2**30:.2f} GiB kernel; "
+            f"the limit is 1 GiB ({math.isqrt(_MAX_KERNEL_BYTES // 8)} rows)"
+        )
+
     gamma = _resolve_gamma(x, gamma)
     kmat = _rbf_matrix(x, x, gamma)
     alpha = np.zeros(n)
@@ -241,8 +254,6 @@ def train_svm_smo(
 
 
 def _decision_scores(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    if model.support_vectors.shape[0] == 0:
-        return np.full(x.shape[0], model.bias)
     kmat = _rbf_matrix(x, model.support_vectors, model.gamma)
     return kmat @ model.alphas + model.bias
 
@@ -250,14 +261,9 @@ def _decision_scores(model: SvmModel, x: np.ndarray) -> np.ndarray:
 def decision_score(model: SvmModel, x: Sequence[float]) -> float:
     """Kernel expansion score for one feature vector."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or (
-        model.support_vectors.shape[0] > 0
-        and arr.shape[0] != model.support_vectors.shape[1]
-    ):
-        raise ParameterError(
-            f"expected a vector of length {model.support_vectors.shape[1]}, "
-            f"got shape {arr.shape}"
-        )
+    d = model.support_vectors.shape[1]
+    if arr.shape != (d,):
+        raise ParameterError(f"expected a vector of length {d}, got shape {arr.shape}")
     return float(_decision_scores(model, arr[None, :])[0])
 
 
@@ -291,7 +297,7 @@ class FoldSpec:
 
 
 def cross_validated_auc(
-    vectors: Sequence[CodeVector],
+    m: CodeMatrix,
     mode: FeatureMode = FeatureMode.SCALED_INDICES,
     c: float = 1.0,
     gamma: float | None = None,
@@ -300,19 +306,19 @@ def cross_validated_auc(
     """Mean held-out AUC over stratified k folds for a two-group sample.
 
     The lexicographically first group plays the positive class. Each group
-    must have at least k members. Deterministic given folds.seed.
+    must have at least k members. Deterministic given folds.seed and the
+    row order.
     """
-    x, groups = _featurize_all(vectors, mode)
-    names = sorted(set(groups))
+    names = m.groups()
     if len(names) != 2:
         raise ParameterError(f"need exactly two groups, got {names}")
-    pos_name, neg_name = names
-    y = np.where(np.asarray(groups) == pos_name, 1.0, -1.0)
+    x = featurize(m, mode)
+    y = np.where(m.group_codes == 0, 1.0, -1.0)
 
     rng = np.random.default_rng(folds.seed)
-    fold_of = np.empty(len(vectors), dtype=int)
-    for name in names:
-        idx = np.flatnonzero(np.asarray(groups) == name)
+    fold_of = np.empty(len(m), dtype=int)
+    for code, name in enumerate(names):
+        idx = np.flatnonzero(m.group_codes == code)
         if len(idx) < folds.k:
             raise InsufficientDataError(
                 f"group {name!r} has {len(idx)} samples; k={folds.k} folds need "
@@ -332,7 +338,7 @@ def cross_validated_auc(
 
 
 def _pairwise_aucs(
-    vectors: Sequence[CodeVector],
+    m: CodeMatrix,
     groups: Sequence[str],
     mode: FeatureMode,
     c: float,
@@ -340,20 +346,19 @@ def _pairwise_aucs(
     folds: FoldSpec,
 ) -> dict[str, float]:
     """cross_validated_auc for every pair of ``groups`` (ascending), keyed
-    like GroupPair.key. Vectors of other groups are ignored; every listed
-    group needs at least ``folds.k`` vectors."""
-    by_group: dict[str, list[CodeVector]] = {g: [] for g in groups}
-    for v in vectors:
-        if v.group in by_group:
-            by_group[v.group].append(v)
-    for g, members in by_group.items():
-        if len(members) < folds.k:
+    like GroupPair.key, on group a's rows then group b's, each in input
+    order. Rows of other groups are ignored; every listed group needs at
+    least ``folds.k`` rows."""
+    code_of = {g: i for i, g in enumerate(m.groups())}
+    rows = {g: np.flatnonzero(m.group_codes == code_of.get(g, -1)) for g in groups}
+    for g, idx in rows.items():
+        if len(idx) < folds.k:
             raise InsufficientDataError(
-                f"code vectors for group {g!r}: have {len(members)}, need >= {folds.k}"
+                f"code vectors for group {g!r}: have {len(idx)}, need >= {folds.k}"
             )
     return {
         GroupPair(a, b).key: cross_validated_auc(
-            by_group[a] + by_group[b], mode=mode, c=c, gamma=gamma, folds=folds
+            m.take(np.concatenate([rows[a], rows[b]])), mode=mode, c=c, gamma=gamma, folds=folds
         )
         for i, a in enumerate(groups)
         for b in groups[i + 1 :]
@@ -363,73 +368,66 @@ def _pairwise_aucs(
 _CODES_K_PREFIX = "#k="
 
 
-def load_codes_csv(path: str | Path, k: int | None = None) -> list[CodeVector]:
+def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
     """Load code vectors from CSV: ``sample_id,group,c0,...,c{d-1}``.
 
     The codebook size comes from a ``#K=<int>`` comment line above the
     header, or from the ``k`` argument (the argument wins if both given).
+    UTF-8 with or without a byte-order mark; row errors name the physical
+    line where the record starts.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        first = fh.readline()
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        line = ",".join(next(reader, []))
         file_k: int | None = None
-        if first.lower().startswith(_CODES_K_PREFIX):
+        if line.lower().startswith(_CODES_K_PREFIX):
             try:
-                file_k = int(first[len(_CODES_K_PREFIX):].strip())
+                file_k = int(line[len(_CODES_K_PREFIX):].strip())
             except ValueError:
-                raise SchemaError(f"{path}: bad #K= line: {first.strip()!r}") from None
-            header_line = fh.readline()
-        else:
-            header_line = first
+                raise SchemaError(f"{path}: bad #K= line: {line.strip()!r}") from None
+            line = ",".join(next(reader, []))
         k_eff = k if k is not None else file_k
         if k_eff is None:
-            raise SchemaError(
-                f"{path}: codebook size not given (no #K= line and no k argument)"
-            )
-        header = [h.strip().lower() for h in header_line.strip().split(",")]
+            raise SchemaError(f"{path}: codebook size not given (no #K= line and no k argument)")
+        if k_eff < 2:
+            raise SchemaError(f"{path}: codebook size must be >= 2, got {k_eff}")
+        header = [h.strip().lower() for h in line.split(",")]
         if len(header) < 3 or header[:2] != ["sample_id", "group"]:
             raise SchemaError(
-                f"{path}: bad header: expected sample_id,group,c0,...  got {header_line.strip()!r}"
+                f"{path}: bad header: expected sample_id,group,c0,...  got {line.strip()!r}"
             )
         d = len(header) - 2
         if header[2:] != [f"c{i}" for i in range(d)]:
             raise SchemaError(f"{path}: code columns must be named c0..c{d - 1}")
 
-        vectors = []
-        reader = csv.reader(fh)
-        line_no = 2 if file_k is None else 3
-        for row in reader:
-            if not row:
-                line_no += 1
-                continue
+        groups, rows = [], []
+        for line_no, row in _numbered_rows(reader):
             if len(row) != d + 2:
                 raise RowError(line_no, f"expected {d + 2} fields, got {len(row)}")
             sid, group = row[0].strip(), row[1].strip()
             if not sid or not group:
                 raise RowError(line_no, "empty sample_id or group")
             try:
-                codes = tuple(int(v) for v in row[2:])
+                codes = [int(v) for v in row[2:]]
             except ValueError:
                 raise RowError(line_no, "code entries must be integers") from None
-            try:
-                vectors.append(CodeVector(codes=codes, k=k_eff, group=group))
-            except ParameterError as exc:
-                raise RowError(line_no, str(exc)) from None
-            line_no += 1
-    if not vectors:
+            bad = [v for v in codes if not 0 <= v < k_eff]
+            if bad:
+                raise RowError(line_no, f"code indices must be in [0, {k_eff - 1}], got {bad[0]}")
+            groups.append(group)
+            rows.append(codes)
+    if not rows:
         raise SchemaError(f"{path}: no code rows")
-    return vectors
+    return CodeMatrix(rows, groups, k_eff)
 
 
-def save_codes_csv(vectors: Sequence[CodeVector], path: str | Path) -> None:
+def save_codes_csv(m: CodeMatrix, path: str | Path) -> None:
     """Write code vectors with a ``#K=`` size line; inverse of load_codes_csv."""
-    if not vectors:
-        raise InsufficientDataError("no code vectors to save")
-    d = len(vectors[0].codes)
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"#K={vectors[0].k}\n")
+        fh.write(f"#K={m.k}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "group"] + [f"c{i}" for i in range(d)])
-        for i, v in enumerate(vectors):
-            writer.writerow([f"code-{i:05d}", v.group, *v.codes])
+        writer.writerow(["sample_id", "group"] + [f"c{i}" for i in range(m.codes.shape[1])])
+        for i, (group, codes) in enumerate(zip(m.labels(), m.codes.tolist())):
+            writer.writerow([f"code-{i:05d}", group, *codes])

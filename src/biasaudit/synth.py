@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ParameterError
-from .svm import CodeVector
+from .svm import CodeMatrix
 
 __all__ = [
     "LognormalSpec",
@@ -137,8 +137,9 @@ def gen_code_vectors(
     separability: float,
     seed: int,
     groups: tuple[str, str] = ("alpha", "beta"),
-) -> list[CodeVector]:
-    """Two groups of code vectors with tunable group signal.
+) -> CodeMatrix:
+    """Two groups of code vectors with tunable group signal, the first
+    group's rows first.
 
     Each code index is drawn from the group's private half of the codebook
     with probability ``separability`` and from the full codebook otherwise:
@@ -157,17 +158,13 @@ def gen_code_vectors(
         raise ParameterError("groups must be distinct")
     half = k // 2
     rng = _rng(seed)
-    out = []
-    for gi, (group, lo, hi) in enumerate(
-        [(groups[0], 0, half), (groups[1], half, k)]
-    ):
+    blocks = []
+    for lo, hi in ((0, half), (half, k)):
         private = rng.integers(lo, hi, size=(n_per_group, d))
         shared = rng.integers(0, k, size=(n_per_group, d))
         use_private = rng.random((n_per_group, d)) < separability
-        codes = np.where(use_private, private, shared)
-        for row in codes:
-            out.append(CodeVector(codes=tuple(int(c) for c in row), k=k, group=group))
-    return out
+        blocks.append(np.where(use_private, private, shared))
+    return CodeMatrix(np.vstack(blocks), [g for g in groups for _ in range(n_per_group)], k)
 
 
 # Demo population parameters: base location/scale put the response mean near

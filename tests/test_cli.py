@@ -106,6 +106,24 @@ class TestAuditCommand:
         assert len(blob["svm_auc"]) == 6
         assert "svm auc alpha|beta" in capsys.readouterr().out
 
+    def test_readme_demo_svm_auc_pinned(self, tmp_path):
+        # the README demo (synth --seed 7, audit --codes); the fold assignment
+        # and the SMO tie-breaks depend on row order, so exact values pin it
+        demo = tmp_path / "demo"
+        assert main(["synth", "--out", str(demo), "--n-per-group", "200", "--seed", "7"]) == 0
+        out = tmp_path / "demo-audit"
+        argv = ["audit", "--data", str(demo / "responses.csv"), "--codes", str(demo / "codes.csv")]
+        assert main(argv + ["--out", str(out)] + AUDIT_FAST) == 0
+        blob = json.loads((out / "report.json").read_text())
+        assert {k: repr(v) for k, v in blob["svm_auc"].items()} == {
+            "alpha|beta": "0.913125",
+            "alpha|delta": "0.529625",
+            "alpha|gamma": "0.88375",
+            "beta|delta": "0.9120000000000001",
+            "beta|gamma": "0.470125",
+            "delta|gamma": "0.896875",
+        }
+
     def test_summary_lines(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "log"
         main(["audit", "--data", str(synth_dir / "responses.csv"), "--out", str(out)] + AUDIT_FAST)

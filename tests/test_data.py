@@ -62,6 +62,26 @@ class TestLoadCsv:
             load_csv(path)
         assert exc.value.line == 3
 
+    def test_row_error_reports_physical_line(self, write_csv):
+        # a bad record is reported at the line where it starts, and a quoted
+        # field that spans lines 2-3 puts the next record on line 4
+        path = write_csv(
+            "sample_id,group,class,response\n"
+            "s1,A,bonafide,0.1\n"
+            '"s\n2",A,bonafide,-0.1\n'
+        )
+        with pytest.raises(RowError) as exc:
+            load_csv(path)
+        assert exc.value.line == 3
+        path = write_csv(
+            "sample_id,group,class,response\n"
+            '"s\n1",A,bonafide,0.1\n'
+            "s2,A,bonafide,-0.1\n"
+        )
+        with pytest.raises(RowError) as exc:
+            load_csv(path)
+        assert exc.value.line == 4
+
     def test_non_numeric_response_reports_line(self, write_csv):
         path = write_csv("sample_id,group,class,response\ns1,A,bonafide,zero\n")
         with pytest.raises(RowError) as exc:

@@ -6,7 +6,7 @@ import pytest
 from biasaudit.data import Dataset
 from biasaudit.errors import InsufficientDataError, ParameterError
 from biasaudit.report import AuditConfig, render_json, run_audit
-from biasaudit.svm import FeatureMode
+from biasaudit.svm import CodeMatrix, FeatureMode
 from biasaudit.synth import demo_dataset, gen_code_vectors
 
 FAST = dict(dip_replicas=200)
@@ -19,10 +19,12 @@ def demo():
 
 @pytest.fixture(scope="module")
 def demo_codes():
-    return gen_code_vectors(
-        30, d=8, k=64, separability=0.9, seed=404, groups=("alpha", "beta")
-    ) + gen_code_vectors(
-        30, d=8, k=64, separability=0.0, seed=405, groups=("delta", "gamma")
+    parts = [
+        gen_code_vectors(30, d=8, k=64, separability=0.9, seed=404, groups=("alpha", "beta")),
+        gen_code_vectors(30, d=8, k=64, separability=0.0, seed=405, groups=("delta", "gamma")),
+    ]
+    return CodeMatrix(
+        np.vstack([p.codes for p in parts]), [g for p in parts for g in p.labels()], 64
     )
 
 
@@ -241,7 +243,8 @@ class TestSvmSection:
             run_audit(demo, AuditConfig(**FAST), codes=codes)
 
     def test_undersized_code_group_rejected(self, demo, demo_codes):
-        trimmed = [v for v in demo_codes if v.group != "gamma"]
-        trimmed += [v for v in demo_codes if v.group == "gamma"][:3]
+        labels = np.array(demo_codes.labels())
+        rows = np.flatnonzero(labels != "gamma").tolist()
+        trimmed = demo_codes.take(rows + np.flatnonzero(labels == "gamma")[:3].tolist())
         with pytest.raises(InsufficientDataError):
             run_audit(demo, AuditConfig(**FAST), codes=trimmed)

@@ -12,9 +12,10 @@ from biasaudit.errors import (
     SchemaError,
 )
 from biasaudit.svm import (
-    CodeVector,
+    CodeMatrix,
     FeatureMode,
     FoldSpec,
+    _pairwise_aucs,
     auc_from_scores,
     cross_validated_auc,
     decision_score,
@@ -119,36 +120,73 @@ def brute_force_dual(kmat, y, c):
     return best
 
 
-class TestCodeVector:
+class TestCodeMatrix:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            CodeVector(codes=(0, 1), k=1, group="a")
+            CodeMatrix([(0, 1)], ["a"], k=1)
         with pytest.raises(ParameterError):
-            CodeVector(codes=(), k=4, group="a")
+            CodeMatrix([()], ["a"], k=4)  # d = 0
         with pytest.raises(ParameterError):
-            CodeVector(codes=(0, 1), k=4, group="")
+            CodeMatrix(np.empty((0, 2), dtype=np.int64), [], k=4)  # n = 0
         with pytest.raises(ParameterError):
-            CodeVector(codes=(0, 4), k=4, group="a")
+            CodeMatrix([(0, 1)], [""], k=4)
         with pytest.raises(ParameterError):
-            CodeVector(codes=(0, -1), k=4, group="a")
+            CodeMatrix([(0, 1), (1, 2)], ["a"], k=4)  # one label for two rows
         with pytest.raises(ParameterError):
-            CodeVector(codes=(0.5, 1), k=4, group="a")
+            CodeMatrix([(0, 4)], ["a"], k=4)
+        with pytest.raises(ParameterError):
+            CodeMatrix([(0, -1)], ["a"], k=4)
+        with pytest.raises(ParameterError):
+            CodeMatrix([(0.5, 1)], ["a"], k=4)
+        with pytest.raises(ParameterError):
+            CodeMatrix(np.array([[0.0, 1.0]]), ["a"], k=4)  # integral floats too
+        with pytest.raises(ParameterError):
+            CodeMatrix(np.array([[False, True]]), ["a"], k=4)
+        with pytest.raises(ParameterError):
+            CodeMatrix([0, 1, 2], ["a", "a", "a"], k=4)  # not a matrix
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ParameterError):
+            CodeMatrix([(0, 1, 2), (0, 1)] * 10, ["a", "b"] * 10, k=8)
+
+    def test_columns(self):
+        m = CodeMatrix(np.array([[3, 1], [0, 7], [2, 2]], dtype=np.uint8), ["b", "a", "b"], k=8)
+        assert m.codes.dtype == np.int64 and m.codes.shape == (3, 2)
+        assert not m.codes.flags.writeable and not m.group_codes.flags.writeable
+        assert m.groups() == ["a", "b"]
+        assert m.group_codes.tolist() == [1, 0, 1]
+        assert m.labels() == ["b", "a", "b"]
+        assert len(m) == 3 and m.k == 8
+        sub = m.take([2, 1])
+        assert sub.codes.tolist() == [[2, 2], [0, 7]]
+        assert sub.labels() == ["b", "a"]
 
 
 class TestFeaturize:
     def test_scaled_indices(self):
-        v = CodeVector(codes=(0, 7, 3), k=8, group="g")
-        np.testing.assert_array_equal(featurize(v), [0.0, 1.0, 3.0 / 7.0])
+        m = CodeMatrix([(0, 7, 3)], ["g"], k=8)
+        np.testing.assert_array_equal(featurize(m), [[0.0, 1.0, 3.0 / 7.0]])
 
     def test_histogram(self):
-        v = CodeVector(codes=(0, 0, 3, 1), k=4, group="g")
-        h = featurize(v, FeatureMode.CODE_HISTOGRAM)
-        np.testing.assert_array_equal(h, [0.5, 0.25, 0.0, 0.25])
+        m = CodeMatrix([(0, 0, 3, 1)], ["g"], k=4)
+        h = featurize(m, FeatureMode.CODE_HISTOGRAM)
+        np.testing.assert_array_equal(h, [[0.5, 0.25, 0.0, 0.25]])
         assert h.sum() == 1.0
 
     def test_histogram_length_is_codebook_size(self):
-        v = CodeVector(codes=(2, 2, 2), k=16, group="g")
-        assert featurize(v, FeatureMode.CODE_HISTOGRAM).shape == (16,)
+        m = CodeMatrix([(2, 2, 2)], ["g"], k=16)
+        assert featurize(m, FeatureMode.CODE_HISTOGRAM).shape == (1, 16)
+
+    def test_many_rows_match_per_row_features(self):
+        rng = np.random.default_rng(31)
+        codes = rng.integers(0, 10, (25, 7))
+        m = CodeMatrix(codes, ["a", "b"] * 12 + ["a"], k=10)
+        scaled = featurize(m, FeatureMode.SCALED_INDICES)
+        hist = featurize(m, FeatureMode.CODE_HISTOGRAM)
+        assert scaled.shape == (25, 7) and hist.shape == (25, 10)
+        for i, row in enumerate(codes):
+            assert scaled[i].tolist() == (row / 9).tolist()
+            assert hist[i].tolist() == (np.bincount(row, minlength=10) / 7).tolist()
 
 
 class TestTrainSvmSmo:
@@ -249,6 +287,14 @@ class TestTrainSvmSmo:
         assert model.passes == 1
         assert not model.converged
 
+    def test_kernel_memory_guard(self):
+        # 12,000 rows need a 1.07 GiB kernel: refused before it is allocated
+        x = np.zeros((12_000, 1))
+        y = np.where(np.arange(12_000) % 2 == 0, 1.0, -1.0)
+        limit = r"12000 training rows.*the limit is 1 GiB \(11585 rows\)"
+        with pytest.raises(ParameterError, match=limit):
+            train_svm_smo(x, y)
+
     def test_input_validation(self):
         x, y = make_blobs(n_per=5, d=2)
         with pytest.raises(DegenerateDataError):
@@ -331,30 +377,28 @@ class TestAuc:
             auc_from_scores([], [1.0])
 
 
-def make_codes(rng, n, group, low, high, d=8, k=32):
-    return [
-        CodeVector(
-            codes=tuple(int(c) for c in rng.integers(low, high, d)), k=k, group=group
-        )
-        for _ in range(n)
-    ]
+def make_codes(rng, *blocks, d=8, k=32):
+    """One matrix of (n, group, low, high) blocks, rows in block order, each
+    code drawn uniformly from [low, high)."""
+    codes = np.vstack([rng.integers(low, high, (n, d)) for n, _, low, high in blocks])
+    return CodeMatrix(codes, [g for n, g, _, _ in blocks for _ in range(n)], k)
 
 
 class TestCrossValidatedAuc:
     def test_unseparable_codes_score_near_chance(self):
         rng = np.random.default_rng(42)
-        vecs = make_codes(rng, 40, "a", 0, 32) + make_codes(rng, 40, "b", 0, 32)
+        vecs = make_codes(rng, (40, "a", 0, 32), (40, "b", 0, 32))
         auc = cross_validated_auc(vecs)
         assert 0.3 <= auc <= 0.7
 
     def test_disjoint_codebooks_fully_separable(self):
         rng = np.random.default_rng(43)
-        vecs = make_codes(rng, 30, "a", 0, 16) + make_codes(rng, 30, "b", 16, 32)
+        vecs = make_codes(rng, (30, "a", 0, 16), (30, "b", 16, 32))
         assert cross_validated_auc(vecs) >= 0.99
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(44)
-        vecs = make_codes(rng, 25, "a", 0, 24) + make_codes(rng, 25, "b", 8, 32)
+        vecs = make_codes(rng, (25, "a", 0, 24), (25, "b", 8, 32))
         a = cross_validated_auc(vecs, folds=FoldSpec(k=5, seed=3))
         b = cross_validated_auc(vecs, folds=FoldSpec(k=5, seed=3))
         assert a == b
@@ -362,29 +406,29 @@ class TestCrossValidatedAuc:
     def test_group_count_checked(self):
         rng = np.random.default_rng(45)
         with pytest.raises(ParameterError):
-            cross_validated_auc(make_codes(rng, 20, "a", 0, 32))
-        three = (
-            make_codes(rng, 10, "a", 0, 32)
-            + make_codes(rng, 10, "b", 0, 32)
-            + make_codes(rng, 10, "c", 0, 32)
-        )
+            cross_validated_auc(make_codes(rng, (20, "a", 0, 32)))
+        three = make_codes(rng, (10, "a", 0, 32), (10, "b", 0, 32), (10, "c", 0, 32))
         with pytest.raises(ParameterError):
             cross_validated_auc(three)
 
     def test_small_group_rejected(self):
         rng = np.random.default_rng(46)
-        vecs = make_codes(rng, 4, "a", 0, 32) + make_codes(rng, 20, "b", 0, 32)
+        vecs = make_codes(rng, (4, "a", 0, 32), (20, "b", 0, 32))
         with pytest.raises(InsufficientDataError):
             cross_validated_auc(vecs, folds=FoldSpec(k=5, seed=0))
 
-    def test_mismatched_vectors_rejected(self):
-        a = CodeVector(codes=(0, 1, 2), k=8, group="a")
-        b = CodeVector(codes=(0, 1), k=8, group="b")
-        with pytest.raises(ParameterError):
-            cross_validated_auc([a, b] * 10)
-        c = CodeVector(codes=(0, 1, 2), k=16, group="b")
-        with pytest.raises(ParameterError):
-            cross_validated_auc([a, c] * 10)
+    def test_pairs_take_group_a_rows_then_group_b_rows(self):
+        # heavily tied codes in shuffled group order: SMO's lowest-index
+        # tie-breaks make the AUC depend on the row order
+        rng = np.random.default_rng(0)
+        labels = list(rng.permutation(["a"] * 40 + ["b"] * 40 + ["c"] * 10))
+        m = CodeMatrix(rng.integers(0, 3, (90, 2)), labels, k=3)
+        rows = {g: np.flatnonzero(np.array(labels) == g) for g in "ab"}
+        in_order = m.take(np.sort(np.concatenate([rows["a"], rows["b"]])))
+        a_then_b = m.take(np.concatenate([rows["a"], rows["b"]]))
+        aucs = _pairwise_aucs(m, ["a", "b"], FeatureMode.SCALED_INDICES, 1.0, None, FoldSpec())
+        assert aucs == {"a|b": cross_validated_auc(a_then_b)}
+        assert aucs["a|b"] != cross_validated_auc(in_order)
 
     def test_fold_spec_validation(self):
         with pytest.raises(ParameterError):
@@ -396,27 +440,29 @@ class TestCrossValidatedAuc:
 class TestCodesCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(77)
-        vecs = make_codes(rng, 12, "east", 0, 32) + make_codes(rng, 8, "west", 0, 32)
+        vecs = make_codes(rng, (12, "east", 0, 32), (8, "west", 0, 32))
         path = tmp_path / "codes.csv"
         save_codes_csv(vecs, path)
         text = path.read_text()
         assert text.startswith("#K=32\n")
         assert "code-00000" in text
         loaded = load_codes_csv(path)
-        assert loaded == vecs
+        assert loaded.k == vecs.k
+        assert loaded.labels() == vecs.labels()
+        np.testing.assert_array_equal(loaded.codes, vecs.codes)
 
     def test_k_argument_overrides_file(self, tmp_path):
         path = tmp_path / "codes.csv"
         path.write_text("#K=64\nsample_id,group,c0,c1\ns1,a,3,5\n")
-        assert load_codes_csv(path)[0].k == 64
-        assert load_codes_csv(path, k=32)[0].k == 32
+        assert load_codes_csv(path).k == 64
+        assert load_codes_csv(path, k=32).k == 32
 
     def test_missing_k_rejected(self, tmp_path):
         path = tmp_path / "codes.csv"
         path.write_text("sample_id,group,c0\ns1,a,3\n")
         with pytest.raises(SchemaError):
             load_codes_csv(path)
-        assert load_codes_csv(path, k=8)[0].codes == (3,)
+        assert load_codes_csv(path, k=8).codes.tolist() == [[3]]
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "codes.csv"
@@ -443,6 +489,21 @@ class TestCodesCsv:
         with pytest.raises(RowError):
             load_codes_csv(path)
 
+    def test_physical_line_numbers(self, tmp_path):
+        # a quoted sample_id spans lines 3-4, so the bad code is on line 5
+        path = tmp_path / "codes.csv"
+        path.write_text('#K=8\nsample_id,group,c0\n"s\n1",a,3\ns2,a,9\n')
+        with pytest.raises(RowError) as exc:
+            load_codes_csv(path)
+        assert exc.value.line == 5
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        path = tmp_path / "codes.csv"
+        path.write_bytes(b"\xef\xbb\xbf#K=8\nsample_id,group,c0\ns1,a,3\n")
+        assert load_codes_csv(path).k == 8
+        path.write_bytes(b"\xef\xbb\xbfsample_id,group,c0\ns1,a,3\n")
+        assert load_codes_csv(path, k=8).codes.tolist() == [[3]]
+
     def test_no_rows_rejected(self, tmp_path):
         path = tmp_path / "codes.csv"
         path.write_text("#K=8\nsample_id,group,c0\n")
@@ -450,5 +511,8 @@ class TestCodesCsv:
             load_codes_csv(path)
 
     def test_save_empty_rejected(self, tmp_path):
-        with pytest.raises(InsufficientDataError):
-            save_codes_csv([], tmp_path / "codes.csv")
+        # an empty code matrix cannot be built, so none can be saved
+        with pytest.raises(ParameterError):
+            empty = CodeMatrix(np.empty((0, 3), dtype=np.int64), [], 8)
+            save_codes_csv(empty, tmp_path / "codes.csv")
+        assert not (tmp_path / "codes.csv").exists()

@@ -144,35 +144,32 @@ class TestGenCodeVectors:
     def test_shape_and_range(self):
         vecs = gen_code_vectors(25, d=8, k=64, separability=0.5, seed=6)
         assert len(vecs) == 50
-        assert sum(v.group == "alpha" for v in vecs) == 25
-        assert sum(v.group == "beta" for v in vecs) == 25
-        for v in vecs:
-            assert len(v.codes) == 8
-            assert v.k == 64
-            assert all(0 <= c < 64 for c in v.codes)
+        assert vecs.labels() == ["alpha"] * 25 + ["beta"] * 25
+        assert vecs.codes.shape == (50, 8)
+        assert vecs.k == 64
+        assert 0 <= vecs.codes.min() and vecs.codes.max() < 64
 
     def test_full_separability_splits_the_codebook(self):
         vecs = gen_code_vectors(30, d=8, k=64, separability=1.0, seed=6)
-        for v in vecs:
-            if v.group == "alpha":
-                assert all(c < 32 for c in v.codes)
-            else:
-                assert all(c >= 32 for c in v.codes)
+        is_alpha = np.array(vecs.labels()) == "alpha"
+        assert np.all(vecs.codes[is_alpha] < 32)
+        assert np.all(vecs.codes[~is_alpha] >= 32)
 
     def test_zero_separability_shares_the_codebook(self):
         vecs = gen_code_vectors(50, d=8, k=64, separability=0.0, seed=6)
-        for name in ("alpha", "beta"):
-            codes = [c for v in vecs if v.group == name for c in v.codes]
-            assert min(codes) < 32 <= max(codes)
+        for code in (0, 1):
+            codes = vecs.codes[vecs.group_codes == code]
+            assert codes.min() < 32 <= codes.max()
 
     def test_custom_group_names(self):
         vecs = gen_code_vectors(5, d=4, k=8, separability=0.0, seed=1, groups=("x", "y"))
-        assert {v.group for v in vecs} == {"x", "y"}
+        assert vecs.groups() == ["x", "y"]
 
     def test_deterministic_in_seed(self):
         a = gen_code_vectors(10, d=6, k=32, separability=0.3, seed=9)
         b = gen_code_vectors(10, d=6, k=32, separability=0.3, seed=9)
-        assert a == b
+        np.testing.assert_array_equal(a.codes, b.codes)
+        assert a.labels() == b.labels()
 
     def test_validation(self):
         with pytest.raises(ParameterError):
