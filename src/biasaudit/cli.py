@@ -156,7 +156,7 @@ def _cmd_audit(args) -> int:
         )
     for pa in report.pairs:
         n_sig = len(pa.regions)
-        worst = min(pa.curve.p_values)
+        worst = float(pa.curve.p_values.min())
         print(
             f"pair {pa.pair.a} vs {pa.pair.b}: "
             f"{n_sig} significant region(s), min sweep p {worst:.3g}"
@@ -179,7 +179,7 @@ def _cmd_sweep(args) -> int:
         a, b, alpha=args.alpha, pair=GroupPair.of(args.group_a, args.group_b)
     )
     regions = significant_regions(curve)
-    for t, p in zip(curve.grid, curve.p_values):
+    for t, p in zip(curve.grid.tolist(), curve.p_values.tolist()):
         print(f"{t!r},{p!r}")
     print(f"# {len(regions)} significant region(s) at alpha={args.alpha:g}", file=sys.stderr)
     for r in regions:

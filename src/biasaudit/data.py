@@ -81,6 +81,9 @@ def _encode_groups(labels: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     if not all(labels):
         raise ParameterError("group must be non-empty")
     groups = tuple(sorted(set(labels)))
+    for g in groups:
+        if "|" in g:  # GroupPair.key joins two labels with it
+            raise ParameterError(f"group {g!r} contains '|', which pair keys reserve")
     code_of = {g: i for i, g in enumerate(groups)}
     return groups, _read_only(np.array([code_of[g] for g in labels], dtype=np.int64))
 

@@ -108,7 +108,7 @@ def _axes(svg: _Svg, x_ticks, y_ticks, x_label, y_label):
     svg.text(18, _MT + _PLOT_H / 2, y_label, size=12, rotate=True)
 
 
-def _pcurve_svg(pair_key, grid, p_values, alpha, regions, title) -> str:
+def _pcurve_svg(grid, p_values, alpha, regions, title) -> str:
     svg = _Svg(title)
     lo, hi = grid[0], grid[-1]
     to_x = _x_mapper(lo, hi)
@@ -155,15 +155,15 @@ def _pcurve_svg(pair_key, grid, p_values, alpha, regions, title) -> str:
 
 
 def _hist_svg(pair, edges, counts, title) -> str:
+    """``counts`` holds group a's bin counts, then group b's."""
     svg = _Svg(title)
     to_x = _x_mapper(edges[0], edges[-1])
-    max_count = max(1, *(max(c) for c in counts.values()))
+    max_count = max(1, *(max(c) for c in counts))
 
     def to_y(c: float) -> float:
         return _MT + _PLOT_H - c / max_count * _PLOT_H
 
-    for group, color in [(pair.a, _COLOR_A), (pair.b, _COLOR_B)]:
-        series = counts[group]
+    for series, color in zip(counts, (_COLOR_A, _COLOR_B)):
         for i, c in enumerate(series):
             if c == 0:
                 continue
@@ -197,18 +197,19 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    hist_by_key = {h.pair.key: h for h in report.histograms}
     written = []
     for i, pa in enumerate(report.pairs):
         pair = pa.pair
         stem = f"{i:02d}_{_sanitize(pair.a)}_vs_{_sanitize(pair.b)}"
+        # Python floats and ints from here on: the files are written with repr
+        grid, p_values = pa.curve.grid.tolist(), pa.curve.p_values.tolist()
+        edges, counts = pa.hist_edges.tolist(), pa.hist_counts.tolist()
 
         pcurve_svg = out / f"pcurve_{stem}.svg"
         pcurve_svg.write_text(
             _pcurve_svg(
-                pair.key,
-                pa.curve.grid,
-                pa.curve.p_values,
+                grid,
+                p_values,
                 pa.curve.alpha,
                 pa.regions,
                 f"rejection-rate bias sweep: {pair.a} vs {pair.b}",
@@ -219,32 +220,17 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
         with pcurve_csv.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["threshold", "p_value"])
-            for t, p in zip(pa.curve.grid, pa.curve.p_values):
-                writer.writerow([repr(t), repr(p)])
+            writer.writerows(zip(map(repr, grid), map(repr, p_values)))
 
-        hist = hist_by_key[pair.key]
         hist_svg = out / f"hist_{stem}.svg"
         hist_svg.write_text(
-            _hist_svg(
-                pair,
-                hist.edges,
-                hist.counts,
-                f"bona fide responses: {pair.a} vs {pair.b}",
-            ),
+            _hist_svg(pair, edges, counts, f"bona fide responses: {pair.a} vs {pair.b}"),
             encoding="utf-8",
         )
         hist_csv = out / f"hist_{stem}.csv"
         with hist_csv.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["bin_lo", "bin_hi", pair.a, pair.b])
-            for j in range(len(hist.edges) - 1):
-                writer.writerow(
-                    [
-                        repr(hist.edges[j]),
-                        repr(hist.edges[j + 1]),
-                        hist.counts[pair.a][j],
-                        hist.counts[pair.b][j],
-                    ]
-                )
+            writer.writerows(zip(map(repr, edges), map(repr, edges[1:]), *counts))
         written.extend([pcurve_svg, pcurve_csv, hist_svg, hist_csv])
     return written

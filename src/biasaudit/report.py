@@ -18,6 +18,7 @@ from . import __version__
 from .data import (
     Dataset,
     GroupPair,
+    _read_only,
     attack_responses,
     bona_fide_responses,
     group_pairs,
@@ -32,7 +33,7 @@ from .stats import (
     mann_whitney_u,
     summary_stats,
 )
-from .svm import CodeMatrix, FeatureMode, FoldSpec, _pairwise_aucs
+from .svm import CodeMatrix, FeatureMode, FoldSpec, _pair_rows, _pairwise_aucs
 from .thresholds import (
     BiasCurve,
     BiasRegion,
@@ -109,24 +110,19 @@ class AuditConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairAnalysis:
-    """Everything computed for one group pair."""
+    """Everything computed for one group pair. ``hist_edges`` (bins + 1
+    floats) and ``hist_counts`` (rows a and b, bins ints each) hold the
+    overlaid bona fide histogram behind the pair's plot; not serialized."""
 
     pair: GroupPair
     chi_squared: dict[str, tuple[ContingencyTable2x2, TestResult]]
     mann_whitney: TestResult
     curve: BiasCurve
     regions: tuple[BiasRegion, ...]
-
-
-@dataclass(frozen=True)
-class HistogramSeries:
-    """Overlaid per-group histogram data backing one plot."""
-
-    pair: GroupPair
-    edges: tuple[float, ...]
-    counts: dict[str, tuple[int, ...]]
+    hist_edges: np.ndarray
+    hist_counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,7 +139,6 @@ class AuditReport:
     per_group_hter: dict[str, OperatingPoint] | None
     pairs: tuple[PairAnalysis, ...]
     svm_auc: dict[str, float] | None
-    histograms: tuple[HistogramSeries, ...]  # plot backing data, not serialized
 
     def to_dict(self) -> dict:
         d: dict = {
@@ -176,8 +171,8 @@ class AuditReport:
             "bias_sweeps": {
                 pa.pair.key: {
                     "alpha": pa.curve.alpha,
-                    "grid": list(pa.curve.grid),
-                    "p_values": list(pa.curve.p_values),
+                    "grid": pa.curve.grid.tolist(),
+                    "p_values": pa.curve.p_values.tolist(),
                     "regions": [
                         {
                             "lo": r.lo,
@@ -244,31 +239,12 @@ def _op_dict(p: OperatingPoint) -> dict:
     return {"threshold": p.threshold, "far": p.far, "frr": p.frr, "hter": p.hter}
 
 
-def _pair_histogram(
-    pair: GroupPair, bona_a: np.ndarray, bona_b: np.ndarray, bins: int
-) -> HistogramSeries:
-    lo = min(bona_a[0], bona_b[0])
-    hi = max(bona_a[-1], bona_b[-1])
-    if lo == hi:  # degenerate: a single response value
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, bins + 1)
-    counts_a, _ = np.histogram(bona_a, bins=edges)
-    counts_b, _ = np.histogram(bona_b, bins=edges)
-    return HistogramSeries(
-        pair=pair,
-        edges=tuple(float(e) for e in edges),
-        counts={
-            pair.a: tuple(int(c) for c in counts_a),
-            pair.b: tuple(int(c) for c in counts_b),
-        },
-    )
-
-
 def _analyze_pair(
     pair: GroupPair,
     bona: dict[str, np.ndarray],
     anchors: Sequence[dict],
     alpha: float,
+    bins: int,
 ) -> PairAnalysis:
     a_s, b_s = bona[pair.a], bona[pair.b]
     chi2 = {}
@@ -281,8 +257,19 @@ def _analyze_pair(
     mwu = mann_whitney_u(a_s, b_s)
     curve = bias_sweep(a_s, b_s, grid=None, alpha=alpha, pair=pair)
     regions = tuple(significant_regions(curve))
+    lo, hi = min(a_s[0], b_s[0]), max(a_s[-1], b_s[-1])
+    if lo == hi:  # degenerate: a single response value
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, bins + 1)
+    counts = np.stack([np.histogram(a_s, edges)[0], np.histogram(b_s, edges)[0]])
     return PairAnalysis(
-        pair=pair, chi_squared=chi2, mann_whitney=mwu, curve=curve, regions=regions
+        pair=pair,
+        chi_squared=chi2,
+        mann_whitney=mwu,
+        curve=curve,
+        regions=regions,
+        hist_edges=_read_only(edges),
+        hist_counts=_read_only(counts),
     )
 
 
@@ -297,7 +284,9 @@ def run_audit(
     optional; without them the EER/HTER section is omitted and anchor
     thresholds come from bona fide quantiles alone. ``codes`` enables the
     per-pair SVM separability section; when given, every dataset group must
-    appear among the code vectors with at least ``cfg.svm_folds`` samples.
+    appear among the code vectors with at least ``cfg.svm_folds`` samples,
+    and every pair's training folds must fit the SVM kernel limit. These
+    checks run before any statistic is computed.
     """
     pairs = group_pairs(ds)  # also enforces >= 2 groups
     groups = tuple(ds.groups())
@@ -310,6 +299,9 @@ def run_audit(
                 f"group {g!r} has {len(vals)} bona fide rows; the audit needs >= 4"
             )
         bona[g] = vals
+    folds = FoldSpec(k=cfg.svm_folds, seed=cfg.seed)
+    if codes is not None:
+        _pair_rows(codes, groups, folds)  # fail before the dip null, not after
     pooled_bona = bona_fide_responses(ds)
     pooled_attack = attack_responses(ds)
 
@@ -359,10 +351,8 @@ def run_audit(
             if len(att_g):
                 per_group_hter[g] = hter_at(bona[g], att_g, eer.threshold)
 
-    analyses = tuple(_analyze_pair(p, bona, anchors, cfg.alpha) for p in pairs)
-
-    histograms = tuple(
-        _pair_histogram(p, bona[p.a], bona[p.b], cfg.dip_bins) for p in pairs
+    analyses = tuple(
+        _analyze_pair(p, bona, anchors, cfg.alpha, cfg.dip_bins) for p in pairs
     )
 
     svm_auc = None
@@ -373,7 +363,7 @@ def run_audit(
             mode=cfg.feature_mode,
             c=cfg.svm_c,
             gamma=cfg.svm_gamma,
-            folds=FoldSpec(k=cfg.svm_folds, seed=cfg.seed),
+            folds=folds,
         )
 
     n_bona = len(pooled_bona)
@@ -391,7 +381,6 @@ def run_audit(
         per_group_hter=per_group_hter,
         pairs=analyses,
         svm_auc=svm_auc,
-        histograms=histograms,
     )
 
 

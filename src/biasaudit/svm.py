@@ -148,6 +148,14 @@ def _resolve_gamma(x: np.ndarray, gamma: float | None) -> float:
 _MAX_KERNEL_BYTES = 1 << 30
 
 
+def _check_kernel_rows(n: int) -> None:
+    if n * n * 8 > _MAX_KERNEL_BYTES:
+        raise ParameterError(
+            f"{n} training rows need a {n * n * 8 / 2**30:.2f} GiB kernel; "
+            f"the limit is 1 GiB ({math.isqrt(_MAX_KERNEL_BYTES // 8)} rows)"
+        )
+
+
 def _rbf_matrix(x: np.ndarray, z: np.ndarray, gamma: float) -> np.ndarray:
     sq = (
         np.sum(x * x, axis=1)[:, None]
@@ -190,11 +198,7 @@ def train_svm_smo(
     if max_passes < 1:
         raise ParameterError(f"max_passes must be >= 1, got {max_passes}")
     n = x.shape[0]
-    if n * n * 8 > _MAX_KERNEL_BYTES:
-        raise ParameterError(
-            f"{n} training rows need a {n * n * 8 / 2**30:.2f} GiB kernel; "
-            f"the limit is 1 GiB ({math.isqrt(_MAX_KERNEL_BYTES // 8)} rows)"
-        )
+    _check_kernel_rows(n)
 
     gamma = _resolve_gamma(x, gamma)
     kmat = _rbf_matrix(x, x, gamma)
@@ -337,6 +341,26 @@ def cross_validated_auc(
     return float(np.mean(aucs))
 
 
+def _pair_rows(m: CodeMatrix, groups: Sequence[str], folds: FoldSpec) -> dict[str, np.ndarray]:
+    """Each of ``groups``' row indices in ``m``, in input order, once every
+    group is checked to have at least ``folds.k`` rows and every pair's
+    largest training set (the last fold holds out floor(n/k) rows of each
+    group, the fewest) to fit the kernel limit; so inputs the pairwise SVM
+    would refuse fail before anything is trained."""
+    code_of = {g: i for i, g in enumerate(m.groups())}
+    rows = {g: np.flatnonzero(m.group_codes == code_of.get(g, -1)) for g in groups}
+    for g, idx in rows.items():
+        if len(idx) < folds.k:
+            raise InsufficientDataError(
+                f"code vectors for group {g!r}: have {len(idx)}, need >= {folds.k}"
+            )
+    train = {g: len(idx) - len(idx) // folds.k for g, idx in rows.items()}
+    for i, a in enumerate(groups):
+        for b in groups[i + 1 :]:
+            _check_kernel_rows(train[a] + train[b])
+    return rows
+
+
 def _pairwise_aucs(
     m: CodeMatrix,
     groups: Sequence[str],
@@ -347,15 +371,9 @@ def _pairwise_aucs(
 ) -> dict[str, float]:
     """cross_validated_auc for every pair of ``groups`` (ascending), keyed
     like GroupPair.key, on group a's rows then group b's, each in input
-    order. Rows of other groups are ignored; every listed group needs at
-    least ``folds.k`` rows."""
-    code_of = {g: i for i, g in enumerate(m.groups())}
-    rows = {g: np.flatnonzero(m.group_codes == code_of.get(g, -1)) for g in groups}
-    for g, idx in rows.items():
-        if len(idx) < folds.k:
-            raise InsufficientDataError(
-                f"code vectors for group {g!r}: have {len(idx)}, need >= {folds.k}"
-            )
+    order. Rows of other groups are ignored; the inputs are checked by
+    ``_pair_rows``."""
+    rows = _pair_rows(m, groups, folds)
     return {
         GroupPair(a, b).key: cross_validated_auc(
             m.take(np.concatenate([rows[a], rows[b]])), mode=mode, c=c, gamma=gamma, folds=folds

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import GroupPair
+from .data import GroupPair, _read_only
 from .errors import InsufficientDataError, ParameterError
 from .stats import _one_sided_chi2
 
@@ -56,20 +56,23 @@ class OperatingPoint:
     hter: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BiasCurve:
-    """One-sided rate-comparison p-values along a threshold grid.
-
-    ``directions[i]`` names the group with the higher rejection rate at
-    ``grid[i]`` (None on ties); it is carried so regions can be labeled
-    without recomputing the tables.
+    """One-sided rate-comparison p-values along a threshold grid, as read-only
+    arrays the curve owns: float64 ``grid`` and ``p_values``, and int8
+    ``signs``, 1 where group a rejects more at ``grid[i]``, -1 where group b
+    does, 0 on a tie. The signs label regions without recomputing the tables.
     """
 
     pair: GroupPair
-    grid: tuple[float, ...]
-    p_values: tuple[float, ...]
+    grid: np.ndarray
+    p_values: np.ndarray
     alpha: float
-    directions: tuple[str | None, ...]
+    signs: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("grid", np.float64), ("p_values", np.float64), ("signs", np.int8)):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class BiasRegion:
     """Maximal run of grid thresholds with p < alpha.
 
     ``lo`` and ``hi`` are grid values (lo <= hi); ``worse_group`` is the
-    direction at the run's most significant point.
+    group that rejects more at the run's most significant point.
     """
 
     lo: float
@@ -200,20 +203,12 @@ def bias_sweep(
     n_a, n_b = len(a_s), len(b_s)
     acc_a = np.searchsorted(a_s, grid_arr, side="right").tolist()
     acc_b = np.searchsorted(b_s, grid_arr, side="right").tolist()
-    worse = {1: pair.a, -1: pair.b, 0: None}
-    p_values = []
-    directions = []
+    p_values, signs = [], []
     for ca, cb in zip(acc_a, acc_b):
         _, p, sign = _one_sided_chi2(ca, n_a - ca, cb, n_b - cb)
         p_values.append(p)
-        directions.append(worse[sign])
-    return BiasCurve(
-        pair=pair,
-        grid=tuple(grid_arr.tolist()),
-        p_values=tuple(p_values),
-        alpha=alpha,
-        directions=tuple(directions),
-    )
+        signs.append(sign)
+    return BiasCurve(pair, grid_arr, p_values, alpha, signs)
 
 
 def significant_regions(curve: BiasCurve) -> list[BiasRegion]:
@@ -222,26 +217,19 @@ def significant_regions(curve: BiasCurve) -> list[BiasRegion]:
     Regions are disjoint and ordered by threshold; each is labeled with the
     worse-off group at its most significant point (first such point on ties).
     """
+    p = curve.p_values
+    # run starts and (exclusive) ends are where the padded mask flips
+    flips = np.flatnonzero(np.diff(np.concatenate(([False], p < curve.alpha, [False]))))
+    worse = {1: curve.pair.a, -1: curve.pair.b}  # p < alpha < 1 rules out a tie
     regions = []
-    i = 0
-    n = len(curve.grid)
-    while i < n:
-        if curve.p_values[i] >= curve.alpha:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and curve.p_values[j + 1] < curve.alpha:
-            j += 1
-        k = min(range(i, j + 1), key=lambda m: (curve.p_values[m], m))
-        worse = curve.directions[k]
-        assert worse is not None  # p < alpha < 1 rules out the tie branch
+    for i, j in zip(flips[0::2].tolist(), flips[1::2].tolist()):
+        k = i + int(np.argmin(p[i:j]))  # argmin takes the first minimum
         regions.append(
             BiasRegion(
-                lo=curve.grid[i],
-                hi=curve.grid[j],
-                min_p=curve.p_values[k],
-                worse_group=worse,
+                lo=float(curve.grid[i]),
+                hi=float(curve.grid[j - 1]),
+                min_p=float(p[k]),
+                worse_group=worse[int(curve.signs[k])],
             )
         )
-        i = j + 1
     return regions

@@ -1,12 +1,15 @@
-"""The threshold sweep and the rank statistics as they were before they were
-rebuilt on sorted numpy arrays: one ContingencyTable2x2 and two bisections
-per threshold, and three hand-written tie walkers. Kept verbatim as the
-reference that ``bias_sweep``, ``mann_whitney_u`` and ``auc_from_scores``
-must match bit for bit; not used by the package."""
+"""The threshold sweep, its significant regions and the rank statistics as
+they were before they were rebuilt on sorted numpy arrays: one
+ContingencyTable2x2 and two bisections per threshold, a curve of tuples
+with a group name per threshold, a per-threshold region walk, and three
+hand-written tie walkers. Kept verbatim as the reference that
+``bias_sweep``, ``significant_regions``, ``mann_whitney_u`` and
+``auc_from_scores`` must match bit for bit; not used by the package."""
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +28,23 @@ from biasaudit.stats import (
     TestResult,
     chi2_survival,
 )
-from biasaudit.thresholds import BiasCurve
+from biasaudit.thresholds import BiasRegion
+
+
+@dataclass(frozen=True)
+class BiasCurve:
+    """One-sided rate-comparison p-values along a threshold grid.
+
+    ``directions[i]`` names the group with the higher rejection rate at
+    ``grid[i]`` (None on ties); it is carried so regions can be labeled
+    without recomputing the tables.
+    """
+
+    pair: GroupPair
+    grid: tuple[float, ...]
+    p_values: tuple[float, ...]
+    alpha: float
+    directions: tuple[str | None, ...]
 
 
 def chi_squared_one_sided(t: ContingencyTable2x2) -> TestResult:
@@ -238,6 +257,37 @@ def bias_sweep(
         alpha=alpha,
         directions=tuple(directions),
     )
+
+
+def significant_regions(curve: BiasCurve) -> list[BiasRegion]:
+    """Maximal disconnected grid runs where p < alpha.
+
+    Regions are disjoint and ordered by threshold; each is labeled with the
+    worse-off group at its most significant point (first such point on ties).
+    """
+    regions = []
+    i = 0
+    n = len(curve.grid)
+    while i < n:
+        if curve.p_values[i] >= curve.alpha:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and curve.p_values[j + 1] < curve.alpha:
+            j += 1
+        k = min(range(i, j + 1), key=lambda m: (curve.p_values[m], m))
+        worse = curve.directions[k]
+        assert worse is not None  # p < alpha < 1 rules out the tie branch
+        regions.append(
+            BiasRegion(
+                lo=curve.grid[i],
+                hi=curve.grid[j],
+                min_p=curve.p_values[k],
+                worse_group=worse,
+            )
+        )
+        i = j + 1
+    return regions
 
 
 def auc_from_scores(pos: Sequence[float], neg: Sequence[float]) -> float:

@@ -141,6 +141,18 @@ class TestAuditCommand:
         assert code == 1
         assert "q=0.1, q=0.1" in capsys.readouterr().err
 
+    def test_pipe_in_group_label_rejected(self, tmp_path, capsys):
+        # with these four groups two pairs would share the key "x|y|z"
+        data = tmp_path / "pipes.csv"
+        rows = [
+            f"{g}-{i},{g},bonafide,0.{i + 1}" for g in ("x|y", "z", "x", "y|z") for i in range(6)
+        ]
+        data.write_text("sample_id,group,class,response\n" + "\n".join(rows) + "\n")
+        code = main(["audit", "--data", str(data), "--out", str(tmp_path / "o")] + AUDIT_FAST)
+        assert code == 1
+        assert "'x|y'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code = main(
             ["audit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]

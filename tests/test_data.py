@@ -222,6 +222,13 @@ class TestDatasetInvariants:
             Dataset(["s1", "s2"], ["A"], [True, True], [0.1, 0.2])  # unequal lengths
 
 
+    def test_pipe_in_group_label_rejected(self):
+        # pair keys join two labels with "|": (x, y|z) and (x|y, z) would
+        # both be "x|y|z"
+        with pytest.raises(ParameterError, match=r"'x\|y'"):
+            Dataset(["s1", "s2", "s3", "s4"], ["x|y", "z", "x", "y|z"], [True] * 4, [0.1] * 4)
+
+
 class TestResponseQueries:
     def test_sorted_filtered(self, make_dataset):
         rng = np.random.default_rng(55)

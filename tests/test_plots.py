@@ -64,26 +64,26 @@ class TestRenderPlots:
                 rows = list(csv.reader(fh))
             assert rows[0] == ["threshold", "p_value"]
             assert len(rows) - 1 == len(pa.curve.grid)
-            for row, t, p in zip(rows[1:], pa.curve.grid, pa.curve.p_values):
+            for row, t, p in zip(rows[1:], pa.curve.grid.tolist(), pa.curve.p_values.tolist()):
                 # repr round-trip: the CSV is the plotted data, bit for bit
                 assert float(row[0]) == t
                 assert float(row[1]) == p
 
     def test_hist_csv_equals_histogram_series(self, report, plot_dir):
         out, _ = plot_dir
-        by_key = {h.pair.key: h for h in report.histograms}
         for i, pa in enumerate(report.pairs):
-            hist = by_key[pa.pair.key]
+            edges = pa.hist_edges.tolist()
+            counts_a, counts_b = pa.hist_counts.tolist()
             path = out / f"hist_{i:02d}_{pa.pair.a}_vs_{pa.pair.b}.csv"
             with path.open(newline="") as fh:
                 rows = list(csv.reader(fh))
             assert rows[0] == ["bin_lo", "bin_hi", pa.pair.a, pa.pair.b]
-            assert len(rows) - 1 == len(hist.edges) - 1 == 50
+            assert len(rows) - 1 == len(edges) - 1 == 50
             for j, row in enumerate(rows[1:]):
-                assert float(row[0]) == hist.edges[j]
-                assert float(row[1]) == hist.edges[j + 1]
-                assert int(row[2]) == hist.counts[pa.pair.a][j]
-                assert int(row[3]) == hist.counts[pa.pair.b][j]
+                assert float(row[0]) == edges[j]
+                assert float(row[1]) == edges[j + 1]
+                assert int(row[2]) == counts_a[j]
+                assert int(row[3]) == counts_b[j]
 
     def test_region_shading_carries_exact_bounds(self, report, plot_dir):
         out, _ = plot_dir

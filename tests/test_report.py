@@ -81,7 +81,6 @@ class TestReportStructure:
         assert report.n_bona_fide == 4 * 60
         assert report.n_attack == 4 * 60
         assert len(report.pairs) == 6
-        assert len(report.histograms) == 6
 
     def test_pair_sections_cover_all_pairs(self, report_dict):
         keys = sorted(report_dict["chi_squared"])
@@ -140,12 +139,10 @@ class TestReportStructure:
                 assert any(r.worse_group == "beta" for r in pa.regions)
 
     def test_histograms_back_the_pairs(self, report):
-        for h in report.histograms:
-            assert set(h.counts) == {h.pair.a, h.pair.b}
-            assert len(h.edges) == 50 + 1
-            for counts in h.counts.values():
-                assert len(counts) == 50
-                assert sum(counts) == 60
+        for pa in report.pairs:
+            assert pa.hist_edges.shape == (50 + 1,)
+            assert pa.hist_counts.shape == (2, 50)  # rows: group a, group b
+            assert pa.hist_counts.sum(axis=1).tolist() == [60, 60]
 
     def test_svm_section_absent_without_codes(self, report, report_dict):
         assert report.svm_auc is None
@@ -242,9 +239,72 @@ class TestSvmSection:
         with pytest.raises(InsufficientDataError):
             run_audit(demo, AuditConfig(**FAST), codes=codes)
 
+    def test_code_inputs_checked_before_the_dip_null(self, demo, demo_codes, monkeypatch):
+        def dip_null(*args, **kwargs):
+            raise AssertionError("the dip null ran before the code inputs were checked")
+
+        monkeypatch.setattr("biasaudit.report.dip_critical_value", dip_null)
+        labels = np.array(demo_codes.labels())
+        rows = np.flatnonzero(labels != "gamma").tolist()
+        undersized = demo_codes.take(rows + np.flatnonzero(labels == "gamma")[:3].tolist())
+        with pytest.raises(InsufficientDataError):
+            run_audit(demo, AuditConfig(**FAST), codes=undersized)
+        # 7,300 rows per group: a pair's largest training fold (k = 5) holds
+        # 2 * (7300 - 1460) = 11,680 rows, above the kernel limit of 11,585
+        groups = [g for g in demo.groups() for _ in range(7300)]
+        oversized = CodeMatrix(np.zeros((len(groups), 1), dtype=np.int64), groups, 64)
+        with pytest.raises(ParameterError, match="11680 training rows"):
+            run_audit(demo, AuditConfig(**FAST), codes=oversized)
+
     def test_undersized_code_group_rejected(self, demo, demo_codes):
         labels = np.array(demo_codes.labels())
         rows = np.flatnonzero(labels != "gamma").tolist()
         trimmed = demo_codes.take(rows + np.flatnonzero(labels == "gamma")[:3].tolist())
         with pytest.raises(InsufficientDataError):
             run_audit(demo, AuditConfig(**FAST), codes=trimmed)
+
+
+def _relabelled(ds, names):
+    groups = ds.groups()
+    labels = [names[groups[c]] for c in ds.group_codes.tolist()]
+    return Dataset(ds.sample_ids, labels, ds.bona_fide, ds.responses)
+
+
+def _rename(obj, names):
+    """Every group name in a report dict mapped, in pair keys too."""
+    if isinstance(obj, dict):
+        return {_rename(k, names): _rename(v, names) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rename(v, names) for v in obj]
+    if isinstance(obj, str):
+        return "|".join(names.get(part, part) for part in obj.split("|"))
+    return obj
+
+
+class TestRelabelledGroups:
+    def test_order_preserving_rename_maps_the_report(self, demo):
+        # from names no other report string uses ("alpha" is also a config key)
+        base = {"alpha": "g1", "beta": "g2", "delta": "g3", "gamma": "g4"}
+        names = {"g1": "h1", "g2": "h2", "g3": "h3", "g4": "h4"}
+        before = run_audit(_relabelled(demo, base), AuditConfig(**FAST))
+        after = run_audit(_relabelled(demo, {g: names[n] for g, n in base.items()}), AuditConfig(**FAST))
+        assert json.loads(render_json(after)) == _rename(json.loads(render_json(before)), names)
+
+    def test_order_reversing_rename_swaps_each_pair(self, demo, report):
+        names = {"alpha": "zeta", "beta": "yak", "delta": "xi", "gamma": "wren"}
+        renamed = run_audit(_relabelled(demo, names), AuditConfig(**FAST))
+        by_key = {pa.pair.key: pa for pa in renamed.pairs}
+        for pa in report.pairs:
+            swapped = by_key[f"{names[pa.pair.b]}|{names[pa.pair.a]}"]
+            assert swapped.pair.a == names[pa.pair.b]
+            assert swapped.curve.grid.tolist() == pa.curve.grid.tolist()
+            assert swapped.curve.p_values.tolist() == pa.curve.p_values.tolist()
+            assert swapped.curve.signs.tolist() == (-pa.curve.signs).tolist()
+            assert [(r.lo, r.hi, r.min_p, r.worse_group) for r in swapped.regions] == [
+                (r.lo, r.hi, r.min_p, names[r.worse_group]) for r in pa.regions
+            ]
+            assert swapped.mann_whitney.p_value == pa.mann_whitney.p_value
+            for label, (_, res) in pa.chi_squared.items():
+                got = swapped.chi_squared[label][1]
+                assert got.p_value == res.p_value
+                assert got.direction == (None if res.direction is None else names[res.direction])

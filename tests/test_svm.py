@@ -15,6 +15,7 @@ from biasaudit.svm import (
     CodeMatrix,
     FeatureMode,
     FoldSpec,
+    _pair_rows,
     _pairwise_aucs,
     auc_from_scores,
     cross_validated_auc,
@@ -144,6 +145,10 @@ class TestCodeMatrix:
             CodeMatrix(np.array([[False, True]]), ["a"], k=4)
         with pytest.raises(ParameterError):
             CodeMatrix([0, 1, 2], ["a", "a", "a"], k=4)  # not a matrix
+
+    def test_pipe_in_group_label_rejected(self):
+        with pytest.raises(ParameterError, match=r"'y\|z'"):
+            CodeMatrix([(0, 1)] * 3, ["x", "y|z", "z"], k=4)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ParameterError):
@@ -429,6 +434,19 @@ class TestCrossValidatedAuc:
         aucs = _pairwise_aucs(m, ["a", "b"], FeatureMode.SCALED_INDICES, 1.0, None, FoldSpec())
         assert aucs == {"a|b": cross_validated_auc(a_then_b)}
         assert aucs["a|b"] != cross_validated_auc(in_order)
+
+    def test_pair_inputs_checked_against_the_largest_training_fold(self):
+        # with k = 5 the last fold holds out floor(n/5) rows of each group;
+        # 5793 + 5792 = 11,585 training rows fit the kernel, 2 * 5793 do not
+        def codes(n_a, n_b):
+            return CodeMatrix(np.zeros((n_a + n_b, 1), dtype=np.int64), ["a"] * n_a + ["b"] * n_b, 2)
+
+        rows = _pair_rows(codes(7241, 7240), ["a", "b"], FoldSpec())
+        assert [len(rows["a"]), len(rows["b"])] == [7241, 7240]
+        with pytest.raises(ParameterError, match="11586 training rows"):
+            _pair_rows(codes(7241, 7241), ["a", "b"], FoldSpec())
+        with pytest.raises(InsufficientDataError, match="group 'b'"):
+            _pair_rows(codes(10, 4), ["a", "b"], FoldSpec())
 
     def test_fold_spec_validation(self):
         with pytest.raises(ParameterError):

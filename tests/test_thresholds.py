@@ -5,6 +5,7 @@ import pytest
 
 from biasaudit.data import GroupPair
 from biasaudit.errors import InsufficientDataError, ParameterError
+from biasaudit.stats import MwuMode, mann_whitney_u
 from biasaudit.thresholds import (
     BiasCurve,
     bias_sweep,
@@ -237,7 +238,7 @@ class TestBiasSweep:
         b = list(rng.lognormal(-3.4, 0.45, 200))
         curve = bias_sweep(a, b)
         assert len(curve.grid) == 400  # continuous draws never collide
-        assert curve.grid == tuple(sorted(set(a) | set(b)))
+        assert curve.grid.tolist() == sorted(set(a) | set(b))
 
     def test_shifted_group_flagged_against_it(self):
         rng = np.random.default_rng(1007)
@@ -267,9 +268,28 @@ class TestBiasSweep:
         base = bias_sweep(a, b)
         scaled = bias_sweep([4.0 * v for v in a], [4.0 * v for v in b])
         cubed = bias_sweep([v**3 for v in a], [v**3 for v in b])
-        assert scaled.p_values == base.p_values
-        assert cubed.p_values == base.p_values
-        assert scaled.directions == base.directions
+        assert scaled.p_values.tolist() == base.p_values.tolist()
+        assert cubed.p_values.tolist() == base.p_values.tolist()
+        assert scaled.signs.tolist() == base.signs.tolist()
+        # Mann-Whitney sees only ranks too: normal-approx at 90+70, exact at 10+10
+        for x, y, mode in [(a, b, MwuMode.NORMAL_APPROX), (a[:10], b[:10], MwuMode.EXACT)]:
+            ref = mann_whitney_u(x, y, mode)
+            assert mann_whitney_u([4.0 * v for v in x], [4.0 * v for v in y], mode) == ref
+            assert mann_whitney_u([v**3 for v in x], [v**3 for v in y], mode) == ref
+
+    def test_curve_owns_read_only_columns(self):
+        grid = np.array([1.0, 2.0, 3.0])
+        curve = bias_sweep([1.0, 3.0, 3.0], [2.0, 2.0, 3.0], grid=grid)
+        assert (curve.grid.dtype, curve.p_values.dtype, curve.signs.dtype) == (
+            np.float64,
+            np.float64,
+            np.int8,
+        )
+        # rejected of three: 2 vs 3 at 1.0, 2 vs 1 at 2.0, none at 3.0
+        assert curve.signs.tolist() == [-1, 1, 0]
+        for column in (curve.grid, curve.p_values, curve.signs):
+            assert not column.flags.writeable
+        assert grid.flags.writeable and not np.shares_memory(grid, curve.grid)
 
     def test_explicit_grid_checked(self):
         a, b = [1.0, 2.0], [1.5, 2.5]
@@ -297,10 +317,10 @@ def make_curve(p_values, directions=None, alpha=0.05):
         directions = tuple("a" if p < 1.0 else None for p in p_values)
     return BiasCurve(
         pair=GroupPair("a", "b"),
-        grid=tuple(float(i + 1) for i in range(n)),
-        p_values=tuple(p_values),
+        grid=[float(i + 1) for i in range(n)],
+        p_values=p_values,
         alpha=alpha,
-        directions=tuple(directions),
+        signs=[{"a": 1, "b": -1, None: 0}[d] for d in directions],
     )
 
 
@@ -340,8 +360,8 @@ class TestSignificantRegions:
             regions = significant_regions(curve)
             mask = [False] * n
             for r in regions:
-                i = curve.grid.index(r.lo)
-                j = curve.grid.index(r.hi)
+                i = curve.grid.tolist().index(r.lo)
+                j = curve.grid.tolist().index(r.hi)
                 assert i <= j
                 for k in range(i, j + 1):
                     assert not mask[k]
