@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,38 +38,6 @@ from .svm import (
 from .synth import demo_dataset, gen_code_vectors
 from .thresholds import eer_operating_point, hter_at, roc_curve
 
-_CONFIG_KEYS = {
-    "alpha": float,
-    "quantiles": str,
-    "dip_bins": int,
-    "dip_replicas": int,
-    "seed": int,
-    "svm_c": float,
-    "svm_gamma": str,
-    "svm_folds": int,
-    "feature_mode": str,
-}
-
-
-def _read_config_file(path: str) -> dict:
-    """Parse key=value lines; '#' starts a comment; keys use underscores."""
-    out = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParameterError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise ParameterError(f"{path}:{ln}: unknown config key {key!r}")
-        try:
-            out[key] = _CONFIG_KEYS[key](value)
-        except ValueError:
-            raise ParameterError(f"{path}:{ln}: bad value for {key}: {value!r}") from None
-    return out
-
 
 def _parse_quantiles(text: str) -> tuple[float, ...]:
     try:
@@ -86,54 +55,90 @@ def _parse_gamma(text: str) -> float | None:
         raise ParameterError(f"gamma must be a number or 'auto', got {text!r}") from None
 
 
-def _parse_enum(enum_cls, text: str, what: str):
-    """The member of ``enum_cls`` whose value is ``text``."""
-    for member in enum_cls:
-        if member.value == text:
-            return member
-    choices = ", ".join(m.value for m in enum_cls)
-    raise ParameterError(f"unknown {what} {text!r} (choose from: {choices})")
+def _parse_enum(enum_cls, what: str):
+    """An argparse type: the member of ``enum_cls`` whose value is the text.
+    It raises ParameterError, not ValueError, so a bad value exits 1."""
+
+    def parse(text: str):
+        for member in enum_cls:
+            if member.value == text:
+                return member
+        choices = ", ".join(m.value for m in enum_cls)
+        raise ParameterError(f"unknown {what} {text!r} (choose from: {choices})")
+
+    return parse
+
+
+_DEFAULT = AuditConfig()
 
 
 def _add_audit_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=float, default=_DEFAULT.alpha, help="significance level")
     p.add_argument(
         "--quantiles",
-        default="0.01,0.02,0.05,0.1,0.2",
+        type=_parse_quantiles,
+        default=_DEFAULT.quantiles,
         help="comma-separated bona fide rejection quantiles for anchor thresholds",
     )
-    p.add_argument("--dip-bins", type=int, default=50, help="histogram bins for the dip")
     p.add_argument(
-        "--dip-replicas", type=int, default=10000, help="null replicas for dip critical values"
+        "--dip-bins", type=int, default=_DEFAULT.dip_bins, help="histogram bins for the dip"
+    )
+    p.add_argument(
+        "--dip-replicas",
+        type=int,
+        default=_DEFAULT.dip_replicas,
+        help="null replicas for dip critical values",
     )
     _add_svm_options(p)
 
 
 def _add_svm_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--codes-k", type=int, help="codebook size when the CSV has no #K line")
-    p.add_argument("--seed", type=int, default=12345, help="master RNG seed")
-    p.add_argument("--svm-c", type=float, default=1.0, help="SVM soft-margin C")
-    p.add_argument("--svm-gamma", default="auto", help="RBF gamma, or 'auto'")
-    p.add_argument("--svm-folds", type=int, default=5, help="cross-validation folds")
+    p.add_argument("--seed", type=int, default=_DEFAULT.seed, help="master RNG seed")
+    p.add_argument("--svm-c", type=float, default=_DEFAULT.svm_c, help="SVM soft-margin C")
+    p.add_argument(
+        "--svm-gamma", type=_parse_gamma, default=_DEFAULT.svm_gamma, help="RBF gamma, or 'auto'"
+    )
+    p.add_argument(
+        "--svm-folds", type=int, default=_DEFAULT.svm_folds, help="cross-validation folds"
+    )
     p.add_argument(
         "--feature-mode",
-        default=FeatureMode.SCALED_INDICES.value,
+        type=_parse_enum(FeatureMode, "feature mode"),
+        default=_DEFAULT.feature_mode,
         help="code featurization: scaled-indices or code-histogram",
     )
 
 
+def _read_config_file(path: str) -> dict:
+    """Parse key=value lines; '#' starts a comment. The keys are AuditConfig's
+    field names (dashes read as underscores), each value converted with the
+    type of its audit flag."""
+    flags = argparse.ArgumentParser()
+    _add_audit_options(flags)
+    types = {a.dest: a.type for a in flags._actions}
+    keys = {f.name for f in fields(AuditConfig)}
+    out = {}
+    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{ln}: expected key=value, got {raw!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in keys:
+            raise ParameterError(f"{path}:{ln}: unknown config key {key!r}")
+        try:
+            out[key] = types[key](value)
+        except (ValueError, ParameterError) as exc:
+            why = exc if isinstance(exc, ParameterError) else repr(value)
+            raise ParameterError(f"{path}:{ln}: bad value for {key}: {why}") from None
+    return out
+
+
 def _config_from_args(args: argparse.Namespace) -> AuditConfig:
-    return AuditConfig(
-        alpha=args.alpha,
-        quantiles=_parse_quantiles(args.quantiles),
-        dip_bins=args.dip_bins,
-        dip_replicas=args.dip_replicas,
-        seed=args.seed,
-        svm_c=args.svm_c,
-        svm_gamma=_parse_gamma(args.svm_gamma),
-        svm_folds=args.svm_folds,
-        feature_mode=_parse_enum(FeatureMode, args.feature_mode, "feature mode"),
-    )
+    return AuditConfig(**{f.name: getattr(args, f.name) for f in fields(AuditConfig)})
 
 
 def _cmd_audit(args) -> int:
@@ -173,11 +178,11 @@ def _cmd_sweep(args) -> int:
     from .thresholds import bias_sweep, significant_regions
 
     ds = load_csv(args.data)
-    a = bona_fide_responses(ds, args.group_a)
-    b = bona_fide_responses(ds, args.group_b)
-    curve = bias_sweep(
-        a, b, alpha=args.alpha, pair=GroupPair.of(args.group_a, args.group_b)
-    )
+    # the curve's signs refer to the canonical pair, so read its groups in that order
+    pair = GroupPair.of(args.group_a, args.group_b)
+    a = bona_fide_responses(ds, pair.a)
+    b = bona_fide_responses(ds, pair.b)
+    curve = bias_sweep(a, b, alpha=args.alpha, pair=pair)
     regions = significant_regions(curve)
     for t, p in zip(curve.grid.tolist(), curve.p_values.tolist()):
         print(f"{t!r},{p!r}")
@@ -206,7 +211,7 @@ def _cmd_mwu(args) -> int:
     ds = load_csv(args.data)
     a = bona_fide_responses(ds, args.group_a)
     b = bona_fide_responses(ds, args.group_b)
-    res = mann_whitney_u(a, b, _parse_enum(MwuMode, args.mode, "mode"))
+    res = mann_whitney_u(a, b, args.mode)
     named = {"a": args.group_a, "b": args.group_b}
     print(f"U {res.statistic!r}")
     print(f"p_value {res.p_value!r}")
@@ -264,9 +269,9 @@ def _cmd_svm_sep(args) -> int:
     aucs = _pairwise_aucs(
         codes,
         groups,
-        mode=_parse_enum(FeatureMode, args.feature_mode, "feature mode"),
+        mode=args.feature_mode,
         c=args.svm_c,
-        gamma=_parse_gamma(args.svm_gamma),
+        gamma=args.svm_gamma,
         folds=FoldSpec(k=args.svm_folds, seed=args.seed),
     )
     for key, auc in aucs.items():
@@ -335,7 +340,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=_DEFAULT.alpha)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("chi2", help="one-sided rate test on explicit 2x2 counts")
@@ -349,16 +354,17 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
-    p.add_argument("--mode", default=MwuMode.AUTO.value, help="auto, exact, or normal-approx")
+    p.add_argument("--mode", type=_parse_enum(MwuMode, "mode"), default=MwuMode.AUTO,
+                   help="auto, exact, or normal-approx")
     p.set_defaults(func=_cmd_mwu)
 
     p = sub.add_parser("dip", help="dip unimodality test for one group")
     p.add_argument("--data", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--bins", type=int, default=50, help="0 disables binning")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--replicas", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--bins", type=int, default=_DEFAULT.dip_bins, help="0 disables binning")
+    p.add_argument("--alpha", type=float, default=_DEFAULT.alpha)
+    p.add_argument("--replicas", type=int, default=_DEFAULT.dip_replicas)
+    p.add_argument("--seed", type=int, default=_DEFAULT.seed)
     p.set_defaults(func=_cmd_dip)
 
     p = sub.add_parser("sw", help="Shapiro-Wilk normality test for one group")
@@ -378,7 +384,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a seeded synthetic dataset (and codes)")
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-group", type=int, default=200)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=int, default=_DEFAULT.seed)
     p.add_argument("--no-attacks", action="store_true")
     p.add_argument("--no-codes", action="store_true")
     p.add_argument("--codes-d", type=int, default=16)

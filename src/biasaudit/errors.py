@@ -5,6 +5,17 @@ CLI can map the whole family to a single exit code and library callers can
 catch one type.
 """
 
+__all__ = [
+    "AuditError",
+    "SchemaError",
+    "RowError",
+    "EmptyDatasetError",
+    "UnknownGroupError",
+    "InsufficientDataError",
+    "DegenerateDataError",
+    "ParameterError",
+]
+
 
 class AuditError(Exception):
     """Base class for all toolkit validation errors."""

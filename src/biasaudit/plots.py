@@ -35,6 +35,12 @@ def _tick_label(v: float) -> str:
     return f"{v:.4g}"
 
 
+def _escape(text: str) -> str:
+    """Text content for the markup; xml.sax.saxutils.escape would import
+    urllib.request, which costs the CLI start-up time and memory."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _sanitize(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
@@ -46,7 +52,7 @@ class _Svg:
             f'viewBox="0 0 {_W} {_H}">',
             f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="#ffffff"/>',
             f'<text x="{_W / 2:.0f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14" fill="#222222">{title}</text>',
+            f'font-family="sans-serif" font-size="14" fill="#222222">{_escape(title)}</text>',
         ]
 
     def rect(self, x, y, w, h, fill, opacity=None, extra=""):
@@ -76,7 +82,7 @@ class _Svg:
         )
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
-            f'font-family="sans-serif" font-size="{size}" fill="{fill}"{r}>{s}</text>'
+            f'font-family="sans-serif" font-size="{size}" fill="{fill}"{r}>{_escape(s)}</text>'
         )
 
     def tostring(self) -> str:

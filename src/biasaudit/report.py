@@ -9,7 +9,8 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -49,8 +50,6 @@ from .thresholds import (
 
 __all__ = ["AuditConfig", "AuditReport", "run_audit", "render_json"]
 
-DEFAULT_QUANTILES = (0.01, 0.02, 0.05, 0.10, 0.20)
-
 
 def _anchor_label(q: float) -> str:
     """The anchor's key in ``chi_squared``, so it must be unique."""
@@ -63,7 +62,7 @@ class AuditConfig:
     these plus the input data."""
 
     alpha: float = 0.05
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES
+    quantiles: tuple[float, ...] = (0.01, 0.02, 0.05, 0.10, 0.20)
     dip_bins: int = 50
     dip_replicas: int = 10000
     seed: int = 12345
@@ -97,24 +96,18 @@ class AuditConfig:
             raise ParameterError(f"svm_folds must be >= 2, got {self.svm_folds}")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "quantiles": list(self.quantiles),
-            "dip_bins": self.dip_bins,
-            "dip_replicas": self.dip_replicas,
-            "seed": self.seed,
-            "svm_c": self.svm_c,
-            "svm_gamma": "auto" if self.svm_gamma is None else self.svm_gamma,
-            "svm_folds": self.svm_folds,
-            "feature_mode": self.feature_mode.value,
-        }
+        d = _fields(self)
+        if self.svm_gamma is None:
+            d["svm_gamma"] = "auto"
+        return d
 
 
 @dataclass(frozen=True, eq=False)
 class PairAnalysis:
-    """Everything computed for one group pair. ``hist_edges`` (bins + 1
-    floats) and ``hist_counts`` (rows a and b, bins ints each) hold the
-    overlaid bona fide histogram behind the pair's plot; not serialized."""
+    """Everything computed for one group pair. ``mann_whitney.direction``
+    names the stochastically larger group, not "a" or "b". ``hist_edges``
+    (bins + 1 floats) and ``hist_counts`` (rows a and b, bins ints each) hold
+    the overlaid bona fide histogram behind the pair's plot; not serialized."""
 
     pair: GroupPair
     chi_squared: dict[str, tuple[ContingencyTable2x2, TestResult]]
@@ -152,45 +145,35 @@ class AuditReport:
             },
             "per_group": {
                 g: {
-                    "summary": _summary_dict(self.per_group_summary[g]),
-                    "dip_test": _dip_dict(self.per_group_dip[g]),
+                    "summary": _fields(self.per_group_summary[g]),
+                    "dip_test": _fields(self.per_group_dip[g]),
                 }
                 for g in self.groups
             },
             "anchor_thresholds": [dict(a) for a in self.anchors],
             "chi_squared": {
                 pa.pair.key: {
-                    label: _chi2_dict(table, res)
+                    label: {**_fields(res), "table": _counts(table)}
                     for label, (table, res) in pa.chi_squared.items()
                 }
                 for pa in self.pairs
             },
-            "mann_whitney": {
-                pa.pair.key: _test_dict(pa.mann_whitney) for pa in self.pairs
-            },
+            "mann_whitney": {pa.pair.key: _fields(pa.mann_whitney) for pa in self.pairs},
             "bias_sweeps": {
                 pa.pair.key: {
                     "alpha": pa.curve.alpha,
                     "grid": pa.curve.grid.tolist(),
                     "p_values": pa.curve.p_values.tolist(),
-                    "regions": [
-                        {
-                            "lo": r.lo,
-                            "hi": r.hi,
-                            "min_p": r.min_p,
-                            "worse_group": r.worse_group,
-                        }
-                        for r in pa.regions
-                    ],
+                    "regions": [_fields(r) for r in pa.regions],
                 }
                 for pa in self.pairs
             },
         }
         if self.eer is not None:
-            ops: dict = {"eer": _op_dict(self.eer)}
+            ops: dict = {"eer": _fields(self.eer)}
             if self.per_group_hter:
                 ops["per_group_hter"] = {
-                    g: _op_dict(p) for g, p in self.per_group_hter.items()
+                    g: _fields(p) for g, p in self.per_group_hter.items()
                 }
             d["operating_points"] = ops
         if self.svm_auc is not None:
@@ -198,45 +181,19 @@ class AuditReport:
         return d
 
 
-def _summary_dict(s: SummaryStats) -> dict:
-    return {"n": s.n, "mean": s.mean, "std_dev": s.std_dev}
-
-
-def _dip_dict(r: DipResult) -> dict:
-    return {
-        "dip": r.dip,
-        "n": r.n,
-        "bins": r.bins,
-        "critical_value": r.critical_value,
-        "alpha": r.alpha,
-        "unimodal": r.unimodal,
-        "replicas": r.replicas,
-        "critical_value_se": r.critical_value_se,
-    }
-
-
-def _test_dict(r: TestResult) -> dict:
-    return {
-        "statistic": r.statistic,
-        "p_value": r.p_value,
-        "sidedness": r.sidedness.value,
-        "direction": r.direction,
-    }
-
-
-def _chi2_dict(table: ContingencyTable2x2, res: TestResult) -> dict:
-    out = _test_dict(res)
-    out["table"] = {
-        "accepted_a": table.accepted_a,
-        "rejected_a": table.rejected_a,
-        "accepted_b": table.accepted_b,
-        "rejected_b": table.rejected_b,
-    }
+def _fields(obj) -> dict:
+    """A result dataclass as its fields by name, with enums as their values
+    and tuples as lists, so the dict holds JSON types only."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        out[f.name] = v.value if isinstance(v, Enum) else list(v) if isinstance(v, tuple) else v
     return out
 
 
-def _op_dict(p: OperatingPoint) -> dict:
-    return {"threshold": p.threshold, "far": p.far, "frr": p.frr, "hter": p.hter}
+def _counts(table: ContingencyTable2x2) -> dict:
+    """The table's four counts by name; the group names stay out."""
+    return {k: getattr(table, k) for k in ("accepted_a", "rejected_a", "accepted_b", "rejected_b")}
 
 
 def _analyze_pair(
@@ -255,6 +212,7 @@ def _analyze_pair(
         table = ContingencyTable2x2(acc_a, rej_a, acc_b, rej_b, pair.a, pair.b)
         chi2[anchor["label"]] = (table, chi_squared_one_sided(table))
     mwu = mann_whitney_u(a_s, b_s)
+    mwu = replace(mwu, direction={"a": pair.a, "b": pair.b}.get(mwu.direction))
     curve = bias_sweep(a_s, b_s, grid=None, alpha=alpha, pair=pair)
     regions = tuple(significant_regions(curve))
     lo, hi = min(a_s[0], b_s[0]), max(a_s[-1], b_s[-1])

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from biasaudit.cli import main
+import biasaudit
+from biasaudit.cli import _config_from_args, build_parser, main
+from biasaudit.report import AuditConfig
+from biasaudit.svm import FeatureMode
 
 AUDIT_FAST = ["--dip-replicas", "200"]
 
@@ -106,6 +113,29 @@ class TestAuditCommand:
         assert len(blob["svm_auc"]) == 6
         assert "svm auc alpha|beta" in capsys.readouterr().out
 
+    def test_runs_without_scipy_or_hypothesis(self, tmp_path):
+        # the runtime needs numpy only: a None entry in sys.modules makes the
+        # import fail, so synth plus audit --codes would stop at any use of them
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+            "from biasaudit.cli import main\n"
+            "out = sys.argv[1]\n"
+            "assert main(['synth', '--out', out, '--n-per-group', '20', '--seed', '4']) == 0\n"
+            "sys.exit(main(['audit', '--data', out + '/responses.csv',\n"
+            "               '--codes', out + '/codes.csv', '--out', out + '/audit',\n"
+            "               '--dip-replicas', '50']))\n"
+        )
+        src = str(Path(biasaudit.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert "svm auc alpha|beta" in done.stdout
+        assert (tmp_path / "audit" / "report.json").exists()
+
     def test_readme_demo_svm_auc_pinned(self, tmp_path):
         # the README demo (synth --seed 7, audit --codes); the fold assignment
         # and the SMO tie-breaks depend on row order, so exact values pin it
@@ -172,7 +202,11 @@ class TestAuditCommand:
 class TestConfigFile:
     def test_file_values_apply(self, synth_dir, tmp_path):
         cfg = tmp_path / "audit.cfg"
-        cfg.write_text("alpha = 0.01\ndip_replicas = 150  # fast\n")
+        # the keys are AuditConfig's fields, each converted with its flag's type
+        cfg.write_text(
+            "alpha = 0.01\ndip_replicas = 150  # fast\nquantiles = 0.05,0.2\n"
+            "svm_gamma = 0.5\nfeature-mode = code-histogram\n"
+        )
         out = tmp_path / "out"
         code = main(
             [
@@ -189,6 +223,11 @@ class TestConfigFile:
         blob = json.loads((out / "report.json").read_text())
         assert blob["config"]["alpha"] == 0.01
         assert blob["config"]["dip_replicas"] == 150
+        want = AuditConfig(
+            alpha=0.01, dip_replicas=150, quantiles=(0.05, 0.2), svm_gamma=0.5,
+            feature_mode=FeatureMode.CODE_HISTOGRAM,
+        )
+        assert blob["config"] == want.to_dict()
 
     def test_explicit_flag_beats_file(self, synth_dir, tmp_path):
         cfg = tmp_path / "audit.cfg"
@@ -245,6 +284,11 @@ class TestConfigFile:
         )
         assert code == 1
         assert "expected key=value" in capsys.readouterr().err
+        cfg.write_text("alpha = abc\n")
+        data = str(synth_dir / "responses.csv")
+        code = main(["--config", str(cfg), "audit", "--data", data, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{cfg}:1: bad value for alpha" in capsys.readouterr().err
 
 
 class TestStatSubcommands:
@@ -372,6 +416,11 @@ class TestStatSubcommands:
             assert float(t) > 0
             assert 0.0 <= float(p) <= 1.0
         assert "significant region(s) at alpha=0.05" in captured.err
+        # beta is the shifted group: the regions name it whichever flag names it
+        assert "worse=beta" in captured.err and "worse=alpha" not in captured.err
+        data = str(synth_dir / "responses.csv")
+        assert main(["sweep", "--data", data, "--group-a", "beta", "--group-b", "alpha"]) == 0
+        assert capsys.readouterr() == captured
 
     def test_svm_sep(self, synth_dir, capsys):
         code = main(["svm-sep", "--codes", str(synth_dir / "codes.csv")])
@@ -399,3 +448,29 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_audit_defaults_are_the_audit_config(self):
+        args = build_parser().parse_args(["audit", "--data", "d", "--out", "o"])
+        assert _config_from_args(args) == AuditConfig()
+
+    def test_package_exports_every_module_name(self):
+        names = biasaudit.__all__
+        assert len(names) == len(set(names))
+        for name in names:
+            getattr(biasaudit, name)
+        assert set(PUBLIC_NAMES) <= set(names)
+
+
+# the package's public names; each must stay exported from the top level
+PUBLIC_NAMES = """
+__version__ AuditConfig AuditError AuditReport BiasCurve BiasRegion CodeMatrix
+ContingencyTable2x2 Dataset DegenerateDataError DipResult EmptyDatasetError FeatureMode
+FoldSpec GroupPair InsufficientDataError LognormalSpec MixtureSpec MwuMode OperatingPoint
+OutlierSpec ParameterError RocCurve RowError SchemaError Sidedness SummaryStats SvmModel
+TestResult UnknownGroupError attack_responses auc_from_scores bias_sweep bona_fide_responses
+chi2_survival chi_squared_one_sided cross_validated_auc decision_score demo_dataset
+dip_critical_value dip_statistic eer_operating_point featurize gen_code_vectors gen_lognormal
+gen_mixture group_pairs hter_at inject_outliers load_codes_csv load_csv mann_whitney_u
+outcomes_at render_json render_plots roc_curve run_audit save_codes_csv save_csv
+shapiro_wilk significant_regions summary_stats threshold_for_bonafide_error train_svm_smo
+""".split()

@@ -1,6 +1,7 @@
 import csv
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from biasaudit.plots import render_plots
@@ -45,9 +46,13 @@ class TestRenderPlots:
             assert names[4 * i + 2] == f"hist_{stem}.svg"
             assert names[4 * i + 3] == f"hist_{stem}.csv"
 
-    def test_svgs_are_well_formed(self, plot_dir):
+    def test_svgs_are_well_formed(self, plot_dir, make_dataset, tmp_path):
         _, paths = plot_dir
-        for p in paths:
+        # markup characters in group labels land escaped in titles and legends
+        rng = np.random.default_rng(8)
+        rows = [(g, "bonafide", v) for g in ("R&D", "<ops>") for v in rng.lognormal(-3, 0.4, 30)]
+        odd = render_plots(run_audit(make_dataset(rows), AuditConfig(dip_replicas=50)), tmp_path)
+        for p in paths + odd:
             if p.suffix != ".svg":
                 continue
             root = ET.fromstring(p.read_text(encoding="utf-8"))
@@ -55,6 +60,9 @@ class TestRenderPlots:
             assert root.find(f"{SVG_NS}polyline") is not None or (
                 root.findall(f"{SVG_NS}rect")
             )
+            if p in odd:
+                text = " ".join(root.itertext())
+                assert "<ops> vs R&D" in text
 
     def test_pcurve_csv_equals_sweep_arrays(self, report, plot_dir):
         out, _ = plot_dir

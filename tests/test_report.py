@@ -93,6 +93,8 @@ class TestReportStructure:
             "delta|gamma",
         ]
         assert sorted(report_dict["mann_whitney"]) == keys
+        for key, mwu in report_dict["mann_whitney"].items():
+            assert mwu["direction"] in key.split("|")
         assert sorted(report_dict["bias_sweeps"]) == keys
 
     def test_anchor_labels(self, report_dict):
@@ -135,6 +137,7 @@ class TestReportStructure:
         for pa in report.pairs:
             if pa.pair.key == "alpha|beta":
                 assert pa.mann_whitney.p_value < 0.01
+                assert pa.mann_whitney.direction == "beta"  # a group, not "a"/"b"
                 assert pa.regions
                 assert any(r.worse_group == "beta" for r in pa.regions)
 
@@ -304,6 +307,7 @@ class TestRelabelledGroups:
                 (r.lo, r.hi, r.min_p, names[r.worse_group]) for r in pa.regions
             ]
             assert swapped.mann_whitney.p_value == pa.mann_whitney.p_value
+            assert swapped.mann_whitney.direction == names.get(pa.mann_whitney.direction)
             for label, (_, res) in pa.chi_squared.items():
                 got = swapped.chi_squared[label][1]
                 assert got.p_value == res.p_value
