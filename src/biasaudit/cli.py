@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on any validation error (bad data, bad
-parameters), 2 on I/O failures. Subcommand defaults can be preloaded from a
-``key=value`` config file via --config; explicit flags win over the file.
+parameters), 2 on I/O failures. ``audit`` and ``svm-sep`` take each
+AuditConfig value from its flag if given, else from the ``key=value`` file
+named by --config, else the AuditConfig default; no other subcommand reads
+the file.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -15,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import bona_fide_responses, attack_responses, load_csv, save_csv
+from .data import bona_fide_responses, load_csv, save_csv
 from .dip import dip_critical_value, dip_statistic
 from .errors import AuditError, ParameterError
-from .report import AuditConfig, render_json, run_audit
+from .report import AuditConfig, _operating_points, _separability, render_json, run_audit
 from .plots import render_plots
 from .stats import (
     ContingencyTable2x2,
@@ -27,16 +28,8 @@ from .stats import (
     mann_whitney_u,
     shapiro_wilk,
 )
-from .svm import (
-    CodeMatrix,
-    FeatureMode,
-    FoldSpec,
-    _pairwise_aucs,
-    load_codes_csv,
-    save_codes_csv,
-)
+from .svm import CodeMatrix, FeatureMode, load_codes_csv, save_codes_csv
 from .synth import demo_dataset, gen_code_vectors
-from .thresholds import eer_operating_point, hter_at, roc_curve
 
 
 def _parse_quantiles(text: str) -> tuple[float, ...]:
@@ -73,20 +66,23 @@ _DEFAULT = AuditConfig()
 
 
 def _add_audit_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=_DEFAULT.alpha, help="significance level")
+    """The AuditConfig flags. Each defaults to SUPPRESS: a flag not given is
+    absent from the namespace, so _config_from_args can tell it from a given
+    one, also one that parses to None (``--svm-gamma auto``)."""
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS, help="significance level")
     p.add_argument(
         "--quantiles",
         type=_parse_quantiles,
-        default=_DEFAULT.quantiles,
+        default=argparse.SUPPRESS,
         help="comma-separated bona fide rejection quantiles for anchor thresholds",
     )
     p.add_argument(
-        "--dip-bins", type=int, default=_DEFAULT.dip_bins, help="histogram bins for the dip"
+        "--dip-bins", type=int, default=argparse.SUPPRESS, help="histogram bins for the dip"
     )
     p.add_argument(
         "--dip-replicas",
         type=int,
-        default=_DEFAULT.dip_replicas,
+        default=argparse.SUPPRESS,
         help="null replicas for dip critical values",
     )
     _add_svm_options(p)
@@ -94,18 +90,18 @@ def _add_audit_options(p: argparse.ArgumentParser) -> None:
 
 def _add_svm_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--codes-k", type=int, help="codebook size when the CSV has no #K line")
-    p.add_argument("--seed", type=int, default=_DEFAULT.seed, help="master RNG seed")
-    p.add_argument("--svm-c", type=float, default=_DEFAULT.svm_c, help="SVM soft-margin C")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master RNG seed")
+    p.add_argument("--svm-c", type=float, default=argparse.SUPPRESS, help="SVM soft-margin C")
     p.add_argument(
-        "--svm-gamma", type=_parse_gamma, default=_DEFAULT.svm_gamma, help="RBF gamma, or 'auto'"
+        "--svm-gamma", type=_parse_gamma, default=argparse.SUPPRESS, help="RBF gamma, or 'auto'"
     )
     p.add_argument(
-        "--svm-folds", type=int, default=_DEFAULT.svm_folds, help="cross-validation folds"
+        "--svm-folds", type=int, default=argparse.SUPPRESS, help="cross-validation folds"
     )
     p.add_argument(
         "--feature-mode",
         type=_parse_enum(FeatureMode, "feature mode"),
-        default=_DEFAULT.feature_mode,
+        default=argparse.SUPPRESS,
         help="code featurization: scaled-indices or code-histogram",
     )
 
@@ -138,12 +134,16 @@ def _read_config_file(path: str) -> dict:
 
 
 def _config_from_args(args: argparse.Namespace) -> AuditConfig:
-    return AuditConfig(**{f.name: getattr(args, f.name) for f in fields(AuditConfig)})
+    """Each AuditConfig field from its flag if given, else from the --config
+    file, else the field's default."""
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((f.name, getattr(args, f.name)) for f in fields(AuditConfig) if f.name in args)
+    return AuditConfig(**values)
 
 
 def _cmd_audit(args) -> int:
-    ds = load_csv(args.data)
     cfg = _config_from_args(args)
+    ds = load_csv(args.data)
     codes = load_codes_csv(args.codes, k=args.codes_k) if args.codes else None
     report = run_audit(ds, cfg, codes)
 
@@ -244,52 +244,39 @@ def _cmd_sw(args) -> int:
 
 def _cmd_eer(args) -> int:
     ds = load_csv(args.data)
-    bona = bona_fide_responses(ds)
-    attack = attack_responses(ds)
-    point = eer_operating_point(roc_curve(bona, attack))
+    point, per_group_hter = _operating_points(ds)
     print(
         f"pooled threshold={point.threshold!r} far={point.far!r} "
         f"frr={point.frr!r} hter={point.hter!r}"
     )
     for g in ds.groups():
-        att_g = attack_responses(ds, g)
-        if len(att_g) == 0:
+        op = per_group_hter.get(g)
+        if op is None:
             print(f"{g}: no attack rows, skipped")
-            continue
-        op = hter_at(bona_fide_responses(ds, g), att_g, point.threshold)
-        print(f"{g}: far={op.far!r} frr={op.frr!r} hter={op.hter!r}")
+        else:
+            print(f"{g}: far={op.far!r} frr={op.frr!r} hter={op.hter!r}")
     return 0
 
 
 def _cmd_svm_sep(args) -> int:
+    cfg = _config_from_args(args)
     codes = load_codes_csv(args.codes, k=args.codes_k)
     groups = codes.groups()
     if len(groups) < 2:
         raise ParameterError(f"need at least two groups in {args.codes}")
-    aucs = _pairwise_aucs(
-        codes,
-        groups,
-        mode=args.feature_mode,
-        c=args.svm_c,
-        gamma=args.svm_gamma,
-        folds=FoldSpec(k=args.svm_folds, seed=args.seed),
-    )
-    for key, auc in aucs.items():
+    for key, auc in _separability(codes, groups, cfg).items():
         print(f"{key} auc {auc:.6f}")
     return 0
 
 
 def _cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # build everything before writing anything, so bad options leave no files
     ds = demo_dataset(
         n_per_group=args.n_per_group,
         seed=args.seed,
         with_attacks=not args.no_attacks,
     )
-    data_path = out / "responses.csv"
-    save_csv(ds, data_path)
-    print(f"wrote {data_path} ({len(ds)} rows, groups: {', '.join(ds.groups())})")
+    codes = None
     if not args.no_codes:
         group_list = ds.groups()
         # chain pairs (alpha,beta), (delta,gamma) share one generator call each
@@ -306,17 +293,19 @@ def _cmd_synth(args) -> int:
         ]
         labels = [g for p in parts for g in p.labels()]
         codes = CodeMatrix(np.vstack([p.codes for p in parts]), labels, args.codes_k)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    data_path = out / "responses.csv"
+    save_csv(ds, data_path)
+    print(f"wrote {data_path} ({len(ds)} rows, groups: {', '.join(ds.groups())})")
+    if codes is not None:
         codes_path = out / "codes.csv"
         save_codes_csv(codes, codes_path)
         print(f"wrote {codes_path} ({len(codes)} vectors, K={args.codes_k})")
     return 0
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """Build the CLI parser; ``defaults`` (from a config file) override the
-    built-in defaults of any subcommand option with a matching name. Each
-    subparser needs them applied individually: subcommands parse into a fresh
-    namespace, so top-level set_defaults values would be overwritten."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biasaudit",
         description="Audit a threshold-based classifier's responses for "
@@ -325,7 +314,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument(
         "--config",
-        help="key=value file with defaults for audit options (flags override)",
+        help="key=value file of AuditConfig values for audit and svm-sep (flags override)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -392,24 +381,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--codes-separability", type=float, default=0.3)
     p.set_defaults(func=_cmd_synth)
 
-    if defaults:
-        for cmd in sub.choices.values():
-            valid = {a.dest for a in cmd._actions}
-            cmd.set_defaults(**{k: v for k, v in defaults.items() if k in valid})
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # A prescan pulls out --config so its values can seed the subcommand
-    # defaults before the real parse; explicitly passed flags still win.
-    prescan = argparse.ArgumentParser(add_help=False)
-    prescan.add_argument("--config")
-    known, _ = prescan.parse_known_args(argv)
     try:
-        overrides = _read_config_file(known.config) if known.config else None
-        parser = build_parser(overrides)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -213,7 +213,7 @@ def _analyze_pair(
         chi2[anchor["label"]] = (table, chi_squared_one_sided(table))
     mwu = mann_whitney_u(a_s, b_s)
     mwu = replace(mwu, direction={"a": pair.a, "b": pair.b}.get(mwu.direction))
-    curve = bias_sweep(a_s, b_s, grid=None, alpha=alpha, pair=pair)
+    curve = bias_sweep(a_s, b_s, alpha=alpha, pair=pair)
     regions = tuple(significant_regions(curve))
     lo, hi = min(a_s[0], b_s[0]), max(a_s[-1], b_s[-1])
     if lo == hi:  # degenerate: a single response value
@@ -229,6 +229,25 @@ def _analyze_pair(
         hist_edges=_read_only(edges),
         hist_counts=_read_only(counts),
     )
+
+
+def _operating_points(ds: Dataset) -> tuple[OperatingPoint, dict[str, OperatingPoint]]:
+    """The pooled EER point, and the HTER at its threshold of each group that
+    has attack rows. Raises InsufficientDataError without attack rows."""
+    eer = eer_operating_point(roc_curve(bona_fide_responses(ds), attack_responses(ds)))
+    per_group_hter = {}
+    for g in ds.groups():
+        att_g = attack_responses(ds, g)
+        if len(att_g):
+            per_group_hter[g] = hter_at(bona_fide_responses(ds, g), att_g, eer.threshold)
+    return eer, per_group_hter
+
+
+def _separability(codes: CodeMatrix, groups: Sequence[str], cfg: AuditConfig) -> dict[str, float]:
+    """Cross-validated SVM AUC of every pair of ``groups`` on ``codes``, with
+    the SVM values of ``cfg``."""
+    folds = FoldSpec(k=cfg.svm_folds, seed=cfg.seed)
+    return _pairwise_aucs(codes, groups, cfg.feature_mode, cfg.svm_c, cfg.svm_gamma, folds)
 
 
 def run_audit(
@@ -257,9 +276,9 @@ def run_audit(
                 f"group {g!r} has {len(vals)} bona fide rows; the audit needs >= 4"
             )
         bona[g] = vals
-    folds = FoldSpec(k=cfg.svm_folds, seed=cfg.seed)
     if codes is not None:
-        _pair_rows(codes, groups, folds)  # fail before the dip null, not after
+        # fail before the dip null, not after
+        _pair_rows(codes, groups, FoldSpec(k=cfg.svm_folds, seed=cfg.seed))
     pooled_bona = bona_fide_responses(ds)
     pooled_attack = attack_responses(ds)
 
@@ -298,40 +317,23 @@ def run_audit(
         }
         for q in cfg.quantiles
     ]
-    eer = None
-    per_group_hter = None
+    eer = per_group_hter = None
     if len(pooled_attack):
-        eer = eer_operating_point(roc_curve(pooled_bona, pooled_attack))
+        eer, per_group_hter = _operating_points(ds)
         anchors.append({"label": "eer", "kind": "eer", "threshold": eer.threshold})
-        per_group_hter = {}
-        for g in groups:
-            att_g = attack_responses(ds, g)
-            if len(att_g):
-                per_group_hter[g] = hter_at(bona[g], att_g, eer.threshold)
 
     analyses = tuple(
         _analyze_pair(p, bona, anchors, cfg.alpha, cfg.dip_bins) for p in pairs
     )
 
-    svm_auc = None
-    if codes is not None:
-        svm_auc = _pairwise_aucs(
-            codes,
-            groups,
-            mode=cfg.feature_mode,
-            c=cfg.svm_c,
-            gamma=cfg.svm_gamma,
-            folds=folds,
-        )
+    svm_auc = None if codes is None else _separability(codes, groups, cfg)
 
-    n_bona = len(pooled_bona)
-    n_att = len(pooled_attack)
     return AuditReport(
         version=__version__,
         config=cfg,
         groups=groups,
-        n_bona_fide=n_bona,
-        n_attack=n_att,
+        n_bona_fide=len(pooled_bona),
+        n_attack=len(pooled_attack),
         per_group_summary=per_group_summary,
         per_group_dip=per_group_dip,
         anchors=tuple(anchors),

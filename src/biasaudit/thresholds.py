@@ -169,15 +169,13 @@ def threshold_for_bonafide_error(bona: Sequence[float], q: float) -> float:
 def bias_sweep(
     bona_a: Sequence[float],
     bona_b: Sequence[float],
-    grid: Sequence[float] | None = None,
     alpha: float = 0.05,
     pair: GroupPair | None = None,
 ) -> BiasCurve:
     """One-sided rejection-rate comparison at every grid threshold.
 
-    ``grid=None`` uses the sorted distinct pooled responses of both groups.
-    An explicit grid must be strictly increasing. A single-point grid is
-    degenerate and rejected.
+    The grid is the sorted distinct pooled responses of both groups; a
+    single-point grid (every response equal) is degenerate and rejected.
     """
     if len(bona_a) == 0 or len(bona_b) == 0:
         raise InsufficientDataError("bias_sweep needs non-empty groups")
@@ -189,12 +187,7 @@ def bias_sweep(
     # that comes first in the input
     a_s = np.sort(np.asarray(bona_a, dtype=float), kind="stable")
     b_s = np.sort(np.asarray(bona_b, dtype=float), kind="stable")
-    if grid is None:
-        grid_arr = np.unique(np.concatenate([a_s, b_s]))
-    else:
-        grid_arr = np.asarray(grid, dtype=float)
-        if len(grid_arr) and np.any(np.diff(grid_arr) <= 0):
-            raise ParameterError("grid must be strictly increasing")
+    grid_arr = np.unique(np.concatenate([a_s, b_s]))
     if len(grid_arr) < 2:
         raise ParameterError(f"degenerate sweep grid of size {len(grid_arr)}")
 

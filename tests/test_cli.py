@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,16 @@ class TestSynthCommand:
         text = (out / "responses.csv").read_text()
         assert ",attack," not in text
 
+    @pytest.mark.parametrize(
+        "bad", [["--codes-k", "1"], ["--codes-separability", "1.5"]], ids=["k", "separability"]
+    )
+    def test_bad_code_options_write_nothing(self, tmp_path, capsys, bad):
+        # the codes are built before responses.csv is written, so nothing is left half done
+        code = main(["synth", "--out", str(tmp_path / "out"), "--n-per-group", "10"] + bad)
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAuditCommand:
     def test_writes_report_and_plots(self, audit_dir, capsys):
@@ -112,6 +123,10 @@ class TestAuditCommand:
         blob = json.loads((out / "report.json").read_text())
         assert len(blob["svm_auc"]) == 6
         assert "svm auc alpha|beta" in capsys.readouterr().out
+        # svm-sep prints the same section, to 6 decimals
+        assert main(["svm-sep", "--codes", str(synth_dir / "codes.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{key} auc {auc:.6f}" for key, auc in blob["svm_auc"].items()]
 
     def test_runs_without_scipy_or_hypothesis(self, tmp_path):
         # the runtime needs numpy only: a None entry in sys.modules makes the
@@ -251,6 +266,40 @@ class TestConfigFile:
         assert blob["config"]["alpha"] == 0.2
         assert blob["config"]["dip_replicas"] == 150
 
+    def test_svm_sep_reads_file_and_flag_wins(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "svm.cfg"
+        cfg.write_text("svm_folds = 3\nsvm_gamma = 0.5\n")
+        codes = ["svm-sep", "--codes", str(synth_dir / "codes.csv")]
+        assert main(["--config", str(cfg)] + codes + ["--svm-gamma", "auto"]) == 0
+        from_file = capsys.readouterr()
+        assert main(codes + ["--svm-folds", "3"]) == 0
+        assert capsys.readouterr() == from_file
+        # a given flag beats the file, also where it parses to None ('auto')
+        parser = build_parser()
+        args = parser.parse_args(["--config", str(cfg)] + codes + ["--svm-folds", "4"])
+        assert _config_from_args(args) == AuditConfig(svm_folds=4, svm_gamma=0.5)
+        args = parser.parse_args(["--config", str(cfg)] + codes + ["--svm-gamma", "auto"])
+        assert _config_from_args(args) == AuditConfig(svm_folds=3, svm_gamma=None)
+
+    def test_only_audit_and_svm_sep_read_file(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text("seed = 7\nalpha = 0.2\n")
+        data = str(synth_dir / "responses.csv")
+        for argv in (
+            ["synth", "--n-per-group", "10"],
+            ["dip", "--data", data, "--group", "alpha", "--replicas", "50"],
+            ["sweep", "--data", data, "--group-a", "alpha", "--group-b", "delta"],
+        ):
+            outs = []
+            for prefix in ([], ["--config", str(cfg)]):
+                out = tmp_path / f"synth{len(prefix)}"
+                extra = ["--out", str(out)] if argv[0] == "synth" else []
+                assert main(prefix + argv + extra) == 0
+                text = capsys.readouterr()
+                files = sorted((p.name, p.read_bytes()) for p in out.glob("*"))
+                outs.append((text.out.replace(str(out), "OUT"), text.err, files))
+            assert outs[0] == outs[1], argv[0]
+
     def test_unknown_key_rejected(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "audit.cfg"
         cfg.write_text("not_a_key = 5\n")
@@ -351,6 +400,20 @@ class TestStatSubcommands:
         assert "unknown feature mode 'bogus'" in err
         assert "scaled-indices" in err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--svm-folds", "1"], "svm_folds must be >= 2, got 1"),
+            (["--svm-c", "0"], "svm_c must be > 0, got 0.0"),
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_svm_sep_values_checked_as_audit_checks_them(self, tmp_path, capsys, flag, message):
+        # AuditConfig's message, given before the (missing) codes file is read
+        code = main(["svm-sep", "--codes", str(tmp_path / "nope.csv")] + flag)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_dip(self, synth_dir, capsys):
         code = main(
             [
@@ -391,13 +454,35 @@ class TestStatSubcommands:
         w = float(lines[0].split()[1])
         assert 0.0 < w <= 1.0
 
-    def test_eer(self, synth_dir, capsys):
+    def test_eer(self, synth_dir, tmp_path, capsys):
         code = main(["eer", "--data", str(synth_dir / "responses.csv")])
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("pooled threshold=")
         for g in ("alpha:", "beta:", "delta:", "gamma:"):
             assert g in out
+        # eer prints the report's operating_points; epsilon has no attack rows
+        data = tmp_path / "eps.csv"
+        extra = "".join(f"eps-{i},epsilon,bonafide,0.0{i + 1}\n" for i in range(6))
+        data.write_text((synth_dir / "responses.csv").read_text() + extra)
+        assert main(["audit", "--data", str(data), "--out", str(tmp_path / "o")] + AUDIT_FAST) == 0
+        ops = json.loads((tmp_path / "o" / "report.json").read_text())["operating_points"]
+        capsys.readouterr()
+        assert main(["eer", "--data", str(data)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[4] == "epsilon: no attack rows, skipped"  # groups in sorted order
+        assert "epsilon" not in ops["per_group_hter"]
+
+        def numbers(line):
+            pairs = re.findall(r"(\w+)=(?:np\.float64\()?([^ )]+)", line)
+            return {key: float(value) for key, value in pairs}
+
+        assert lines[0].startswith("pooled ") and numbers(lines[0]) == ops["eer"]
+        printed = {line.split(":")[0]: numbers(line) for line in lines[1:] if "=" in line}
+        assert printed == {
+            g: {k: v for k, v in op.items() if k != "threshold"}
+            for g, op in ops["per_group_hter"].items()
+        }
 
     def test_sweep_csv_and_regions(self, synth_dir, capsys):
         code = main(
@@ -451,6 +536,8 @@ class TestArgparseBehavior:
 
     def test_audit_defaults_are_the_audit_config(self):
         args = build_parser().parse_args(["audit", "--data", "d", "--out", "o"])
+        assert _config_from_args(args) == AuditConfig()
+        args = build_parser().parse_args(["svm-sep", "--codes", "c"])
         assert _config_from_args(args) == AuditConfig()
 
     def test_package_exports_every_module_name(self):

@@ -52,9 +52,9 @@ def _curve(c):
     return repr((c.pair, tuple(c.grid.tolist()), tuple(c.p_values.tolist()), c.alpha, directions))
 
 
-def _sweep_or_error(sweep, a, b, grid=None):
+def _sweep_or_error(sweep, a, b):
     try:
-        return _curve(sweep(a, b, grid=grid))
+        return _curve(sweep(a, b))
     except ParameterError as exc:
         return f"ParameterError: {exc}"
 
@@ -65,21 +65,6 @@ def _sweep_or_error(sweep, a, b, grid=None):
 def test_sweep_default_grid(kind, data):
     a, b = data.draw(PAIRS[kind])
     assert _sweep_or_error(bias_sweep, a, b) == _sweep_or_error(oracle.bias_sweep, a, b)
-
-
-@PROPERTY
-@kinds
-@given(data=st.data())
-def test_sweep_explicit_grid(kind, data):
-    a, b = data.draw(PAIRS[kind])
-    # sample values (thresholds on a tie) mixed with arbitrary points
-    points = data.draw(st.lists(st.sampled_from(a + b), max_size=30)) + data.draw(
-        st.lists(VALUES, max_size=30)
-    )
-    grid = sorted(set(points))
-    assert _sweep_or_error(bias_sweep, a, b, grid) == _sweep_or_error(
-        oracle.bias_sweep, a, b, grid
-    )
 
 
 @PROPERTY

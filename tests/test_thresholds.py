@@ -278,8 +278,8 @@ class TestBiasSweep:
             assert mann_whitney_u([v**3 for v in x], [v**3 for v in y], mode) == ref
 
     def test_curve_owns_read_only_columns(self):
-        grid = np.array([1.0, 2.0, 3.0])
-        curve = bias_sweep([1.0, 3.0, 3.0], [2.0, 2.0, 3.0], grid=grid)
+        curve = bias_sweep([1.0, 3.0, 3.0], [2.0, 2.0, 3.0])
+        assert curve.grid.tolist() == [1.0, 2.0, 3.0]
         assert (curve.grid.dtype, curve.p_values.dtype, curve.signs.dtype) == (
             np.float64,
             np.float64,
@@ -289,16 +289,15 @@ class TestBiasSweep:
         assert curve.signs.tolist() == [-1, 1, 0]
         for column in (curve.grid, curve.p_values, curve.signs):
             assert not column.flags.writeable
-        assert grid.flags.writeable and not np.shares_memory(grid, curve.grid)
+        # a curve built from a caller-owned array copies it
+        grid = np.array([1.0, 2.0, 3.0])
+        owned = BiasCurve(curve.pair, grid, curve.p_values, curve.alpha, curve.signs)
+        assert not owned.grid.flags.writeable
+        assert grid.flags.writeable and not np.shares_memory(grid, owned.grid)
 
-    def test_explicit_grid_checked(self):
-        a, b = [1.0, 2.0], [1.5, 2.5]
-        with pytest.raises(ParameterError):
-            bias_sweep(a, b, grid=[1.0])
-        with pytest.raises(ParameterError):
-            bias_sweep(a, b, grid=[1.0, 1.0, 2.0])
-        with pytest.raises(ParameterError):
-            bias_sweep(a, b, grid=[2.0, 1.0])
+    def test_single_value_grid_rejected(self):
+        with pytest.raises(ParameterError, match="degenerate sweep grid of size 1"):
+            bias_sweep([2.0, 2.0], [2.0])
 
     def test_empty_group_rejected(self):
         with pytest.raises(InsufficientDataError):
