@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 on any validation error (bad data, bad
 parameters), 2 on I/O failures. ``audit`` and ``svm-sep`` take each
 AuditConfig value from its flag if given, else from the ``key=value`` file
-named by --config, else the AuditConfig default; no other subcommand reads
-the file.
+named by --config, else the AuditConfig default; --config with any other
+subcommand is an error.
 """
 from __future__ import annotations
 
@@ -387,6 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.config is not None and args.command not in ("audit", "svm-sep"):
+            raise ParameterError(
+                f"--config is read only by audit and svm-sep, not by {args.command}"
+            )
         return args.func(args)
     except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)

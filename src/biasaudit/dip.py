@@ -40,6 +40,12 @@ __all__ = ["CriticalValue", "DipResult", "dip_statistic", "dip_critical_value"]
 
 _CHUNK = 1024  # binned null replicas per RNG stream
 
+# dip_critical_value refuses a null whose working set exceeds this: 8 bytes
+# per float64 replica dip and, when binned, 16 bytes per entry of one
+# min(_CHUNK, replicas) x bins chunk of counts (8 in the int64 array, 8 for
+# the entry's slot in its tolist() copy)
+_MAX_NULL_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class DipResult:
@@ -340,7 +346,8 @@ def dip_critical_value(
     (see the module docstring), so the value is bit-identical for a given
     seed no matter how replicas are scheduled. ``bins`` should match the
     binning used for the statistic under test. The result is a float; its
-    ``se`` attribute is the Monte Carlo standard error of the quantile.
+    ``se`` attribute is the Monte Carlo standard error of the quantile. A
+    null that would hold more than 1 GiB at once is refused before it runs.
     """
     if n < 4:
         raise InsufficientDataError(f"critical value needs n >= 4, got {n}")
@@ -352,4 +359,10 @@ def dip_critical_value(
         raise ParameterError(f"seed must be non-negative, got {seed}")
     if bins is not None and bins < 2:
         raise ParameterError(f"bins must be >= 2, got {bins}")
+    need = 8 * replicas + (0 if bins is None else 16 * min(_CHUNK, replicas) * bins)
+    if need > _MAX_NULL_BYTES:
+        raise ParameterError(
+            f"a dip null of {replicas} replicas with bins={bins} needs "
+            f"{need / 2**30:.2f} GiB; the limit is 1 GiB"
+        )
     return _null_quantile(_dip_null(n, replicas, seed, bins), alpha)

@@ -34,7 +34,7 @@ from .stats import (
     mann_whitney_u,
     summary_stats,
 )
-from .svm import CodeMatrix, FeatureMode, FoldSpec, _pair_rows, _pairwise_aucs
+from .svm import CodeMatrix, FeatureMode, _pair_rows, _pairwise_aucs
 from .thresholds import (
     BiasCurve,
     BiasRegion,
@@ -246,8 +246,9 @@ def _operating_points(ds: Dataset) -> tuple[OperatingPoint, dict[str, OperatingP
 def _separability(codes: CodeMatrix, groups: Sequence[str], cfg: AuditConfig) -> dict[str, float]:
     """Cross-validated SVM AUC of every pair of ``groups`` on ``codes``, with
     the SVM values of ``cfg``."""
-    folds = FoldSpec(k=cfg.svm_folds, seed=cfg.seed)
-    return _pairwise_aucs(codes, groups, cfg.feature_mode, cfg.svm_c, cfg.svm_gamma, folds)
+    return _pairwise_aucs(
+        codes, groups, cfg.feature_mode, cfg.svm_c, cfg.svm_gamma, cfg.svm_folds, cfg.seed
+    )
 
 
 def run_audit(
@@ -278,7 +279,7 @@ def run_audit(
         bona[g] = vals
     if codes is not None:
         # fail before the dip null, not after
-        _pair_rows(codes, groups, FoldSpec(k=cfg.svm_folds, seed=cfg.seed))
+        _pair_rows(codes, groups, cfg.svm_folds)
     pooled_bona = bona_fide_responses(ds)
     pooled_attack = attack_responses(ds)
 

@@ -32,7 +32,6 @@ from .stats import _midranks
 __all__ = [
     "CodeMatrix",
     "FeatureMode",
-    "FoldSpec",
     "SvmModel",
     "featurize",
     "train_svm_smo",
@@ -285,54 +284,46 @@ def auc_from_scores(pos: Sequence[float], neg: Sequence[float]) -> float:
     return du / (2 * n_p * n_n)
 
 
-@dataclass(frozen=True)
-class FoldSpec:
-    """Stratified k-fold assignment: shuffle within each group by a seeded
-    RNG, then deal round-robin so every fold sees every group."""
-
-    k: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ParameterError(f"k must be >= 2, got {self.k}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
-
-
 def cross_validated_auc(
     m: CodeMatrix,
     mode: FeatureMode = FeatureMode.SCALED_INDICES,
     c: float = 1.0,
     gamma: float | None = None,
-    folds: FoldSpec = FoldSpec(),
+    folds: int = 5,
+    seed: int = 0,
 ) -> float:
-    """Mean held-out AUC over stratified k folds for a two-group sample.
+    """Mean held-out AUC over stratified ``folds``-fold cross-validation for
+    a two-group sample: each group is shuffled by an RNG seeded with
+    ``seed``, then dealt round-robin so every fold sees every group.
 
     The lexicographically first group plays the positive class. Each group
-    must have at least k members. Deterministic given folds.seed and the
+    must have at least ``folds`` members. Deterministic given seed and the
     row order.
     """
+    if folds < 2:
+        raise ParameterError(f"folds must be >= 2, got {folds}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
     names = m.groups()
     if len(names) != 2:
         raise ParameterError(f"need exactly two groups, got {names}")
     x = featurize(m, mode)
     y = np.where(m.group_codes == 0, 1.0, -1.0)
 
-    rng = np.random.default_rng(folds.seed)
+    rng = np.random.default_rng(seed)
     fold_of = np.empty(len(m), dtype=int)
     for code, name in enumerate(names):
         idx = np.flatnonzero(m.group_codes == code)
-        if len(idx) < folds.k:
+        if len(idx) < folds:
             raise InsufficientDataError(
-                f"group {name!r} has {len(idx)} samples; k={folds.k} folds need "
-                f"at least {folds.k}"
+                f"group {name!r} has {len(idx)} samples; {folds} folds need "
+                f"at least {folds}"
             )
         perm = rng.permutation(len(idx))
-        fold_of[idx[perm]] = np.arange(len(idx)) % folds.k
+        fold_of[idx[perm]] = np.arange(len(idx)) % folds
 
     aucs = []
-    for fold in range(folds.k):
+    for fold in range(folds):
         test = fold_of == fold
         model = train_svm_smo(x[~test], y[~test], c=c, gamma=gamma)
         scores = _decision_scores(model, x[test])
@@ -341,20 +332,20 @@ def cross_validated_auc(
     return float(np.mean(aucs))
 
 
-def _pair_rows(m: CodeMatrix, groups: Sequence[str], folds: FoldSpec) -> dict[str, np.ndarray]:
+def _pair_rows(m: CodeMatrix, groups: Sequence[str], folds: int) -> dict[str, np.ndarray]:
     """Each of ``groups``' row indices in ``m``, in input order, once every
-    group is checked to have at least ``folds.k`` rows and every pair's
+    group is checked to have at least ``folds`` rows and every pair's
     largest training set (the last fold holds out floor(n/k) rows of each
     group, the fewest) to fit the kernel limit; so inputs the pairwise SVM
     would refuse fail before anything is trained."""
     code_of = {g: i for i, g in enumerate(m.groups())}
     rows = {g: np.flatnonzero(m.group_codes == code_of.get(g, -1)) for g in groups}
     for g, idx in rows.items():
-        if len(idx) < folds.k:
+        if len(idx) < folds:
             raise InsufficientDataError(
-                f"code vectors for group {g!r}: have {len(idx)}, need >= {folds.k}"
+                f"code vectors for group {g!r}: have {len(idx)}, need >= {folds}"
             )
-    train = {g: len(idx) - len(idx) // folds.k for g, idx in rows.items()}
+    train = {g: len(idx) - len(idx) // folds for g, idx in rows.items()}
     for i, a in enumerate(groups):
         for b in groups[i + 1 :]:
             _check_kernel_rows(train[a] + train[b])
@@ -367,7 +358,8 @@ def _pairwise_aucs(
     mode: FeatureMode,
     c: float,
     gamma: float | None,
-    folds: FoldSpec,
+    folds: int,
+    seed: int,
 ) -> dict[str, float]:
     """cross_validated_auc for every pair of ``groups`` (ascending), keyed
     like GroupPair.key, on group a's rows then group b's, each in input
@@ -376,7 +368,7 @@ def _pairwise_aucs(
     rows = _pair_rows(m, groups, folds)
     return {
         GroupPair(a, b).key: cross_validated_auc(
-            m.take(np.concatenate([rows[a], rows[b]])), mode=mode, c=c, gamma=gamma, folds=folds
+            m.take(np.concatenate([rows[a], rows[b]])), mode, c, gamma, folds, seed
         )
         for i, a in enumerate(groups)
         for b in groups[i + 1 :]

@@ -10,7 +10,6 @@ practice, hence the lognormal base family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,9 +19,6 @@ from .errors import ParameterError
 from .svm import CodeMatrix
 
 __all__ = [
-    "LognormalSpec",
-    "MixtureSpec",
-    "OutlierSpec",
     "gen_lognormal",
     "gen_mixture",
     "inject_outliers",
@@ -31,102 +27,68 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LognormalSpec:
-    """exp(mu + sigma * Z) population for one group."""
-
-    mu: float
-    sigma: float
-    n: int
-    group: str = "synthetic"
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
-
-    @property
-    def expected_mean(self) -> float:
-        return math.exp(self.mu + self.sigma**2 / 2.0)
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Weighted lognormal mixture; weights must sum to 1."""
-
-    components: tuple[tuple[float, LognormalSpec], ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ParameterError("mixture needs at least one component")
-        for w, _ in self.components:
-            if not w > 0:
-                raise ParameterError(f"component weights must be > 0, got {w}")
-        total = math.fsum(w for w, _ in self.components)
-        if abs(total - 1.0) > 1e-12:
-            raise ParameterError(f"weights must sum to 1, got {total}")
-
-
-@dataclass(frozen=True)
-class OutlierSpec:
-    """Multiply a seeded fraction of a sample by offset_factor."""
-
-    fraction: float
-    offset_factor: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.fraction < 0.5:
-            raise ParameterError(f"fraction must be in [0, 0.5), got {self.fraction}")
-        if not self.offset_factor > 1.0:
-            raise ParameterError(
-                f"offset_factor must be > 1, got {self.offset_factor}"
-            )
-
-
 def _rng(seed: int, *key: int) -> np.random.Generator:
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng([seed, *key])
 
 
-def gen_lognormal(spec: LognormalSpec, seed: int) -> np.ndarray:
+def gen_lognormal(mu: float, sigma: float, n: int, seed: int) -> np.ndarray:
     """n draws of exp(mu + sigma * Z), deterministic in seed."""
-    z = _rng(seed).standard_normal(spec.n)
-    return np.exp(spec.mu + spec.sigma * z)
-
-
-def gen_mixture(spec: MixtureSpec, seed: int, n: int) -> np.ndarray:
-    """n mixture draws. A single-component mixture delegates to
-    gen_lognormal with the same seed discipline, so the two agree exactly."""
+    if not sigma > 0:
+        raise ParameterError(f"sigma must be > 0, got {sigma}")
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if len(spec.components) == 1:
-        base = spec.components[0][1]
-        return gen_lognormal(
-            LognormalSpec(base.mu, base.sigma, n, base.group), seed
-        )
-    rng = _rng(seed)
-    weights = np.asarray([w for w, _ in spec.components])
-    choice = rng.choice(len(spec.components), size=n, p=weights)
-    z = rng.standard_normal(n)
-    mu = np.asarray([s.mu for _, s in spec.components])[choice]
-    sigma = np.asarray([s.sigma for _, s in spec.components])[choice]
+    z = _rng(seed).standard_normal(n)
     return np.exp(mu + sigma * z)
 
 
-def inject_outliers(base: Sequence[float], spec: OutlierSpec, seed: int) -> np.ndarray:
+def gen_mixture(
+    components: Sequence[tuple[float, float, float]], n: int, seed: int
+) -> np.ndarray:
+    """n draws of a lognormal mixture given as (weight, mu, sigma)
+    components, whose weights must sum to 1. A single component delegates
+    to gen_lognormal with the same seed discipline, so the two agree exactly."""
+    if not components:
+        raise ParameterError("mixture needs at least one component")
+    for w, _, sigma in components:
+        if not w > 0:
+            raise ParameterError(f"component weights must be > 0, got {w}")
+        if not sigma > 0:
+            raise ParameterError(f"sigma must be > 0, got {sigma}")
+    total = math.fsum(w for w, _, _ in components)
+    if abs(total - 1.0) > 1e-12:
+        raise ParameterError(f"weights must sum to 1, got {total}")
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if len(components) == 1:
+        _, mu, sigma = components[0]
+        return gen_lognormal(mu, sigma, n, seed)
+    rng = _rng(seed)
+    weights, mu, sigma = (np.asarray(col) for col in zip(*components))
+    choice = rng.choice(len(components), size=n, p=weights)
+    z = rng.standard_normal(n)
+    return np.exp(mu[choice] + sigma[choice] * z)
+
+
+def inject_outliers(
+    base: Sequence[float], fraction: float, offset_factor: float, seed: int
+) -> np.ndarray:
     """Scale ceil(fraction * n) seeded positions by offset_factor.
 
     fraction = 0 returns the input unchanged (as a float array).
     """
+    if not 0.0 <= fraction < 0.5:
+        raise ParameterError(f"fraction must be in [0, 0.5), got {fraction}")
+    if not offset_factor > 1.0:
+        raise ParameterError(f"offset_factor must be > 1, got {offset_factor}")
     arr = np.asarray(base, dtype=float).copy()
     n = len(arr)
-    count = math.ceil(spec.fraction * n)
+    count = math.ceil(fraction * n)
     if count == 0:
         return arr
     idx = _rng(seed).choice(n, size=count, replace=False)
-    arr[idx] *= spec.offset_factor
+    arr[idx] *= offset_factor
     return arr
 
 
@@ -194,33 +156,17 @@ def demo_dataset(
         responses.append(vals)
 
     bona = {
-        "alpha": gen_lognormal(
-            LognormalSpec(_DEMO_MU, _DEMO_SIGMA, n_per_group, "alpha"), seed
-        ),
-        "beta": gen_lognormal(
-            LognormalSpec(_DEMO_MU + 0.35, _DEMO_SIGMA, n_per_group, "beta"), seed + 1
-        ),
-        "gamma": gen_lognormal(
-            LognormalSpec(_DEMO_MU, 2 * _DEMO_SIGMA, n_per_group, "gamma"), seed + 2
-        ),
+        "alpha": gen_lognormal(_DEMO_MU, _DEMO_SIGMA, n_per_group, seed),
+        "beta": gen_lognormal(_DEMO_MU + 0.35, _DEMO_SIGMA, n_per_group, seed + 1),
+        "gamma": gen_lognormal(_DEMO_MU, 2 * _DEMO_SIGMA, n_per_group, seed + 2),
         "delta": gen_mixture(
-            MixtureSpec(
-                (
-                    (0.5, LognormalSpec(_DEMO_MU - 0.7, 0.25, 1, "delta")),
-                    (0.5, LognormalSpec(_DEMO_MU + 0.7, 0.25, 1, "delta")),
-                )
-            ),
-            seed + 3,
-            n_per_group,
+            ((0.5, _DEMO_MU - 0.7, 0.25), (0.5, _DEMO_MU + 0.7, 0.25)), n_per_group, seed + 3
         ),
     }
     for group, vals in bona.items():
         add(group, True, vals, "bf")
     if with_attacks:
         for offset, group in enumerate(bona):
-            att = gen_lognormal(
-                LognormalSpec(_DEMO_MU + 1.8, 0.35, n_per_group, group),
-                seed + 100 + offset,
-            )
+            att = gen_lognormal(_DEMO_MU + 1.8, 0.35, n_per_group, seed + 100 + offset)
             add(group, False, att, "att")
     return Dataset(ids, groups, bona_fide, np.concatenate(responses))

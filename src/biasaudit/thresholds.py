@@ -142,8 +142,8 @@ def hter_at(
     """FAR/FRR/HTER at a fixed threshold."""
     if len(bona) == 0 or len(attack) == 0:
         raise InsufficientDataError("hter_at needs non-empty bona fide and attack samples")
-    far = np.count_nonzero(np.asarray(attack, dtype=float) <= threshold) / len(attack)
-    frr = np.count_nonzero(np.asarray(bona, dtype=float) > threshold) / len(bona)
+    far = int(np.count_nonzero(np.asarray(attack, dtype=float) <= threshold)) / len(attack)
+    frr = int(np.count_nonzero(np.asarray(bona, dtype=float) > threshold)) / len(bona)
     return OperatingPoint(float(threshold), far, frr, (far + frr) / 2)
 
 

@@ -22,11 +22,8 @@ from biasaudit.stats import (
     mann_whitney_u,
     shapiro_wilk,
 )
-from biasaudit.svm import FoldSpec, auc_from_scores, cross_validated_auc
+from biasaudit.svm import auc_from_scores, cross_validated_auc
 from biasaudit.synth import (
-    LognormalSpec,
-    MixtureSpec,
-    OutlierSpec,
     gen_code_vectors,
     gen_lognormal,
     gen_mixture,
@@ -221,30 +218,25 @@ def test_criterion_6_mechanism_detection():
     t0 = time.perf_counter()
 
     # (a) location shift: Mann-Whitney catches it, sweep localizes it
-    a = list(gen_lognormal(LognormalSpec(-3.6, 0.45, 200), seed=101))
-    b = list(gen_lognormal(LognormalSpec(-3.25, 0.45, 200), seed=102))
+    a = list(gen_lognormal(-3.6, 0.45, 200, seed=101))
+    b = list(gen_lognormal(-3.25, 0.45, 200, seed=102))
     mwu_shift = mann_whitney_u(a, b)
     regions_shift = significant_regions(bias_sweep(a, b))
     assert mwu_shift.p_value < 1e-6
     assert len(regions_shift) >= 1
 
     # (b) dispersion shift: rank test is blind, both tails light up
-    a = list(gen_lognormal(LognormalSpec(-3.6, 0.45, 200), seed=201))
-    b = list(gen_lognormal(LognormalSpec(-3.6, 0.90, 200), seed=202))
+    a = list(gen_lognormal(-3.6, 0.45, 200, seed=201))
+    b = list(gen_lognormal(-3.6, 0.90, 200, seed=202))
     mwu_disp = mann_whitney_u(a, b)
     regions_disp = significant_regions(bias_sweep(a, b))
     assert mwu_disp.p_value > 0.05
     assert len(regions_disp) >= 2
 
     # (c) bimodality: the binned dip rejects unimodality, sweep agrees
-    a = list(gen_lognormal(LognormalSpec(-3.6, 0.25, 200), seed=301))
-    mix = MixtureSpec(
-        (
-            (0.5, LognormalSpec(-4.3, 0.25, 1)),
-            (0.5, LognormalSpec(-2.9, 0.25, 1)),
-        )
-    )
-    b = list(gen_mixture(mix, seed=302, n=200))
+    a = list(gen_lognormal(-3.6, 0.25, 200, seed=301))
+    mix = ((0.5, -4.3, 0.25), (0.5, -2.9, 0.25))
+    b = list(gen_mixture(mix, n=200, seed=302))
     dip = dip_statistic(b, bins=50)
     cv = dip_critical_value(200, 0.05, 10000, seed=12345, bins=50)
     regions_mix = significant_regions(bias_sweep(a, b))
@@ -253,9 +245,9 @@ def test_criterion_6_mechanism_detection():
 
     # (d) contaminated tail: significance persists beyond the clean maximum,
     # where only the tainted group still has rejections
-    clean = list(gen_lognormal(LognormalSpec(-3.6, 0.45, 200), seed=401))
-    base = gen_lognormal(LognormalSpec(-3.6, 0.45, 200), seed=402)
-    tainted = list(inject_outliers(base, OutlierSpec(0.05, 8.0), seed=403))
+    clean = list(gen_lognormal(-3.6, 0.45, 200, seed=401))
+    base = gen_lognormal(-3.6, 0.45, 200, seed=402)
+    tainted = list(inject_outliers(base, 0.05, 8.0, seed=403))
     regions_out = significant_regions(bias_sweep(clean, tainted))
     assert any(r.hi > max(clean) and r.worse_group == "b" for r in regions_out)
 
@@ -271,11 +263,11 @@ def test_criterion_6_mechanism_detection():
 
 def test_criterion_7_code_separability_auc():
     null_codes = gen_code_vectors(100, d=16, k=64, separability=0.0, seed=11)
-    auc_null = cross_validated_auc(null_codes, folds=FoldSpec(5, 0))
+    auc_null = cross_validated_auc(null_codes, folds=5, seed=0)
     assert 0.45 <= auc_null <= 0.55
 
     split_codes = gen_code_vectors(100, d=16, k=64, separability=1.0, seed=11)
-    auc_split = cross_validated_auc(split_codes, folds=FoldSpec(5, 0))
+    auc_split = cross_validated_auc(split_codes, folds=5, seed=0)
     assert auc_split >= 0.99
 
     rng = np.random.default_rng(707)

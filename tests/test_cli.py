@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import biasaudit
+import biasaudit.dip as dip_module
 from biasaudit.cli import _config_from_args, build_parser, main
 from biasaudit.report import AuditConfig
 from biasaudit.svm import FeatureMode
@@ -282,23 +283,26 @@ class TestConfigFile:
         assert _config_from_args(args) == AuditConfig(svm_folds=3, svm_gamma=None)
 
     def test_only_audit_and_svm_sep_read_file(self, synth_dir, tmp_path, capsys):
+        # any other subcommand refuses --config before it reads or writes
+        # anything, even a config file that does not exist
         cfg = tmp_path / "audit.cfg"
         cfg.write_text("seed = 7\nalpha = 0.2\n")
         data = str(synth_dir / "responses.csv")
+        out = tmp_path / "synth"
         for argv in (
-            ["synth", "--n-per-group", "10"],
+            ["synth", "--n-per-group", "10", "--out", str(out)],
             ["dip", "--data", data, "--group", "alpha", "--replicas", "50"],
             ["sweep", "--data", data, "--group-a", "alpha", "--group-b", "delta"],
+            ["eer", "--data", data],
         ):
-            outs = []
-            for prefix in ([], ["--config", str(cfg)]):
-                out = tmp_path / f"synth{len(prefix)}"
-                extra = ["--out", str(out)] if argv[0] == "synth" else []
-                assert main(prefix + argv + extra) == 0
+            for path in (cfg, tmp_path / "nope.cfg"):
+                assert main(["--config", str(path)] + argv) == 1
                 text = capsys.readouterr()
-                files = sorted((p.name, p.read_bytes()) for p in out.glob("*"))
-                outs.append((text.out.replace(str(out), "OUT"), text.err, files))
-            assert outs[0] == outs[1], argv[0]
+                assert text.out == ""
+                assert text.err == (
+                    f"error: --config is read only by audit and svm-sep, not by {argv[0]}\n"
+                )
+        assert [p.name for p in tmp_path.iterdir()] == ["audit.cfg"]
 
     def test_unknown_key_rejected(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "audit.cfg"
@@ -445,6 +449,28 @@ class TestStatSubcommands:
         assert code == 1
         assert f"bins must be >= 2, got {bins}" in capsys.readouterr().err
 
+    def test_dip_null_over_one_gib_is_validation_error(
+        self, synth_dir, tmp_path, monkeypatch, capsys
+    ):
+        # the guard refuses before the null runs; the stub fails the test
+        # instead of allocating should it ever be reached
+        def unreachable(*args):
+            raise AssertionError("the dip null ran")
+
+        monkeypatch.setattr(dip_module, "_dip_null", unreachable)
+        huge = "1000000000000"
+        dip = ["dip", "--data", str(synth_dir / "responses.csv"), "--group", "delta"]
+        audit = ["audit", "--data", str(synth_dir / "responses.csv"), "--out", str(tmp_path / "o")]
+        for argv in (
+            dip + ["--replicas", huge],
+            dip + ["--bins", huge],
+            audit + ["--dip-replicas", huge],
+            audit + ["--dip-bins", huge],
+        ):
+            assert main(argv) == 1, argv
+            assert "GiB; the limit is 1 GiB" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sw(self, synth_dir, capsys):
         code = main(
             ["sw", "--data", str(synth_dir / "responses.csv"), "--group", "alpha"]
@@ -459,6 +485,7 @@ class TestStatSubcommands:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("pooled threshold=")
+        assert "np.float64" not in out
         for g in ("alpha:", "beta:", "delta:", "gamma:"):
             assert g in out
         # eer prints the report's operating_points; epsilon has no attack rows
@@ -474,7 +501,7 @@ class TestStatSubcommands:
         assert "epsilon" not in ops["per_group_hter"]
 
         def numbers(line):
-            pairs = re.findall(r"(\w+)=(?:np\.float64\()?([^ )]+)", line)
+            pairs = re.findall(r"(\w+)=(\S+)", line)
             return {key: float(value) for key, value in pairs}
 
         assert lines[0].startswith("pooled ") and numbers(lines[0]) == ops["eer"]
@@ -552,12 +579,12 @@ class TestArgparseBehavior:
 PUBLIC_NAMES = """
 __version__ AuditConfig AuditError AuditReport BiasCurve BiasRegion CodeMatrix
 ContingencyTable2x2 Dataset DegenerateDataError DipResult EmptyDatasetError FeatureMode
-FoldSpec GroupPair InsufficientDataError LognormalSpec MixtureSpec MwuMode OperatingPoint
-OutlierSpec ParameterError RocCurve RowError SchemaError Sidedness SummaryStats SvmModel
-TestResult UnknownGroupError attack_responses auc_from_scores bias_sweep bona_fide_responses
-chi2_survival chi_squared_one_sided cross_validated_auc decision_score demo_dataset
-dip_critical_value dip_statistic eer_operating_point featurize gen_code_vectors gen_lognormal
-gen_mixture group_pairs hter_at inject_outliers load_codes_csv load_csv mann_whitney_u
-outcomes_at render_json render_plots roc_curve run_audit save_codes_csv save_csv
-shapiro_wilk significant_regions summary_stats threshold_for_bonafide_error train_svm_smo
+GroupPair InsufficientDataError MwuMode OperatingPoint ParameterError RocCurve RowError
+SchemaError Sidedness SummaryStats SvmModel TestResult UnknownGroupError attack_responses
+auc_from_scores bias_sweep bona_fide_responses chi2_survival chi_squared_one_sided
+cross_validated_auc decision_score demo_dataset dip_critical_value dip_statistic
+eer_operating_point featurize gen_code_vectors gen_lognormal gen_mixture group_pairs hter_at
+inject_outliers load_codes_csv load_csv mann_whitney_u outcomes_at render_json render_plots
+roc_curve run_audit save_codes_csv save_csv shapiro_wilk significant_regions summary_stats
+threshold_for_bonafide_error train_svm_smo
 """.split()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
+import biasaudit.dip as dip_module
 from _dip_oracle import _dip_sorted as oracle_dip
 from biasaudit.dip import (
     _bin_to_right_edges,
@@ -263,3 +264,28 @@ class TestDipCriticalValue:
             dip_critical_value(50, 0.05, 100, seed=-1)
         with pytest.raises(ParameterError):
             dip_critical_value(50, 0.05, 100, seed=0, bins=1)
+
+    def test_null_over_one_gib_refused_before_it_runs(self, monkeypatch):
+        # a stub stands in for the null, so nothing here allocates: values the
+        # guard lets through reach the stub, values it refuses never do
+        reached = []
+
+        def stub(n, replicas, seed, bins):
+            reached.append((replicas, bins))
+            return np.zeros(1)
+
+        monkeypatch.setattr(dip_module, "_dip_null", stub)
+        limit = 1 << 30
+        # unbinned: 8 bytes per replica dip
+        dip_critical_value(50, 0.05, limit // 8, seed=0)
+        with pytest.raises(ParameterError, match="the limit is 1 GiB"):
+            dip_critical_value(50, 0.05, limit // 8 + 1, seed=0)
+        # binned: plus 16 bytes per entry of one 1024-replica chunk of counts
+        bins = (limit - 8 * 2048) // (16 * 1024)
+        dip_critical_value(50, 0.05, 2048, seed=0, bins=bins)
+        with pytest.raises(ParameterError, match="the limit is 1 GiB"):
+            dip_critical_value(50, 0.05, 2048, seed=0, bins=bins + 1)
+        for huge_replicas, huge_bins in ((10**12, None), (10**12, 50), (1, 10**12)):
+            with pytest.raises(ParameterError, match="the limit is 1 GiB"):
+                dip_critical_value(200, 0.05, huge_replicas, seed=0, bins=huge_bins)
+        assert reached == [(limit // 8, None), (2048, bins)]

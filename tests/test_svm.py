@@ -14,7 +14,6 @@ from biasaudit.errors import (
 from biasaudit.svm import (
     CodeMatrix,
     FeatureMode,
-    FoldSpec,
     _pair_rows,
     _pairwise_aucs,
     auc_from_scores,
@@ -404,8 +403,8 @@ class TestCrossValidatedAuc:
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(44)
         vecs = make_codes(rng, (25, "a", 0, 24), (25, "b", 8, 32))
-        a = cross_validated_auc(vecs, folds=FoldSpec(k=5, seed=3))
-        b = cross_validated_auc(vecs, folds=FoldSpec(k=5, seed=3))
+        a = cross_validated_auc(vecs, folds=5, seed=3)
+        b = cross_validated_auc(vecs, folds=5, seed=3)
         assert a == b
 
     def test_group_count_checked(self):
@@ -420,7 +419,7 @@ class TestCrossValidatedAuc:
         rng = np.random.default_rng(46)
         vecs = make_codes(rng, (4, "a", 0, 32), (20, "b", 0, 32))
         with pytest.raises(InsufficientDataError):
-            cross_validated_auc(vecs, folds=FoldSpec(k=5, seed=0))
+            cross_validated_auc(vecs, folds=5, seed=0)
 
     def test_pairs_take_group_a_rows_then_group_b_rows(self):
         # heavily tied codes in shuffled group order: SMO's lowest-index
@@ -431,7 +430,7 @@ class TestCrossValidatedAuc:
         rows = {g: np.flatnonzero(np.array(labels) == g) for g in "ab"}
         in_order = m.take(np.sort(np.concatenate([rows["a"], rows["b"]])))
         a_then_b = m.take(np.concatenate([rows["a"], rows["b"]]))
-        aucs = _pairwise_aucs(m, ["a", "b"], FeatureMode.SCALED_INDICES, 1.0, None, FoldSpec())
+        aucs = _pairwise_aucs(m, ["a", "b"], FeatureMode.SCALED_INDICES, 1.0, None, 5, 0)
         assert aucs == {"a|b": cross_validated_auc(a_then_b)}
         assert aucs["a|b"] != cross_validated_auc(in_order)
 
@@ -441,18 +440,20 @@ class TestCrossValidatedAuc:
         def codes(n_a, n_b):
             return CodeMatrix(np.zeros((n_a + n_b, 1), dtype=np.int64), ["a"] * n_a + ["b"] * n_b, 2)
 
-        rows = _pair_rows(codes(7241, 7240), ["a", "b"], FoldSpec())
+        rows = _pair_rows(codes(7241, 7240), ["a", "b"], 5)
         assert [len(rows["a"]), len(rows["b"])] == [7241, 7240]
         with pytest.raises(ParameterError, match="11586 training rows"):
-            _pair_rows(codes(7241, 7241), ["a", "b"], FoldSpec())
+            _pair_rows(codes(7241, 7241), ["a", "b"], 5)
         with pytest.raises(InsufficientDataError, match="group 'b'"):
-            _pair_rows(codes(10, 4), ["a", "b"], FoldSpec())
+            _pair_rows(codes(10, 4), ["a", "b"], 5)
 
-    def test_fold_spec_validation(self):
-        with pytest.raises(ParameterError):
-            FoldSpec(k=1)
-        with pytest.raises(ParameterError):
-            FoldSpec(seed=-1)
+    def test_folds_and_seed_validation(self):
+        rng = np.random.default_rng(47)
+        vecs = make_codes(rng, (10, "a", 0, 32), (10, "b", 0, 32))
+        with pytest.raises(ParameterError, match="folds must be >= 2"):
+            cross_validated_auc(vecs, folds=1)
+        with pytest.raises(ParameterError, match="seed must be non-negative"):
+            cross_validated_auc(vecs, seed=-1)
 
 
 class TestCodesCsv:

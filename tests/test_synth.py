@@ -7,9 +7,6 @@ from biasaudit.data import attack_responses, bona_fide_responses
 from biasaudit.dip import dip_critical_value, dip_statistic
 from biasaudit.errors import ParameterError
 from biasaudit.synth import (
-    LognormalSpec,
-    MixtureSpec,
-    OutlierSpec,
     demo_dataset,
     gen_code_vectors,
     gen_lognormal,
@@ -20,101 +17,84 @@ from biasaudit.synth import (
 
 class TestGenLognormal:
     def test_vanishing_sigma_collapses_to_point_mass(self):
-        spec = LognormalSpec(mu=-3.6, sigma=1e-9, n=100)
-        vals = gen_lognormal(spec, seed=1)
+        vals = gen_lognormal(mu=-3.6, sigma=1e-9, n=100, seed=1)
         assert np.allclose(vals, math.exp(-3.6), rtol=1e-6)
 
     def test_mean_within_three_standard_errors(self):
-        spec = LognormalSpec(mu=-3.6, sigma=0.45, n=10000)
-        vals = gen_lognormal(spec, seed=8)
-        sd = spec.expected_mean * math.sqrt(math.exp(0.45**2) - 1.0)
-        assert abs(vals.mean() - spec.expected_mean) < 3 * sd / math.sqrt(spec.n)
-
-    def test_expected_mean_property(self):
-        spec = LognormalSpec(mu=-2.0, sigma=0.5, n=1)
-        assert spec.expected_mean == math.exp(-2.0 + 0.125)
+        n = 10000
+        vals = gen_lognormal(mu=-3.6, sigma=0.45, n=n, seed=8)
+        mean = math.exp(-3.6 + 0.45**2 / 2.0)
+        sd = mean * math.sqrt(math.exp(0.45**2) - 1.0)
+        assert abs(vals.mean() - mean) < 3 * sd / math.sqrt(n)
 
     def test_deterministic_in_seed(self):
-        spec = LognormalSpec(mu=-3.0, sigma=0.4, n=50)
-        np.testing.assert_array_equal(gen_lognormal(spec, 9), gen_lognormal(spec, 9))
-        assert not np.array_equal(gen_lognormal(spec, 9), gen_lognormal(spec, 10))
+        np.testing.assert_array_equal(
+            gen_lognormal(-3.0, 0.4, 50, seed=9), gen_lognormal(-3.0, 0.4, 50, seed=9)
+        )
+        assert not np.array_equal(
+            gen_lognormal(-3.0, 0.4, 50, seed=9), gen_lognormal(-3.0, 0.4, 50, seed=10)
+        )
 
     def test_all_positive(self):
-        vals = gen_lognormal(LognormalSpec(-3.6, 0.9, 500), seed=3)
+        vals = gen_lognormal(-3.6, 0.9, 500, seed=3)
         assert np.all(vals > 0)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            LognormalSpec(mu=0.0, sigma=0.0, n=10)
-        with pytest.raises(ParameterError):
-            LognormalSpec(mu=0.0, sigma=0.5, n=0)
-        with pytest.raises(ParameterError):
-            gen_lognormal(LognormalSpec(0.0, 0.5, 10), seed=-1)
+        with pytest.raises(ParameterError, match="sigma must be > 0"):
+            gen_lognormal(mu=0.0, sigma=0.0, n=10, seed=0)
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            gen_lognormal(mu=0.0, sigma=0.5, n=0, seed=0)
+        with pytest.raises(ParameterError, match="seed must be non-negative"):
+            gen_lognormal(0.0, 0.5, 10, seed=-1)
 
 
 class TestGenMixture:
     def test_single_component_equals_plain_lognormal(self):
-        spec = MixtureSpec(((1.0, LognormalSpec(-3.6, 0.45, 1)),))
-        mixed = gen_mixture(spec, seed=7, n=80)
-        plain = gen_lognormal(LognormalSpec(-3.6, 0.45, 80), seed=7)
+        mixed = gen_mixture([(1.0, -3.6, 0.45)], n=80, seed=7)
+        plain = gen_lognormal(-3.6, 0.45, 80, seed=7)
         np.testing.assert_array_equal(mixed, plain)
 
     def test_separated_components_read_as_bimodal(self):
         # mode ratio exp(1.4) > 4: the dip blows past the unimodal null
-        spec = MixtureSpec(
-            (
-                (0.5, LognormalSpec(-4.3, 0.25, 1)),
-                (0.5, LognormalSpec(-2.9, 0.25, 1)),
-            )
-        )
-        vals = gen_mixture(spec, seed=11, n=200)
+        vals = gen_mixture([(0.5, -4.3, 0.25), (0.5, -2.9, 0.25)], n=200, seed=11)
         cv = dip_critical_value(200, 0.05, 500, seed=5)
         assert dip_statistic(list(vals)) > cv
 
     def test_tiny_weight_component_rarely_drawn(self):
         # expected minority draws: 500 * 0.001 = 0.5
-        spec = MixtureSpec(
-            (
-                (0.999, LognormalSpec(-4.0, 0.1, 1)),
-                (0.001, LognormalSpec(2.0, 0.1, 1)),
-            )
-        )
-        vals = gen_mixture(spec, seed=13, n=500)
+        vals = gen_mixture([(0.999, -4.0, 0.1), (0.001, 2.0, 0.1)], n=500, seed=13)
         assert int(np.sum(vals > 1.0)) <= 4
 
     def test_deterministic_in_seed(self):
-        spec = MixtureSpec(
-            (
-                (0.4, LognormalSpec(-4.0, 0.3, 1)),
-                (0.6, LognormalSpec(-3.0, 0.3, 1)),
-            )
-        )
+        components = [(0.4, -4.0, 0.3), (0.6, -3.0, 0.3)]
         np.testing.assert_array_equal(
-            gen_mixture(spec, 21, 60), gen_mixture(spec, 21, 60)
+            gen_mixture(components, 60, 21), gen_mixture(components, 60, 21)
         )
 
     def test_validation(self):
-        good = LognormalSpec(-3.0, 0.3, 1)
-        with pytest.raises(ParameterError):
-            MixtureSpec(())
-        with pytest.raises(ParameterError):
-            MixtureSpec(((0.5, good), (0.6, good)))  # sums to 1.1
-        with pytest.raises(ParameterError):
-            MixtureSpec(((1.2, good), (-0.2, good)))
-        with pytest.raises(ParameterError):
-            gen_mixture(MixtureSpec(((1.0, good),)), seed=0, n=0)
+        good = (-3.0, 0.3)
+        with pytest.raises(ParameterError, match="at least one component"):
+            gen_mixture([], n=10, seed=0)
+        with pytest.raises(ParameterError, match="weights must sum to 1"):
+            gen_mixture([(0.5, *good), (0.6, *good)], n=10, seed=0)  # sums to 1.1
+        with pytest.raises(ParameterError, match="weights must be > 0"):
+            gen_mixture([(1.2, *good), (-0.2, *good)], n=10, seed=0)
+        with pytest.raises(ParameterError, match="sigma must be > 0"):
+            gen_mixture([(0.5, *good), (0.5, -3.0, 0.0)], n=10, seed=0)
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            gen_mixture([(1.0, *good)], n=0, seed=0)
 
 
 class TestInjectOutliers:
     def test_zero_fraction_is_identity(self):
         base = [0.1, 0.2, 0.3]
-        out = inject_outliers(base, OutlierSpec(0.0, 8.0), seed=4)
+        out = inject_outliers(base, 0.0, 8.0, seed=4)
         np.testing.assert_array_equal(out, base)
 
     def test_exact_count_scaled_by_factor(self):
         rng = np.random.default_rng(40)
         base = rng.lognormal(-3.6, 0.4, 200)
-        out = inject_outliers(base, OutlierSpec(0.05, 8.0), seed=17)
+        out = inject_outliers(base, fraction=0.05, offset_factor=8.0, seed=17)
         changed = out != base
         assert int(changed.sum()) == 10  # ceil(0.05 * 200)
         np.testing.assert_array_equal(out[changed], base[changed] * 8.0)
@@ -122,22 +102,23 @@ class TestInjectOutliers:
 
     def test_count_rounds_up(self):
         base = list(np.linspace(1.0, 2.0, 30))
-        out = inject_outliers(base, OutlierSpec(0.05, 3.0), seed=2)
+        out = inject_outliers(base, 0.05, 3.0, seed=2)
         assert int(np.sum(out != np.asarray(base))) == 2  # ceil(1.5)
 
     def test_deterministic_in_seed(self):
         base = list(np.linspace(1.0, 2.0, 50))
-        a = inject_outliers(base, OutlierSpec(0.1, 5.0), seed=3)
-        b = inject_outliers(base, OutlierSpec(0.1, 5.0), seed=3)
+        a = inject_outliers(base, 0.1, 5.0, seed=3)
+        b = inject_outliers(base, 0.1, 5.0, seed=3)
         np.testing.assert_array_equal(a, b)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            OutlierSpec(0.5, 8.0)
-        with pytest.raises(ParameterError):
-            OutlierSpec(-0.1, 8.0)
-        with pytest.raises(ParameterError):
-            OutlierSpec(0.1, 1.0)
+        base = [0.1, 0.2, 0.3]
+        with pytest.raises(ParameterError, match="fraction must be in"):
+            inject_outliers(base, 0.5, 8.0, seed=0)
+        with pytest.raises(ParameterError, match="fraction must be in"):
+            inject_outliers(base, -0.1, 8.0, seed=0)
+        with pytest.raises(ParameterError, match="offset_factor must be > 1"):
+            inject_outliers(base, 0.1, 1.0, seed=0)
 
 
 class TestGenCodeVectors:

@@ -161,6 +161,8 @@ class TestHterAt:
         assert op.far == 0.25
         assert op.frr == 0.25
         assert op.hter == 0.25
+        # plain floats, as eer_operating_point returns, not numpy scalars
+        assert type(op.far) is float and type(op.frr) is float and type(op.hter) is float
 
     def test_matches_direct_count(self):
         rng = np.random.default_rng(808)
