@@ -17,9 +17,15 @@ import numpy as np
 
 from . import __version__
 from .data import bona_fide_responses, load_csv, save_csv
-from .dip import dip_critical_value, dip_statistic
 from .errors import AuditError, ParameterError
-from .report import AuditConfig, _operating_points, _separability, render_json, run_audit
+from .report import (
+    AuditConfig,
+    _dip_tests,
+    _operating_points,
+    _separability,
+    render_json,
+    run_audit,
+)
 from .plots import render_plots
 from .stats import (
     ContingencyTable2x2,
@@ -83,7 +89,7 @@ def _add_audit_options(p: argparse.ArgumentParser) -> None:
         "--dip-replicas",
         type=int,
         default=argparse.SUPPRESS,
-        help="null replicas for dip critical values",
+        help="cap on the null replicas drawn for dip critical values",
     )
     _add_svm_options(p)
 
@@ -223,12 +229,18 @@ def _cmd_dip(args) -> int:
     ds = load_csv(args.data)
     vals = bona_fide_responses(ds, args.group)
     bins = None if args.bins == 0 else args.bins
-    d = dip_statistic(vals, bins=bins)
-    cv = dip_critical_value(len(vals), args.alpha, args.replicas, args.seed, bins=bins)
-    verdict = "unimodal" if d < cv else "NOT unimodal"
-    print(f"dip {d!r}")
-    print(f"critical_value {cv!r} (n={len(vals)}, alpha={args.alpha:g})")
-    print(f"critical_value_se {cv.se!r} (replicas={args.replicas})")
+    # the audit draws one null for all groups of a size, until every one of
+    # their dips is settled; so the same groups decide here when it stops
+    peers = {args.group: vals}
+    for g in ds.groups():
+        other = bona_fide_responses(ds, g)
+        if g != args.group and len(other) == len(vals):
+            peers[g] = other
+    res = _dip_tests(peers, args.alpha, args.replicas, args.seed, bins)[args.group]
+    verdict = "unimodal" if res.unimodal else "NOT unimodal"
+    print(f"dip {res.dip!r}")
+    print(f"critical_value {res.critical_value!r} (n={res.n}, alpha={args.alpha:g})")
+    print(f"critical_value_se {res.critical_value_se!r} (replicas={res.replicas})")
     print(f"verdict {verdict}")
     return 0
 
@@ -292,7 +304,18 @@ def _cmd_synth(args) -> int:
             for idx in range(0, len(group_list) - 1, 2)
         ]
         labels = [g for p in parts for g in p.labels()]
-        codes = CodeMatrix(np.vstack([p.codes for p in parts]), labels, args.codes_k)
+        # each code row takes the id of its group's next bona fide response
+        ids = np.array(ds.sample_ids)
+        bona_ids = {
+            g: iter(ids[ds.bona_fide & (ds.group_codes == c)].tolist())
+            for c, g in enumerate(group_list)
+        }
+        codes = CodeMatrix(
+            np.vstack([p.codes for p in parts]),
+            labels,
+            args.codes_k,
+            [next(bona_ids[g]) for g in labels],
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_path = out / "responses.csv"
@@ -352,7 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--bins", type=int, default=_DEFAULT.dip_bins, help="0 disables binning")
     p.add_argument("--alpha", type=float, default=_DEFAULT.alpha)
-    p.add_argument("--replicas", type=int, default=_DEFAULT.dip_replicas)
+    p.add_argument(
+        "--replicas",
+        type=int,
+        default=_DEFAULT.dip_replicas,
+        help="cap on the null replicas drawn; drawing stops once the verdict is settled",
+    )
     p.add_argument("--seed", type=int, default=_DEFAULT.seed)
     p.set_defaults(func=_cmd_dip)
 

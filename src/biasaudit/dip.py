@@ -25,12 +25,25 @@ reproducible bit for bit regardless of scheduling:
   Multinomial(n - 2, 1/k) over all k bins. Count rows are drawn in chunks of
   1024 replicas, one RNG stream per chunk keyed by (seed, chunk index), so a
   replica costs O(k) whatever n is and the draws held at once stay O(1024 k).
+
+Given the dips under test (``observed``), the null is sequential (Besag &
+Clifford 1991; Gandy 2009) and ``replicas`` is a cap: replicas are drawn from
+the same streams in looks of 64, and drawing stops at the first look where
+every observed dip d is settled. With e = #{null dips > d} among the r drawn,
+d is settled when e lies in either tail of Binomial(r, alpha) at level
+eps / (2 L), eps = 1e-3 and L the number of looks up to the cap. Whatever d's
+true p-value (other than alpha itself), the chance that a look settles d on
+the wrong side of alpha is at most eps / (2 L), so over all looks a stop gives
+a verdict other than the infinite-replica one with probability at most eps.
+The critical value comes from the r replicas drawn, so ``d < critical value``
+is the settled verdict; a dip that never settles gets the fixed-cap verdict.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +52,8 @@ from .errors import InsufficientDataError, ParameterError
 __all__ = ["CriticalValue", "DipResult", "dip_statistic", "dip_critical_value"]
 
 _CHUNK = 1024  # binned null replicas per RNG stream
+_LOOK = 64  # replicas per look of the sequential null
+_EPSILON = 1e-3  # bound on the chance that a stopped test flips a verdict
 
 # dip_critical_value refuses a null whose working set exceeds this: 8 bytes
 # per float64 replica dip and, when binned, 16 bytes per entry of one
@@ -52,8 +67,11 @@ class DipResult:
     """Dip test verdict for one sample.
 
     ``unimodal`` is True exactly when ``dip < critical_value``; the critical
-    value is the empirical (1 - alpha) quantile of ``replicas`` simulated null
-    dips, and ``critical_value_se`` its Monte Carlo standard error.
+    value is the empirical (1 - alpha) quantile of the ``replicas`` simulated
+    null dips actually drawn, and ``critical_value_se`` its Monte Carlo
+    standard error. The audit's null is sequential (see the module
+    docstring), so ``replicas`` is a multiple of 64 up to the configured cap,
+    or the cap itself.
     """
 
     dip: float
@@ -71,13 +89,16 @@ class CriticalValue(float):
     standard error: half the gap between the null order statistics at ranks
     R q -/+ sqrt(R q (1 - q)) (rounded outwards, clipped to [1, R]), with
     q = 1 - alpha and R replicas. It is 0 when those order statistics
-    coincide, as they can where the binned null has atoms."""
+    coincide, as they can where the binned null has atoms. ``replicas`` is R,
+    the number of null replicas drawn."""
 
     se: float
+    replicas: int
 
-    def __new__(cls, value: float, se: float) -> "CriticalValue":
+    def __new__(cls, value: float, se: float, replicas: int) -> "CriticalValue":
         self = super().__new__(cls, value)
         self.se = se
+        self.replicas = replicas
         return self
 
 
@@ -292,17 +313,16 @@ def dip_statistic(a: Sequence[float], bins: int | None = None) -> float:
     return _dip_sorted(distinct.tolist(), counts.tolist())
 
 
-def _dip_null(n: int, replicas: int, seed: int, bins: int | None) -> np.ndarray:
-    """Dips of ``replicas`` uniform null samples of size n, binned like the
-    statistic under test, in replica order. Replica i is the same for every
-    ``replicas`` > i."""
-    dips = np.empty(replicas, dtype=float)
+def _null_stream(n: int, replicas: int, seed: int, bins: int | None) -> Iterator[float]:
+    """Dips of up to ``replicas`` uniform null samples of size n, binned like
+    the statistic under test, in replica order, drawn as they are consumed.
+    Replica i is the same for every ``replicas`` > i."""
     if bins is None:
         ones = [1] * n
         for i in range(replicas):
             sample = np.random.default_rng([seed, i]).random(n)
             sample.sort()
-            dips[i] = _dip_sorted(sample.tolist(), ones)
+            yield _dip_sorted(sample.tolist(), ones)
     else:
         # bin k's right edge is k + 1, as in _bin_to_right_edges
         grid = [float(k) for k in range(1, bins + 1)]
@@ -312,9 +332,54 @@ def _dip_null(n: int, replicas: int, seed: int, bins: int | None) -> np.ndarray:
             rows = rng.multinomial(n - 2, p, size=min(_CHUNK, replicas - start))
             rows[:, 0] += 1  # the sample minimum
             rows[:, -1] += 1  # the sample maximum
-            for i, row in enumerate(rows.tolist(), start):
-                dips[i] = _dip_sorted(grid, row)
-    return dips
+            for row in rows.tolist():
+                yield _dip_sorted(grid, row)
+
+
+def _dip_null(n: int, replicas: int, seed: int, bins: int | None) -> np.ndarray:
+    """All ``replicas`` dips of ``_null_stream``, as an array."""
+    return np.fromiter(_null_stream(n, replicas, seed, bins), float, count=replicas)
+
+
+def _binomial_tails(r: int, alpha: float, level: float) -> tuple[int, int]:
+    """(lo, hi): the counts e <= lo are the lower tail of Binomial(r, alpha)
+    at ``level`` (P(X <= e) <= level) and e >= hi the upper one; lo is -1 and
+    hi is r + 1 when a tail is empty. The pmf comes from a cumulative sum of
+    the log ratios pmf(k + 1) / pmf(k)."""
+    k = np.arange(r)
+    log_pmf = np.empty(r + 1)
+    log_pmf[0] = r * math.log1p(-alpha)
+    steps = np.log((r - k) / (k + 1)) + math.log(alpha / (1.0 - alpha))
+    log_pmf[1:] = log_pmf[0] + np.cumsum(steps)
+    pmf = np.exp(log_pmf)
+    below = np.cumsum(pmf)  # P(X <= e), nondecreasing
+    above = np.cumsum(pmf[::-1])  # P(X >= r - j), nondecreasing in j
+    lo = int(np.searchsorted(below, level, side="right")) - 1
+    hi = r + 1 - int(np.searchsorted(above, level, side="right"))
+    return lo, hi
+
+
+def _sequential_null(
+    n: int, alpha: float, cap: int, seed: int, bins: int | None, observed: np.ndarray
+) -> np.ndarray:
+    """The prefix of ``_dip_null(n, cap, seed, bins)`` drawn up to the first
+    look at which every observed dip is settled (see the module docstring),
+    or all of it."""
+    looks = [*range(_LOOK, cap, _LOOK), cap]
+    level = _EPSILON / (2 * len(looks))
+    stream = _null_stream(n, cap, seed, bins)
+    dips = np.empty(cap)
+    exceed = np.zeros(len(observed), dtype=np.int64)  # null dips > each observed
+    r = 0
+    for stop in looks:
+        dips[r:stop] = np.fromiter(islice(stream, stop - r), float, count=stop - r)
+        exceed += np.count_nonzero(dips[r:stop, None] > observed, axis=0)
+        r = stop
+        if r < cap:
+            lo, hi = _binomial_tails(r, alpha, level)
+            if np.all((exceed <= lo) | (exceed >= hi)):
+                break
+    return dips[:r]
 
 
 def _null_quantile(dips: np.ndarray, alpha: float) -> CriticalValue:
@@ -330,7 +395,7 @@ def _null_quantile(dips: np.ndarray, alpha: float) -> CriticalValue:
         return float(dips[min(max(rank, 1), replicas) - 1])
 
     se = (at(math.ceil(rq + spread)) - at(math.floor(rq - spread))) / 2
-    return CriticalValue(at(math.ceil(rq)), se)
+    return CriticalValue(at(math.ceil(rq)), se, replicas)
 
 
 def dip_critical_value(
@@ -339,6 +404,7 @@ def dip_critical_value(
     replicas: int,
     seed: int,
     bins: int | None = None,
+    observed: Sequence[float] = (),
 ) -> CriticalValue:
     """Empirical (1 - alpha) null quantile of the dip for sample size n.
 
@@ -346,8 +412,12 @@ def dip_critical_value(
     (see the module docstring), so the value is bit-identical for a given
     seed no matter how replicas are scheduled. ``bins`` should match the
     binning used for the statistic under test. The result is a float; its
-    ``se`` attribute is the Monte Carlo standard error of the quantile. A
-    null that would hold more than 1 GiB at once is refused before it runs.
+    ``se`` attribute is the Monte Carlo standard error of the quantile and
+    ``replicas`` the number of replicas drawn. Given the ``observed`` dips of
+    samples of size n, ``replicas`` is a cap: drawing stops, in looks of 64,
+    once each observed dip's verdict is settled, and the value is the
+    quantile of the replicas drawn so far. A null that would hold more than
+    1 GiB at once is refused before it runs.
     """
     if n < 4:
         raise InsufficientDataError(f"critical value needs n >= 4, got {n}")
@@ -365,4 +435,8 @@ def dip_critical_value(
             f"a dip null of {replicas} replicas with bins={bins} needs "
             f"{need / 2**30:.2f} GiB; the limit is 1 GiB"
         )
-    return _null_quantile(_dip_null(n, replicas, seed, bins), alpha)
+    if len(observed):
+        dips = _sequential_null(n, alpha, replicas, seed, bins, np.asarray(observed, dtype=float))
+    else:
+        dips = _dip_null(n, replicas, seed, bins)
+    return _null_quantile(dips, alpha)

@@ -24,7 +24,7 @@ from .data import (
     bona_fide_responses,
     group_pairs,
 )
-from .dip import CriticalValue, DipResult, dip_critical_value, dip_statistic
+from .dip import DipResult, dip_critical_value, dip_statistic
 from .errors import InsufficientDataError, ParameterError
 from .stats import (
     ContingencyTable2x2,
@@ -251,6 +251,39 @@ def _separability(codes: CodeMatrix, groups: Sequence[str], cfg: AuditConfig) ->
     )
 
 
+def _dip_tests(
+    samples: dict[str, np.ndarray],
+    alpha: float,
+    replicas: int,
+    seed: int,
+    bins: int | None,
+) -> dict[str, DipResult]:
+    """The dip test of each sample. The null depends only on the sample
+    size, so the samples of one size share one sequential null, drawn until
+    every one of their dips is settled (at most ``replicas``)."""
+    dips = {g: dip_statistic(v, bins=bins) for g, v in samples.items()}
+    by_n: dict[int, list[str]] = {}
+    for g, v in samples.items():
+        by_n.setdefault(len(v), []).append(g)
+    out = {}
+    for n, names in by_n.items():
+        cv = dip_critical_value(
+            n, alpha, replicas, seed, bins=bins, observed=[dips[g] for g in names]
+        )
+        for g in names:
+            out[g] = DipResult(
+                dip=dips[g],
+                n=n,
+                bins=bins,
+                critical_value=float(cv),
+                alpha=alpha,
+                unimodal=dips[g] < cv,
+                replicas=cv.replicas,
+                critical_value_se=cv.se,
+            )
+    return {g: out[g] for g in samples}
+
+
 def run_audit(
     ds: Dataset,
     cfg: AuditConfig = AuditConfig(),
@@ -283,29 +316,8 @@ def run_audit(
     pooled_bona = bona_fide_responses(ds)
     pooled_attack = attack_responses(ds)
 
-    # Per-group distribution shape. Null critical values depend only on the
-    # sample size, so cache them per n.
     per_group_summary = {g: summary_stats(bona[g]) for g in groups}
-    cv_cache: dict[int, CriticalValue] = {}
-    per_group_dip = {}
-    for g in groups:
-        n = len(bona[g])
-        if n not in cv_cache:
-            cv_cache[n] = dip_critical_value(
-                n, cfg.alpha, cfg.dip_replicas, cfg.seed, bins=cfg.dip_bins
-            )
-        cv = cv_cache[n]
-        d = dip_statistic(bona[g], bins=cfg.dip_bins)
-        per_group_dip[g] = DipResult(
-            dip=d,
-            n=n,
-            bins=cfg.dip_bins,
-            critical_value=float(cv),
-            alpha=cfg.alpha,
-            unimodal=d < cv,
-            replicas=cfg.dip_replicas,
-            critical_value_se=cv.se,
-        )
+    per_group_dip = _dip_tests(bona, cfg.alpha, cfg.dip_replicas, cfg.seed, cfg.dip_bins)
 
     # Anchor thresholds: pooled bona fide error quantiles, plus the pooled
     # EER threshold when attack rows exist.

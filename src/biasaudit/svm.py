@@ -46,10 +46,17 @@ __all__ = [
 class CodeMatrix:
     """Immutable discrete latent codes, one row per sample: a read-only int64
     ``codes`` array of shape (n, d) holding indices into a codebook of size
-    ``k``, and ``group_codes`` (indices into the sorted ``groups()``, built
-    from group labels)."""
+    ``k``, ``group_codes`` (indices into the sorted ``groups()``, built from
+    group labels) and ``sample_ids`` (``code-00000``, ``code-00001``, ...
+    when none are given)."""
 
-    def __init__(self, codes: np.ndarray | Sequence[Sequence[int]], groups: Sequence[str], k: int):
+    def __init__(
+        self,
+        codes: np.ndarray | Sequence[Sequence[int]],
+        groups: Sequence[str],
+        k: int,
+        sample_ids: Sequence[str] | None = None,
+    ):
         if k < 2:
             raise ParameterError(f"codebook size must be >= 2, got {k}")
         labels = list(groups)
@@ -62,6 +69,11 @@ class CodeMatrix:
                 f"codes must be a non-empty (n, d) matrix with n group labels, "
                 f"got shape {arr.shape} and {len(labels)} labels"
             )
+        if sample_ids is None:
+            sample_ids = [f"code-{i:05d}" for i in range(len(labels))]
+        ids = tuple(sample_ids)
+        if len(ids) != len(labels) or not all(ids):
+            raise ParameterError(f"need {len(labels)} non-empty sample ids, got {len(ids)}")
         self._groups, self.group_codes = _encode_groups(labels)
         if arr.dtype.kind not in "iu":
             raise ParameterError(f"code indices must be ints, got {arr.dtype}")
@@ -70,6 +82,7 @@ class CodeMatrix:
             raise ParameterError(f"code indices must be ints in [0, {k - 1}], got {bad[0]}")
         self.codes = _read_only(arr.astype(np.int64, copy=False))
         self.k = k
+        self.sample_ids = ids
 
     def groups(self) -> list[str]:
         return list(self._groups)
@@ -80,8 +93,10 @@ class CodeMatrix:
 
     def take(self, rows: Sequence[int]) -> "CodeMatrix":
         """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
         labels = [self._groups[c] for c in self.group_codes[rows].tolist()]
-        return CodeMatrix(self.codes[rows], labels, self.k)
+        ids = [self.sample_ids[i] for i in rows.tolist()]
+        return CodeMatrix(self.codes[rows], labels, self.k, ids)
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -411,7 +426,7 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
         if header[2:] != [f"c{i}" for i in range(d)]:
             raise SchemaError(f"{path}: code columns must be named c0..c{d - 1}")
 
-        groups, rows = [], []
+        ids, groups, rows = [], [], []
         for line_no, row in _numbered_rows(reader):
             if len(row) != d + 2:
                 raise RowError(line_no, f"expected {d + 2} fields, got {len(row)}")
@@ -425,19 +440,21 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
             bad = [v for v in codes if not 0 <= v < k_eff]
             if bad:
                 raise RowError(line_no, f"code indices must be in [0, {k_eff - 1}], got {bad[0]}")
+            ids.append(sid)
             groups.append(group)
             rows.append(codes)
     if not rows:
         raise SchemaError(f"{path}: no code rows")
-    return CodeMatrix(rows, groups, k_eff)
+    return CodeMatrix(rows, groups, k_eff, ids)
 
 
 def save_codes_csv(m: CodeMatrix, path: str | Path) -> None:
-    """Write code vectors with a ``#K=`` size line; inverse of load_codes_csv."""
+    """Write code vectors with a ``#K=`` size line; inverse of load_codes_csv,
+    so a file this writes loads and saves back to the same bytes."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"#K={m.k}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "group"] + [f"c{i}" for i in range(m.codes.shape[1])])
-        for i, (group, codes) in enumerate(zip(m.labels(), m.codes.tolist())):
-            writer.writerow([f"code-{i:05d}", group, *codes])
+        for sid, group, codes in zip(m.sample_ids, m.labels(), m.codes.tolist()):
+            writer.writerow([sid, group, *codes])

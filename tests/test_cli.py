@@ -50,6 +50,15 @@ class TestSynthCommand:
         ).read_bytes()
         assert (again / "codes.csv").read_bytes() == (synth_dir / "codes.csv").read_bytes()
 
+    def test_code_ids_are_the_bona_fide_ids(self, synth_dir):
+        def ids(name, keep):
+            rows = (synth_dir / name).read_text().splitlines()
+            return sorted(ln.split(",")[0] for ln in rows if keep(ln))
+
+        codes = ids("codes.csv", lambda ln: not ln.startswith(("#", "sample_id")))
+        bona = ids("responses.csv", lambda ln: ",bonafide," in ln)
+        assert codes == bona and len(codes) == 4 * 40
+
     def test_no_attacks_no_codes(self, tmp_path, capsys):
         out = tmp_path / "lean"
         code = main(
@@ -433,6 +442,29 @@ class TestStatSubcommands:
         assert out.startswith("dip ")
         assert "critical_value_se " in out
         assert "verdict NOT unimodal" in out  # delta is the bimodal group
+
+    def test_dip_equals_the_audit_dip_test(self, tmp_path, capsys):
+        # the README demo at the default cap: every group's dip, critical
+        # value, its SE, the replicas drawn and the verdict, as the audit has them
+        demo = tmp_path / "demo"
+        assert main(["synth", "--out", str(demo), "--n-per-group", "200", "--seed", "7"]) == 0
+        data = str(demo / "responses.csv")
+        assert main(["audit", "--data", data, "--out", str(tmp_path / "audit")]) == 0
+        per_group = json.loads((tmp_path / "audit" / "report.json").read_text())["per_group"]
+        capsys.readouterr()
+        verdicts = {}
+        for g, entry in per_group.items():
+            t = entry["dip_test"]
+            assert main(["dip", "--data", data, "--group", g]) == 0
+            assert capsys.readouterr().out == (
+                f"dip {t['dip']!r}\n"
+                f"critical_value {t['critical_value']!r} (n=200, alpha=0.05)\n"
+                f"critical_value_se {t['critical_value_se']!r} (replicas={t['replicas']})\n"
+                f"verdict {'unimodal' if t['unimodal'] else 'NOT unimodal'}\n"
+            )
+            assert t["replicas"] < 10000
+            verdicts[g] = t["unimodal"]
+        assert verdicts == {"alpha": True, "beta": True, "delta": False, "gamma": False}
 
     @pytest.mark.parametrize("bins", ["1", "-3"])
     def test_dip_bins_below_two_rejected(self, synth_dir, capsys, bins):

@@ -7,7 +7,9 @@ from scipy import stats as sps
 
 import biasaudit.dip as dip_module
 from _dip_oracle import _dip_sorted as oracle_dip
+from biasaudit.data import bona_fide_responses
 from biasaudit.dip import (
+    _binomial_tails,
     _bin_to_right_edges,
     _dip_null,
     _dip_sorted,
@@ -16,6 +18,7 @@ from biasaudit.dip import (
     dip_statistic,
 )
 from biasaudit.errors import InsufficientDataError, ParameterError
+from biasaudit.synth import demo_dataset
 
 SIZES = st.integers(4, 400)
 CONTINUOUS = SIZES.flatmap(
@@ -289,3 +292,105 @@ class TestDipCriticalValue:
             with pytest.raises(ParameterError, match="the limit is 1 GiB"):
                 dip_critical_value(200, 0.05, huge_replicas, seed=0, bins=huge_bins)
         assert reached == [(limit // 8, None), (2048, bins)]
+
+
+# the audit's default null at the README demo's group size
+NULL_N, NULL_SEED, NULL_BINS, NULL_CAP = 200, 12345, 50, 10000
+
+
+@pytest.fixture(scope="module")
+def full_null():
+    return _dip_null(NULL_N, NULL_CAP, NULL_SEED, NULL_BINS)
+
+
+@pytest.fixture
+def cached_stream(monkeypatch, full_null):
+    """_null_stream served from the one full null for its size, seed and
+    bins: streams are prefix stable, so every call sees the replicas it would
+    draw, without drawing them again."""
+    real = dip_module._null_stream
+
+    def stream(n, replicas, seed, bins):
+        if (n, seed, bins) == (NULL_N, NULL_SEED, NULL_BINS):
+            return iter(full_null[:replicas].tolist())
+        return real(n, replicas, seed, bins)
+
+    monkeypatch.setattr(dip_module, "_null_stream", stream)
+
+
+def _demo_dips(seed):
+    ds = demo_dataset(NULL_N, seed=seed)
+    return [dip_statistic(bona_fide_responses(ds, g), bins=NULL_BINS) for g in ds.groups()]
+
+
+# the README demo (seed 7) and ten demo datasets at seeds far enough apart
+# that no two share their normal draws
+DEMO_SEEDS = [7] + [1000 * k for k in range(1, 11)]
+
+
+class TestSequentialNull:
+    def test_binomial_tails_match_scipy(self):
+        for r in (64, 1000, 9984):
+            for alpha in (0.01, 0.05, 0.5, 0.9):
+                level = 1e-3 / 314
+                lo, hi = _binomial_tails(r, alpha, level)
+                k = np.arange(r + 1)
+                below = k[sps.binom.cdf(k, r, alpha) <= level]
+                above = k[sps.binom.sf(k - 1, r, alpha) <= level]
+                assert lo == (below.max() if below.size else -1)
+                assert hi == (above.min() if above.size else r + 1)
+
+    def test_verdicts_equal_the_full_cap(self, cached_stream, full_null):
+        full_cv = _null_quantile(full_null, 0.05)
+        for seed in DEMO_SEEDS:
+            dips = _demo_dips(seed)
+            cv = dip_critical_value(
+                NULL_N, 0.05, NULL_CAP, NULL_SEED, NULL_BINS, observed=dips
+            )
+            assert cv.replicas % 64 == 0 or cv.replicas == NULL_CAP
+            assert [d < cv for d in dips] == [d < full_cv for d in dips], seed
+
+    def test_stopped_value_is_the_fixed_value_at_its_replicas(self):
+        # real streams, no cache: the README demo stops after a few looks
+        dips = _demo_dips(7)
+        cv = dip_critical_value(NULL_N, 0.05, NULL_CAP, NULL_SEED, NULL_BINS, observed=dips)
+        assert 64 <= cv.replicas < NULL_CAP and cv.replicas % 64 == 0
+        fixed = dip_critical_value(NULL_N, 0.05, cv.replicas, NULL_SEED, NULL_BINS)
+        assert (float(cv), cv.se, cv.replicas) == (float(fixed), fixed.se, fixed.replicas)
+        # unbinned, with one clearly bimodal and one clearly unimodal sample
+        rng = np.random.default_rng(8)
+        two = np.concatenate([rng.normal(0, 0.2, 30), rng.normal(5, 0.2, 30)])
+        dips = [dip_statistic(two), dip_statistic(rng.normal(size=60))]
+        cv = dip_critical_value(60, 0.05, 5000, 3, observed=dips)
+        assert cv.replicas < 5000 and cv.replicas % 64 == 0
+        fixed = dip_critical_value(60, 0.05, cv.replicas, 3)
+        assert (float(cv), cv.se) == (float(fixed), fixed.se)
+        assert [d < cv for d in dips] == [False, True]
+
+    def test_cap_below_one_look_draws_as_the_fixed_null(self):
+        dips = _demo_dips(7)
+        for cap in (20, 64):
+            cv = dip_critical_value(NULL_N, 0.05, cap, NULL_SEED, NULL_BINS, observed=dips)
+            fixed = dip_critical_value(NULL_N, 0.05, cap, NULL_SEED, NULL_BINS)
+            assert (float(cv), cv.se, cv.replicas) == (float(fixed), fixed.se, cap)
+
+    def test_unsettled_dip_runs_to_the_cap(self):
+        # a dip at the null's own 95% point stays near p = alpha at every look
+        cv = dip_critical_value(60, 0.05, 300, 3, bins=20, observed=[0.0])
+        assert cv.replicas < 300  # p = 1 settles at once
+        edge = float(dip_critical_value(60, 0.05, 300, 3, bins=20))
+        cv = dip_critical_value(60, 0.05, 300, 3, bins=20, observed=[edge, 0.0])
+        assert cv.replicas == 300
+
+    def test_rejection_rate_under_the_null(self, cached_stream):
+        # binned uniform samples are draws from the null itself, so the
+        # sequential test rejects at most alpha plus Monte Carlo error
+        rng = np.random.default_rng(99)
+        trials = 400
+        rejected = 0
+        for _ in range(trials):
+            d = dip_statistic(rng.random(NULL_N), bins=NULL_BINS)
+            cv = dip_critical_value(NULL_N, 0.05, NULL_CAP, NULL_SEED, NULL_BINS, observed=[d])
+            rejected += not d < cv
+        se = np.sqrt(0.05 * 0.95 / trials)
+        assert rejected / trials <= 0.05 + 3 * se

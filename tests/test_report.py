@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import biasaudit.dip as dip_module
+import biasaudit.report as report_module
 from biasaudit.data import Dataset
 from biasaudit.errors import InsufficientDataError, ParameterError
 from biasaudit.report import AuditConfig, render_json, run_audit
@@ -115,7 +117,10 @@ class TestReportStructure:
             dip = entry["dip_test"]
             assert dip["bins"] == 50
             assert dip["unimodal"] == (dip["dip"] < dip["critical_value"])
-            assert dip["replicas"] == 200
+            # the null stops once every verdict is settled: at a look of 64
+            # replicas, or at the cap
+            assert 1 <= dip["replicas"] <= 200
+            assert dip["replicas"] % 64 == 0 or dip["replicas"] == 200
             assert 0.0 <= dip["critical_value_se"] < dip["critical_value"]
 
     def test_operating_points(self, report_dict):
@@ -156,6 +161,46 @@ class TestReportDeterminism:
     def test_rerun_is_byte_identical(self, demo, report):
         again = run_audit(demo, AuditConfig(**FAST))
         assert render_json(again) == render_json(report)
+
+    def test_sequential_null_rerun_is_byte_identical(self):
+        # the README demo at the default cap, which its dip null stops before
+        readme_demo = demo_dataset(n_per_group=200, seed=7)
+        first = run_audit(readme_demo)
+        (replicas,) = {r.replicas for r in first.per_group_dip.values()}  # one size, one null
+        assert replicas < AuditConfig().dip_replicas
+        assert render_json(run_audit(readme_demo)) == render_json(first)
+
+    def test_groups_of_one_size_share_one_null(self, monkeypatch):
+        # a _dip_null-style stub around the null stream records each draw
+        streams, calls = [], []
+        real_stream, real_cv = dip_module._null_stream, report_module.dip_critical_value
+
+        def stream(n, replicas, seed, bins):
+            streams.append(n)
+            return real_stream(n, replicas, seed, bins)
+
+        def critical_value(n, *args, observed=(), **kwargs):
+            cv = real_cv(n, *args, observed=observed, **kwargs)
+            calls.append((n, len(observed), cv.replicas))
+            return cv
+
+        monkeypatch.setattr(dip_module, "_null_stream", stream)
+        monkeypatch.setattr(report_module, "dip_critical_value", critical_value)
+        rng = np.random.default_rng(31)
+        sizes = {"a": 60, "b": 40, "c": 60, "d": 60}
+        groups = [g for g, n in sizes.items() for _ in range(n)]
+        ds = Dataset(
+            [f"s{i}" for i in range(len(groups))],
+            groups,
+            [True] * len(groups),
+            rng.lognormal(size=len(groups)),
+        )
+        report = run_audit(ds, AuditConfig(dip_replicas=500))
+        assert sorted(streams) == [40, 60]
+        assert sorted(calls)[0][:2] == (40, 1) and sorted(calls)[1][:2] == (60, 3)
+        drawn = {n: r for n, _, r in calls}
+        for g, n in sizes.items():
+            assert report.per_group_dip[g].replicas == drawn[n]
 
     def test_row_permutation_is_byte_identical(self, demo, report):
         # strictly positive, so no 0.0/-0.0 ties whose order the input decides

@@ -470,6 +470,29 @@ class TestCodesCsv:
         assert loaded.labels() == vecs.labels()
         np.testing.assert_array_equal(loaded.codes, vecs.codes)
 
+    def test_file_round_trip_is_byte_identical(self, tmp_path):
+        # sample ids survive, including one that needs quoting
+        text = (
+            "#K=8\nsample_id,group,c0,c1\n"
+            'x-7,east,3,5\n"id, with comma",west,0,7\nx-1,east,1,1\n'
+        )
+        path = tmp_path / "codes.csv"
+        path.write_text(text)
+        loaded = load_codes_csv(path)
+        assert loaded.sample_ids == ("x-7", "id, with comma", "x-1")
+        save_codes_csv(loaded, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_text() == text
+
+    def test_take_keeps_sample_ids(self):
+        m = CodeMatrix([[1], [2], [3]], ["a", "b", "a"], 4, ["s0", "s1", "s2"])
+        sub = m.take([2, 0])
+        assert sub.sample_ids == ("s2", "s0")
+        assert sub.codes.tolist() == [[3], [1]]
+        with pytest.raises(ParameterError):
+            CodeMatrix([[1], [2]], ["a", "b"], 4, ["s0"])
+        with pytest.raises(ParameterError):
+            CodeMatrix([[1], [2]], ["a", "b"], 4, ["s0", ""])
+
     def test_k_argument_overrides_file(self, tmp_path):
         path = tmp_path / "codes.csv"
         path.write_text("#K=64\nsample_id,group,c0,c1\ns1,a,3,5\n")
