@@ -9,6 +9,7 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
@@ -92,6 +93,10 @@ class AuditConfig:
             raise ParameterError(f"svm_c must be > 0, got {self.svm_c}")
         if self.svm_gamma is not None and not self.svm_gamma > 0:
             raise ParameterError(f"svm_gamma must be > 0, got {self.svm_gamma}")
+        if not math.isfinite(self.svm_c):
+            raise ParameterError(f"svm_c must be finite, got {self.svm_c}")
+        if self.svm_gamma is not None and not math.isfinite(self.svm_gamma):
+            raise ParameterError(f"svm_gamma must be finite, got {self.svm_gamma}")
         if self.svm_folds < 2:
             raise ParameterError(f"svm_folds must be >= 2, got {self.svm_folds}")
 

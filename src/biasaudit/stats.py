@@ -153,33 +153,24 @@ def _midranks(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, np.nd
     return (2 * last - ties + 1)[inverse], ties
 
 
-def _exact_mwu_p(doubled: list[int], du_obs: int, n_a: int, n_b: int) -> float:
+def _exact_mwu_p(doubled: np.ndarray, du_obs: int, n_a: int, n_b: int) -> float:
     """Two-sided exact permutation p for U, halved rank-sum distribution.
 
     Counts size-n_a subsets of the doubled midranks whose doubled U is at
-    least as far from the null mean as ``du_obs``, via integer subset-sum DP.
+    least as far from the null mean as ``du_obs``, in a table ``counts[k, s]``
+    of the size-k subsets with doubled rank sum s.
     """
+    top = int(doubled.sum())
+    counts = np.zeros((n_a + 1, top + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for d in doubled.tolist():
+        # numpy reads the overlapping right-hand side before it writes, so
+        # each midrank joins a subset at most once
+        counts[1:, d:] += counts[:-1, : top + 1 - d]
     center = n_a * n_b  # 2 * E[U]
-    dev_obs = abs(du_obs - center)
-
-    # counts[k] maps doubled rank-sum -> number of size-k subsets achieving it
-    counts: list[dict[int, int]] = [dict() for _ in range(n_a + 1)]
-    counts[0][0] = 1
-    for d in doubled:
-        for k in range(min(n_a, len(doubled)), 0, -1):
-            prev = counts[k - 1]
-            if not prev:
-                continue
-            cur = counts[k]
-            for s, c in prev.items():
-                cur[s + d] = cur.get(s + d, 0) + c
-    total = math.comb(n_a + n_b, n_a)
-    extreme = 0
-    base = n_a * (n_a + 1)
-    for s, c in counts[n_a].items():
-        if abs((s - base) - center) >= dev_obs:
-            extreme += c
-    return extreme / total
+    du = np.arange(top + 1) - n_a * (n_a + 1)
+    extreme = int(counts[n_a, np.abs(du - center) >= abs(du_obs - center)].sum())
+    return extreme / math.comb(n_a + n_b, n_a)
 
 
 def mann_whitney_u(
@@ -224,7 +215,7 @@ def mann_whitney_u(
         direction = None
 
     if mode is MwuMode.EXACT:
-        p = _exact_mwu_p(doubled.tolist(), du_a, n_a, n_b)
+        p = _exact_mwu_p(doubled, du_a, n_a, n_b)
         return TestResult(u_a, p, Sidedness.TWO_SIDED, direction)
 
     # Tie-corrected normal approximation; Python ints keep t**3 exact.
@@ -340,6 +331,11 @@ def summary_stats(a: Sequence[float]) -> SummaryStats:
     if n < 2:
         raise InsufficientDataError(f"summary needs at least 2 values, got {n}")
     vals = np.asarray(a, dtype=float).tolist()
-    mean = math.fsum(vals) / n
-    sd = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (n - 1))
-    return SummaryStats(n=n, mean=mean, std_dev=sd)
+    try:
+        mean = math.fsum(vals) / n
+        var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
+    except OverflowError:
+        var = math.inf
+    if var == math.inf:
+        raise ParameterError(f"variance of values up to {max(map(abs, vals)):g} overflows float64")
+    return SummaryStats(n=n, mean=mean, std_dev=math.sqrt(var))

@@ -124,10 +124,10 @@ def featurize(m: CodeMatrix, mode: FeatureMode = FeatureMode.SCALED_INDICES) -> 
 class SvmModel:
     """Trained soft-margin RBF SVM.
 
-    ``alphas`` are the signed dual coefficients (alpha_i * y_i) of the
-    support vectors only, each with |alpha| <= regularization_c. ``converged``
-    reports whether the largest KKT violation fell to tol or below within
-    the pass budget.
+    ``alphas`` are the signed dual s_i = y_i * alpha_i of the support
+    vectors only, each inside its box [min(0, y_i c), max(0, y_i c)] for
+    c = regularization_c. ``converged`` reports whether the largest KKT
+    violation fell to tol or below within the pass budget.
     """
 
     support_vectors: np.ndarray
@@ -150,6 +150,8 @@ def _resolve_gamma(x: np.ndarray, gamma: float | None) -> float:
     if gamma is not None:
         if not gamma > 0:
             raise ParameterError(f"gamma must be > 0, got {gamma}")
+        if not math.isfinite(gamma):
+            raise ParameterError(f"gamma must be finite, got {gamma}")
         return float(gamma)
     var = float(np.mean(np.var(x, axis=0)))
     if var <= 0.0:
@@ -190,12 +192,12 @@ def train_svm_smo(
 ) -> SvmModel:
     """Train a soft-margin RBF SVM by sequential minimal optimization.
 
-    ``labels`` must be +1/-1 with both classes present. Each step updates the
-    most-violating pair: the ascent-eligible point with the largest KKT
-    residual against the descent-eligible point with the smallest, which is
-    deterministic (ties resolve to the lowest index). Training stops once the
-    spread between those residuals is within tol, i.e. no KKT violation
-    exceeds tol; one pass covers up to n pair updates.
+    ``labels`` must be +1/-1 with both classes present. Each step updates
+    the most-violating pair of the signed dual s = y * alpha: the point with
+    room to rise and the largest KKT residual against the point with room to
+    fall and the smallest (ties resolve to the lowest index). Training stops
+    once the spread between those residuals is within tol, i.e. no KKT
+    violation exceeds tol; one pass covers up to n pair updates.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -216,29 +218,29 @@ def train_svm_smo(
 
     gamma = _resolve_gamma(x, gamma)
     kmat = _rbf_matrix(x, x, gamma)
-    alpha = np.zeros(n)
+    # the signed dual s = y * alpha, each entry in its own box [lo, hi];
+    # lo comes from np.where, not hi - c, which is NaN at c = inf
+    s = np.zeros(n)
+    hi = np.where(y > 0.0, c, 0.0)
+    lo = np.where(y > 0.0, 0.0, -c)
     # u[i] = kernel part of the decision value at x_i (no bias); the KKT
     # residual y_i - u_i of every free support vector equals the bias at
     # the optimum, so the spread of residuals measures convergence
     u = np.zeros(n)
-    neg_inf = -np.inf
-    pos_inf = np.inf
 
-    def residual_extremes() -> tuple[int, int]:
+    def residual_extremes() -> tuple[np.ndarray, int, int]:
         resid = y - u
-        can_up = ((y > 0.0) & (alpha < c)) | ((y < 0.0) & (alpha > 0.0))
-        can_dn = ((y > 0.0) & (alpha > 0.0)) | ((y < 0.0) & (alpha < c))
-        i = int(np.argmax(np.where(can_up, resid, neg_inf)))
-        j = int(np.argmin(np.where(can_dn, resid, pos_inf)))
-        return i, j
+        i = int(np.argmax(np.where(s < hi, resid, -np.inf)))
+        j = int(np.argmin(np.where(s > lo, resid, np.inf)))
+        return resid, i, j
 
     converged = False
     passes = 0
     while passes < max_passes and not converged:
         passes += 1
         for _ in range(n):
-            i, j = residual_extremes()
-            gap = (y[i] - u[i]) - (y[j] - u[j])
+            resid, i, j = residual_extremes()
+            gap = resid[i] - resid[j]
             if gap <= tol:
                 converged = True
                 break
@@ -246,24 +248,19 @@ def train_svm_smo(
             # value is identical however the pair roles were assigned
             p, q = (i, j) if i < j else (j, i)
             eta = kmat[p, p] + kmat[q, q] - 2.0 * kmat[p, q]
-            step = gap / max(eta, 1e-12)
-            # alpha_i moves by +y_i*t, alpha_j by -y_j*t; both rooms are
-            # strictly positive by the eligibility masks
-            room_i = c - alpha[i] if y[i] > 0.0 else alpha[i]
-            room_j = alpha[j] if y[j] > 0.0 else c - alpha[j]
-            t = min(step, room_i, room_j)
-            alpha[i] = min(max(alpha[i] + y[i] * t, 0.0), c)
-            alpha[j] = min(max(alpha[j] - y[j] * t, 0.0), c)
+            # s_i rises and s_j falls by t; both rooms are strictly positive
+            # by the eligibility masks
+            t = min(gap / max(eta, 1e-12), hi[i] - s[i], s[j] - lo[j])
+            s[i] = min(s[i] + t, hi[i])
+            s[j] = max(s[j] - t, lo[j])
             u += t * (kmat[i] - kmat[j])
 
-    i, j = residual_extremes()
-    b = ((y[i] - u[i]) + (y[j] - u[j])) / 2.0
-
-    sv = alpha > 1e-10
+    resid, i, j = residual_extremes()
+    sv = np.abs(s) > 1e-10
     return SvmModel(
-        support_vectors=x[sv].copy(),
-        alphas=(alpha * y)[sv].copy(),
-        bias=float(b),
+        support_vectors=x[sv],
+        alphas=s[sv],
+        bias=float((resid[i] + resid[j]) / 2.0),
         gamma=gamma,
         regularization_c=float(c),
         converged=converged,

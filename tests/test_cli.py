@@ -208,6 +208,26 @@ class TestAuditCommand:
         assert "'x|y'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_overflow_and_infinite_svm_values_rejected_before_the_dip_null(
+        self, synth_dir, tmp_path, monkeypatch, capsys
+    ):
+        def unreachable(*args):
+            raise AssertionError("the dip null ran")
+
+        monkeypatch.setattr(dip_module, "_dip_null", unreachable)
+        huge = tmp_path / "huge.csv"
+        rows = [f"{g}-{i},{g},bonafide,{i + 1}e200" for g in ("a", "b") for i in range(30)]
+        huge.write_text("sample_id,group,class,response\n" + "\n".join(rows) + "\n")
+        demo = ["--data", str(synth_dir / "responses.csv"), "--codes", str(synth_dir / "codes.csv")]
+        for args, message in (
+            (["--data", str(huge)], "variance of values up to 3e+201 overflows float64"),
+            (demo + ["--svm-c", "inf"], "svm_c must be finite, got inf"),
+            (demo + ["--svm-gamma", "inf"], "svm_gamma must be finite, got inf"),
+        ):
+            assert main(["audit", "--out", str(tmp_path / "o")] + args) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "o" / "report.json").exists()
+
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code = main(
             ["audit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]
@@ -419,6 +439,8 @@ class TestStatSubcommands:
             (["--svm-folds", "1"], "svm_folds must be >= 2, got 1"),
             (["--svm-c", "0"], "svm_c must be > 0, got 0.0"),
             (["--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--svm-c", "inf"], "svm_c must be finite, got inf"),
+            (["--svm-gamma", "inf"], "svm_gamma must be finite, got inf"),
         ],
     )
     def test_svm_sep_values_checked_as_audit_checks_them(self, tmp_path, capsys, flag, message):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,10 @@ class TestAuditConfig:
             AuditConfig(svm_c=0.0)
         with pytest.raises(ParameterError):
             AuditConfig(svm_gamma=0.0)
+        with pytest.raises(ParameterError, match="svm_c must be finite, got inf"):
+            AuditConfig(svm_c=math.inf)
+        with pytest.raises(ParameterError, match="svm_gamma must be finite, got inf"):
+            AuditConfig(svm_gamma=math.inf)
         with pytest.raises(ParameterError):
             AuditConfig(svm_folds=1)
 

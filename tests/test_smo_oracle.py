@@ -1,0 +1,52 @@
+"""``train_svm_smo`` against the alpha-form SMO loop it replaced
+(``_smo_oracle``): equal bit for bit on every fit. Both run here, on this
+machine's BLAS, so nothing is compared against a stored digest."""
+import numpy as np
+import pytest
+
+import _smo_oracle as oracle
+from biasaudit.svm import train_svm_smo
+
+
+def _blobs(rng):
+    x = np.vstack([rng.normal(1.0, 0.6, (20, 4)), rng.normal(-1.0, 0.6, (20, 4))])
+    return x, np.repeat([1.0, -1.0], 20)
+
+
+def _integer_grid(rng):
+    # few distinct rows, so exact duplicates carry both labels
+    x = rng.integers(0, 3, (40, 2)).astype(float)
+    return x, np.where(rng.random(40) < 0.5, 1.0, -1.0)
+
+
+def _unbalanced(rng):
+    x = np.vstack([rng.normal(0.5, 1.0, (3, 3)), rng.normal(0.0, 1.0, (40, 3))])
+    return x, np.repeat([1.0, -1.0], [3, 40])
+
+
+def _overlapping(rng):
+    x = np.vstack([rng.normal(0.2, 1.0, (20, 3)), rng.normal(-0.2, 1.0, (20, 3))])
+    return x, np.repeat([-1.0, 1.0], 20)
+
+
+DATA = {f.__name__.strip("_"): f for f in (_blobs, _integer_grid, _unbalanced, _overlapping)}
+
+
+def _fit(train, x, y, c, tol, max_passes):
+    m = train(x, y, c=c, tol=tol, max_passes=max_passes)
+    return (
+        repr(m.bias),
+        m.passes,
+        m.converged,
+        m.alphas.tobytes(),
+        m.support_vectors.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("tol, max_passes", [(1e-3, 200), (1e-9, 2)])
+@pytest.mark.parametrize("c", [0.05, 1.0, np.inf])
+@pytest.mark.parametrize("data", sorted(DATA))
+def test_fit_matches_the_alpha_form_bit_for_bit(data, c, tol, max_passes):
+    x, y = DATA[data](np.random.default_rng(11))
+    mine = _fit(train_svm_smo, x, y, c, tol, max_passes)
+    assert mine == _fit(oracle.train_svm_smo, x, y, c, tol, max_passes)

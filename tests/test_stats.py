@@ -370,3 +370,15 @@ class TestSummaryStats:
     def test_too_small(self):
         with pytest.raises(InsufficientDataError):
             summary_stats([1.0])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e200, 2e200, 3e200],  # the squared deviations overflow
+            [1.7e308, 1.7e308, 1e308],  # the sum itself overflows
+            [-1.7e308, 0.6e308, 0.6e308, 0.5e308],  # a deviation is inf
+        ],
+    )
+    def test_overflow_rejected(self, values):
+        with pytest.raises(ParameterError, match="overflows float64"):
+            summary_stats(values)

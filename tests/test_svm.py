@@ -317,6 +317,8 @@ class TestTrainSvmSmo:
             train_svm_smo(x, y, max_passes=0)
         with pytest.raises(ParameterError):
             train_svm_smo(x, y, gamma=-1.0)
+        with pytest.raises(ParameterError, match="gamma must be finite, got inf"):
+            train_svm_smo(x, y, gamma=math.inf)
 
 
 class TestDecisionScore:
