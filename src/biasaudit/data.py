@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,9 @@ EXPECTED_HEADER = ("sample_id", "group", "class", "response")
 # accepted spellings for the class column, case-insensitive
 _BONA_FIDE_NAMES = frozenset({"bonafide", "bona_fide", "bona-fide", "bona fide"})
 _ATTACK_NAMES = frozenset({"attack"})
+
+# Unicode category Cc, all 65 of its code points
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,8 @@ def _encode_groups(labels: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     for g in groups:
         if "|" in g:  # GroupPair.key joins two labels with it
             raise ParameterError(f"group {g!r} contains '|', which pair keys reserve")
+        if _CONTROL.search(g):  # no SVG title may hold one
+            raise ParameterError(f"group {g!r} contains a control character")
     code_of = {g: i for i, g in enumerate(groups)}
     return groups, _read_only(np.array([code_of[g] for g in labels], dtype=np.int64))
 

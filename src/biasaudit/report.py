@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
@@ -362,11 +363,34 @@ def run_audit(
     )
 
 
+# While the rest of the report is encoded, sweep series i stands in as the
+# string "\x01<i>"; group labels hold no control character, so no other
+# string encodes to it
+_SERIES_ENCODED = re.compile(r'"\\u0001(\d+)"')
+
+
 def render_json(report: AuditReport) -> bytes:
     """Canonical JSON bytes: sorted keys, 2-space indent, trailing newline.
 
     Floats use Python's shortest round-trip repr (up to 17 significant
-    digits), so equal reports render to identical bytes.
+    digits), so equal reports render to identical bytes. The sweep series
+    are written in one join each, as the bytes ``json.dumps`` would give
+    them, and spliced into the encoded rest of the report.
     """
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    d = report.to_dict()
+    series = []
+    for pa in report.pairs:
+        sweep = d["bias_sweeps"][pa.pair.key]
+        for name in ("grid", "p_values"):
+            if not np.isfinite(getattr(pa.curve, name)).all():
+                raise ValueError(f"bias sweep {pa.pair.key} {name}: a float is not finite")
+            series.append(sweep[name])
+            sweep[name] = f"\x01{len(series) - 1}"
+    text = json.dumps(d, sort_keys=True, indent=2, allow_nan=False)
+    parts = _SERIES_ENCODED.split(text)
+    for i in range(1, len(parts), 2):
+        # a list at bias_sweeps.A|B.name: items 8 spaces in, the bracket 6
+        values = series[int(parts[i])]
+        items = ",\n        ".join(map(float.__repr__, values))
+        parts[i] = f"[\n        {items}\n      ]" if values else "[]"
+    return ("".join(parts) + "\n").encode("utf-8")

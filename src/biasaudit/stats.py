@@ -288,8 +288,7 @@ def shapiro_wilk(a: Sequence[float]) -> TestResult:
             for i in range(2, half):
                 w[i] = m[i] / fac
 
-    mean = math.fsum(x) / n
-    ssq = math.fsum((v - mean) ** 2 for v in x)
+    ssq = _sum_of_squares(x)[1]
     num = math.fsum(w[i] * (x[n - 1 - i] - x[i]) for i in range(half))
     w_stat = min(num * num / ssq, 1.0)
 
@@ -325,17 +324,23 @@ class SummaryStats:
     std_dev: float
 
 
+def _sum_of_squares(vals: list[float]) -> tuple[float, float]:
+    """(mean, sum of squared deviations) of Python floats, as exact sums.
+    Raises ParameterError where either overflows float64."""
+    try:
+        mean = math.fsum(vals) / len(vals)
+        ssq = math.fsum((v - mean) ** 2 for v in vals)
+    except OverflowError:
+        ssq = math.inf
+    if ssq == math.inf:
+        raise ParameterError(f"variance of values up to {max(map(abs, vals)):g} overflows float64")
+    return mean, ssq
+
+
 def summary_stats(a: Sequence[float]) -> SummaryStats:
     """Mean and sample standard deviation (n - 1); exact sums, so order-free."""
     n = len(a)
     if n < 2:
         raise InsufficientDataError(f"summary needs at least 2 values, got {n}")
-    vals = np.asarray(a, dtype=float).tolist()
-    try:
-        mean = math.fsum(vals) / n
-        var = math.fsum((v - mean) ** 2 for v in vals) / (n - 1)
-    except OverflowError:
-        var = math.inf
-    if var == math.inf:
-        raise ParameterError(f"variance of values up to {max(map(abs, vals)):g} overflows float64")
-    return SummaryStats(n=n, mean=mean, std_dev=math.sqrt(var))
+    mean, ssq = _sum_of_squares(np.asarray(a, dtype=float).tolist())
+    return SummaryStats(n=n, mean=mean, std_dev=math.sqrt(ssq / (n - 1)))

@@ -208,6 +208,15 @@ class TestAuditCommand:
         assert "'x|y'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_control_character_in_group_label_rejected(self, tmp_path, capsys):
+        data = tmp_path / "ctrl.csv"
+        rows = [f"{g}-{i},{g},bonafide,0.{i + 1}" for g in ("a\x01b", "c") for i in range(6)]
+        data.write_text("sample_id,group,class,response\n" + "\n".join(rows) + "\n")
+        code = main(["audit", "--data", str(data), "--out", str(tmp_path / "o")] + AUDIT_FAST)
+        assert code == 1
+        assert capsys.readouterr().err == "error: group 'a\\x01b' contains a control character\n"
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_overflow_and_infinite_svm_values_rejected_before_the_dip_null(
         self, synth_dir, tmp_path, monkeypatch, capsys
     ):
@@ -524,6 +533,15 @@ class TestStatSubcommands:
             assert main(argv) == 1, argv
             assert "GiB; the limit is 1 GiB" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_sw_overflow_is_one_error_line(self, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        rows = [f"{g}-{i},{g},bonafide,{i + 1}e200" for g in ("a", "b") for i in range(60)]
+        huge.write_text("sample_id,group,class,response\n" + "\n".join(rows) + "\n")
+        assert main(["sw", "--data", str(huge), "--group", "a"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows float64" in err
 
     def test_sw(self, synth_dir, capsys):
         code = main(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from biasaudit.errors import (
     SchemaError,
     UnknownGroupError,
 )
+from biasaudit.svm import CodeMatrix, load_codes_csv
 
 
 class TestLoadCsv:
@@ -227,6 +230,28 @@ class TestDatasetInvariants:
         # both be "x|y|z"
         with pytest.raises(ParameterError, match=r"'x\|y'"):
             Dataset(["s1", "s2", "s3", "s4"], ["x|y", "z", "x", "y|z"], [True] * 4, [0.1] * 4)
+
+    @pytest.mark.parametrize("label", ["a\x01b", "tab\there", "two\nlines", "del\x7f", "nel\x85"])
+    def test_control_character_in_group_label_rejected(self, label):
+        # an SVG title or legend may hold no control character
+        with pytest.raises(ParameterError, match=re.escape(repr(label))):
+            Dataset(["s1", "s2"], [label, "z"], [True] * 2, [0.1] * 2)
+        with pytest.raises(ParameterError, match=re.escape(repr(label))):
+            CodeMatrix([(0,), (1,)], [label, "z"], k=2)
+
+    def test_control_character_rejected_from_either_csv(self, write_csv):
+        # a quoted field may hold a newline; the csv reader keeps it
+        responses = write_csv('sample_id,group,class,response\ns1,"x\ny",bonafide,0.1\n')
+        with pytest.raises(ParameterError, match=re.escape(repr("x\ny"))):
+            load_csv(responses)
+        codes = write_csv("#K=4\nsample_id,group,c0\ns1,a\x01,1\ns2,b,2\n")
+        with pytest.raises(ParameterError, match=re.escape(repr("a\x01"))):
+            load_codes_csv(codes)
+
+    def test_other_unicode_labels_accepted(self):
+        labels = ["Zoë", "R&D", "zero\u200bwidth", 'a"b']  # U+200B is format (Cf), not Cc
+        ds = Dataset(["s1", "s2", "s3", "s4"], labels, [True] * 4, [0.1] * 4)
+        assert ds.groups() == sorted(labels)
 
 
 class TestResponseQueries:

@@ -1,10 +1,12 @@
 import csv
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from biasaudit.plots import render_plots
+import _pcurve_oracle as oracle
+from biasaudit.plots import _fmt, _pcurve_svg, render_plots
 from biasaudit.report import AuditConfig, run_audit
 from biasaudit.synth import demo_dataset
 
@@ -121,3 +123,60 @@ class TestRenderPlots:
         paths = render_plots(report, nested)
         assert nested.is_dir()
         assert all(p.exists() for p in paths)
+
+
+
+def _polyline(svg_text):
+    """The (x, y) strings of the one polyline in an SVG."""
+    points = ET.fromstring(svg_text).find(f"{SVG_NS}polyline").attrib["points"]
+    return [tuple(v.split(",")) for v in points.split()]
+
+
+class TestPcurveM4:
+    """The drawn p-curve against every vertex of the step-post loop it
+    replaced (``_pcurve_oracle``), to the 0.01 that ``_fmt`` writes."""
+
+    def test_each_column_keeps_its_first_last_lowest_and_highest(self, make_dataset, tmp_path):
+        rng = np.random.default_rng(31)
+        rows = [("a", "bonafide", v) for v in rng.lognormal(-3.6, 0.45, 3000)]
+        rows += [("b", "bonafide", v) for v in rng.lognormal(-3.5, 0.45, 3000)]
+        report = run_audit(make_dataset(rows), AuditConfig(dip_replicas=50))
+        svg = render_plots(report, tmp_path)[0]
+        drawn = _polyline(svg.read_text(encoding="utf-8"))
+        curve = report.pairs[0].curve
+        full = oracle.step_post_vertices(curve.grid.tolist(), curve.p_values.tolist())
+        assert len(drawn) <= 4 * 611 < len(full)
+        xs = [float(x) for x, _ in drawn]
+        assert xs == sorted(xs)
+
+        # the drawn vertices are oracle vertices in their order: match each
+        # to the next oracle vertex that prints the same, which gives its column
+        printed = [(_fmt(x), _fmt(y)) for x, y in full]
+        matched, j = [], 0
+        for v in drawn:
+            j = printed.index(v, j)
+            matched.append(j)
+            j += 1
+        columns = {}
+        for i, (x, _) in enumerate(full):
+            columns.setdefault(math.floor(x), []).append(i)
+        kept = {}
+        for i in matched:
+            kept.setdefault(math.floor(full[i][0]), []).append(i)
+        assert kept.keys() == columns.keys()
+        for col, every in columns.items():
+            got = kept[col]
+            assert printed[got[0]] == printed[every[0]]
+            assert printed[got[-1]] == printed[every[-1]]
+            for pick in (min, max):
+                assert _fmt(pick(full[i][1] for i in got)) == _fmt(pick(full[i][1] for i in every))
+
+    def test_columns_of_at_most_four_vertices_keep_them_all(self):
+        rng = np.random.default_rng(32)
+        grid = np.linspace(0.0, 1.0, 1000)  # 0.59 px apart: 1 or 2 thresholds a column
+        p_values = np.sort(rng.random(1000)) ** 8
+        full = oracle.step_post_vertices(grid.tolist(), p_values.tolist())
+        per_column = np.unique(np.floor([x for x, _ in full]), return_counts=True)[1]
+        assert per_column.max() == 4
+        drawn = _polyline(_pcurve_svg(grid, p_values, 0.05, (), "all kept"))
+        assert drawn == [(_fmt(x), _fmt(y)) for x, y in full]

@@ -1,15 +1,17 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import biasaudit.dip as dip_module
 import biasaudit.report as report_module
-from biasaudit.data import Dataset
+from biasaudit.cli import main
+from biasaudit.data import Dataset, load_csv
 from biasaudit.errors import InsufficientDataError, ParameterError
 from biasaudit.report import AuditConfig, render_json, run_audit
-from biasaudit.svm import CodeMatrix, FeatureMode
+from biasaudit.svm import CodeMatrix, FeatureMode, load_codes_csv
 from biasaudit.synth import demo_dataset, gen_code_vectors
 
 FAST = dict(dip_replicas=200)
@@ -227,6 +229,58 @@ class TestReportDeterminism:
         blob = render_json(report)
         assert blob.endswith(b"\n")
         assert json.loads(blob) == report.to_dict()
+
+
+def _readme_demo(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--n-per-group", "200", "--seed", "7"]) == 0
+    codes = load_codes_csv(tmp_path / "codes.csv")
+    return run_audit(load_csv(tmp_path / "responses.csv"), AuditConfig(**FAST), codes)
+
+
+def _odd_labels(_):
+    labels = [g for g in ('a"b', "back\\slash", "Zoë", "R&D") for _ in range(30)]
+    n = len(labels)
+    responses = np.random.default_rng(77).lognormal(-3, 0.4, n)
+    ds = Dataset([f"s{i}" for i in range(n)], labels, [True] * n, responses)
+    return run_audit(ds, AuditConfig(**FAST))
+
+
+def _empty_sweep(_):
+    rep = run_audit(demo_dataset(n_per_group=4, seed=7), AuditConfig(**FAST))
+    pa = rep.pairs[0]
+    empty = replace(pa.curve, grid=[], p_values=[], signs=[])
+    return replace(rep, pairs=(replace(pa, curve=empty, regions=()),) + rep.pairs[1:])
+
+
+REPORTS = {
+    "readme-demo-with-codes": _readme_demo,
+    "no-attacks": lambda _: run_audit(
+        demo_dataset(n_per_group=40, seed=6, with_attacks=False), AuditConfig(**FAST)
+    ),
+    "4-row-groups": lambda _: run_audit(demo_dataset(n_per_group=4, seed=7), AuditConfig(**FAST)),
+    "odd-labels": _odd_labels,
+    "empty-sweep": _empty_sweep,
+}
+
+
+class TestRenderJsonOracle:
+    """render_json splices the sweep series into the encoded rest of the
+    report; the bytes stay those of one json.dumps of to_dict()."""
+
+    @pytest.mark.parametrize("name", REPORTS)
+    def test_equals_json_dumps_of_to_dict(self, name, tmp_path):
+        rep = REPORTS[name](tmp_path)
+        want = json.dumps(rep.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert render_json(rep) == want.encode()
+
+    @pytest.mark.parametrize("name", ["grid", "p_values"])
+    def test_non_finite_series_rejected(self, report, name):
+        pa = report.pairs[-1]
+        values = getattr(pa.curve, name).copy()
+        values[len(values) // 2] = math.nan if name == "p_values" else math.inf
+        bad = replace(pa, curve=replace(pa.curve, **{name: values}))
+        with pytest.raises(ValueError):
+            render_json(replace(report, pairs=report.pairs[:-1] + (bad,)))
 
 
 class TestReportEdgeCases:

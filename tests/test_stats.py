@@ -54,6 +54,13 @@ def enum_mwu_p(a, b):
     return hits / total
 
 
+OVERFLOWING = [
+    [1e200, 2e200, 3e200],  # the squared deviations overflow
+    [1.7e308, 1.7e308, 1e308],  # the sum itself overflows
+    [-1.7e308, 0.6e308, 0.6e308, 0.5e308],  # a deviation is inf
+]
+
+
 class TestChiSquaredOneSided:
     def test_identical_proportions(self):
         res = chi_squared_one_sided(ContingencyTable2x2(190, 10, 190, 10))
@@ -332,6 +339,11 @@ class TestShapiroWilk:
         with pytest.raises(DegenerateDataError):
             shapiro_wilk([5.0, 5.0, 5.0, 5.0])
 
+    @pytest.mark.parametrize("values", OVERFLOWING)
+    def test_overflow_rejected(self, values):
+        with pytest.raises(ParameterError, match="overflows float64"):
+            shapiro_wilk(values)
+
     def test_size_limits(self):
         with pytest.raises(InsufficientDataError):
             shapiro_wilk([1.0, 2.0])
@@ -371,14 +383,7 @@ class TestSummaryStats:
         with pytest.raises(InsufficientDataError):
             summary_stats([1.0])
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [1e200, 2e200, 3e200],  # the squared deviations overflow
-            [1.7e308, 1.7e308, 1e308],  # the sum itself overflows
-            [-1.7e308, 0.6e308, 0.6e308, 0.5e308],  # a deviation is inf
-        ],
-    )
+    @pytest.mark.parametrize("values", OVERFLOWING)
     def test_overflow_rejected(self, values):
         with pytest.raises(ParameterError, match="overflows float64"):
             summary_stats(values)
