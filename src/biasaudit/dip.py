@@ -26,15 +26,16 @@ reproducible bit for bit regardless of scheduling:
   1024 replicas, one RNG stream per chunk keyed by (seed, chunk index), so a
   replica costs O(k) whatever n is and the draws held at once stay O(1024 k).
 
-Given the dips under test (``observed``), the null is sequential (Besag &
-Clifford 1991; Gandy 2009) and ``replicas`` is a cap: replicas are drawn from
-the same streams in looks of 64, and drawing stops at the first look where
-every observed dip d is settled. With e = #{null dips > d} among the r drawn,
-d is settled when e lies in either tail of Binomial(r, alpha) at level
-eps / (2 L), eps = 1e-3 and L the number of looks up to the cap. Whatever d's
-true p-value (other than alpha itself), the chance that a look settles d on
-the wrong side of alpha is at most eps / (2 L), so over all looks a stop gives
-a verdict other than the infinite-replica one with probability at most eps.
+One driver draws every null. It is sequential (Besag & Clifford 1991; Gandy
+2009) and ``replicas`` is a cap: replicas are drawn from the same streams in
+looks of 64, and drawing stops at the first look where every dip d under test
+(``observed``) is settled; with no observed dips the whole cap is drawn. With
+e = #{null dips > d} among the r drawn, d is settled when e lies in either
+tail of Binomial(r, alpha) at level eps / (2 L), eps = 1e-3 and L the number
+of looks up to the cap. Whatever d's true p-value (other than alpha itself),
+the chance that a look settles d on the wrong side of alpha is at most
+eps / (2 L), so over all looks a stop gives a verdict other than the
+infinite-replica one with probability at most eps.
 The critical value comes from the r replicas drawn, so ``d < critical value``
 is the settled verdict; a dip that never settles gets the fixed-cap verdict.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,7 +59,9 @@ _EPSILON = 1e-3  # bound on the chance that a stopped test flips a verdict
 # dip_critical_value refuses a null whose working set exceeds this: 8 bytes
 # per float64 replica dip and, when binned, 16 bytes per entry of one
 # min(_CHUNK, replicas) x bins chunk of counts (8 in the int64 array, 8 for
-# the entry's slot in its tolist() copy)
+# the entry's slot in its tolist() copy) plus 48 per bin for the arrays built
+# once: 32 for the bin-edge float list, 8 for the probability vector and 8 of
+# headroom for the kernel's lists (tracemalloc reads 40-44 in all)
 _MAX_NULL_BYTES = 1 << 30
 
 
@@ -102,6 +105,56 @@ class CriticalValue(float):
         return self
 
 
+def _segment_ends(x: list[float], pos: list[int], order: range, end: int) -> list[int]:
+    """For each kept point j, the far end of its segment of the hull built
+    point by point in ``order`` from ``end``: the GCM for ``range(1, m)`` from
+    0, the LCM for ``range(m - 2, -1, -1)`` from m - 1.
+
+    rise[k] and run[k] are the value and index steps of k's own segment, kept
+    for the hull test. Within a run of equal values every point links to the
+    run's point nearest ``end``, so a zero rise marks a point that the test
+    would pop at once: it is skipped in one hop."""
+    m = len(x)
+    link = [end] * m
+    rise = [0.0] * m
+    run = [0] * m
+    step = order.step
+    for j in order:
+        xj = x[j]
+        pj = pos[j]
+        k = j - step
+        if rise[k] == 0.0:
+            k = link[k]
+        if x[k] != xj:
+            while k != end and (xj - x[k]) * run[k] >= rise[k] * (pj - pos[k]):
+                k = link[k]
+        link[j] = k
+        rise[j] = xj - x[k]
+        run[j] = pj - pos[k]
+    return link
+
+
+def _deviation(x: list[float], pos: list[int], segments: Iterable, s: float) -> float:
+    """Largest deviation, in units of 1/(2n), of the empirical CDF below
+    (``s`` = 1.0) or above (``s`` = -1.0) the hull segments (jb, je), jb < je,
+    peaking within a run at its last point below and first above. A float s
+    keeps the loop off mixed int-float operations, which cost more."""
+    dev = 0.0
+    for jb, je in segments:
+        max_t = 1.0
+        pb = pos[jb]
+        if pos[je] - pb > 1 and x[je] != x[jb]:
+            xb = x[jb]
+            c = (pos[je] - pb) / (x[je] - xb)
+            for jj in range(jb, je + 1):
+                t = s * ((pos[jj] - pb + s) - (x[jj] - xb) * c)
+                if max_t < t:
+                    max_t = t
+        if dev < max_t:
+            dev = max_t
+    return dev
+
+
 def _dip_sorted(values: Sequence[float], counts: Sequence[int]) -> float:
     """Dip of a sample given as ascending values and their counts.
 
@@ -109,7 +162,10 @@ def _dip_sorted(values: Sequence[float], counts: Sequence[int]) -> float:
     of the expanded sorted sample bit for bit. Constant samples and n < 4 sit
     at the exact lower bound 1/(2n): every empirical CDF on at most three
     support points can be matched by a unimodal CDF to within 1/(2n) (direct
-    construction), and no sample can do better.
+    construction), and no sample can do better. The GCM and the LCM come from
+    one builder, ``_segment_ends``, run from either end, and the deviations
+    below the GCM and above the LCM from one scan, ``_deviation``, given the
+    side's sign.
     """
     # x[j] is a kept point's value and pos[j] its index in the expanded
     # sample: the first index of each run and, for runs longer than one, the
@@ -129,65 +185,24 @@ def _dip_sorted(values: Sequence[float], counts: Sequence[int]) -> float:
     if n < 4 or x[0] == x[m - 1]:
         return 1.0 / (2 * n)
 
-    # mn[j]: start of the GCM segment ending at j. rise[k] and run[k] are
-    # the value and index steps of k's own segment, kept for the hull test.
-    # Within a run of equal values every point links to the run's first, so
-    # a zero rise marks a point that the test would pop at once: it is
-    # skipped in one hop, and the hull walk runs over first-of-run points.
-    mn = [0] * m
-    rise = [0.0] * m
-    run = [0] * m
-    for j in range(1, m):
-        xj = x[j]
-        pj = pos[j]
-        k = j - 1
-        if rise[k] == 0.0:
-            k = mn[k]
-        if x[k] != xj:
-            while k and (xj - x[k]) * run[k] >= rise[k] * (pj - pos[k]):
-                k = mn[k]
-        mn[j] = k
-        rise[j] = xj - x[k]
-        run[j] = pj - pos[k]
-
-    # mj[k]: end of the LCM segment starting at k; the mirror image, over
-    # last-of-run points. rise and run are reused for k's segment; the last
-    # point maps to itself, so its stale rise is harmless.
-    mj = [m - 1] * m
-    for k in range(m - 2, -1, -1):
-        xk = x[k]
-        pk = pos[k]
-        j = k + 1
-        if rise[j] == 0.0:
-            j = mj[j]
-        if x[j] != xk:
-            while j != m - 1 and (xk - x[j]) * run[j] >= rise[j] * (pk - pos[j]):
-                j = mj[j]
-        mj[k] = j
-        rise[k] = xk - x[j]
-        run[k] = pk - pos[j]
+    # mn[j]: start of the GCM segment ending at j; mj[k]: end of the LCM
+    # segment starting at k.
+    mn = _segment_ends(x, pos, range(1, m), 0)
+    mj = _segment_ends(x, pos, range(m - 2, -1, -1), m - 1)
 
     low, high = 0, m - 1
     dip2n = 0.0  # dip in units of 2n * sup-deviation
-    gcm = [0] * (m + 1)
-    lcm = [0] * (m + 1)
-
     for _ in range(m + 2):  # the interval shrinks; m + 2 passes is a safe cap
         # Collect GCM touch points from high down to low, LCM from low up.
-        gcm[0] = high
-        i = 0
-        while gcm[i] > low:
-            gcm[i + 1] = mn[gcm[i]]
-            i += 1
-        ig = l_gcm = i
-        ix = i - 1
-
-        lcm[0] = low
-        i = 0
-        while lcm[i] < high:
-            lcm[i + 1] = mj[lcm[i]]
-            i += 1
-        ih = l_lcm = i
+        gcm = [high]
+        while gcm[-1] > low:
+            gcm.append(mn[gcm[-1]])
+        lcm = [low]
+        while lcm[-1] < high:
+            lcm.append(mj[lcm[-1]])
+        ig = l_gcm = len(gcm) - 1
+        ih = l_lcm = len(lcm) - 1
+        ix = l_gcm - 1
         iv = 1
 
         # Largest deviation between the two hulls inside [low, high].
@@ -229,43 +244,9 @@ def _dip_sorted(values: Sequence[float], counts: Sequence[int]) -> float:
             break
 
         # Max deviation of the empirical CDF below the GCM on [gcm[ig], low]
-        # (within a run it peaks at the run's last point)...
-        dip_l = 0.0
-        for j in range(ig, l_gcm):
-            max_t = 1.0
-            jb = gcm[j + 1]
-            je = gcm[j]
-            pb = pos[jb]
-            if pos[je] - pb > 1 and x[je] != x[jb]:
-                xb = x[jb]
-                c = (pos[je] - pb) / (x[je] - xb)
-                for jj in range(jb, je + 1):
-                    t = (pos[jj] - pb + 1) - (x[jj] - xb) * c
-                    if max_t < t:
-                        max_t = t
-            if dip_l < max_t:
-                dip_l = max_t
-
-        # ...and above the LCM on [high, lcm[ih]] (peaking at a run's first).
-        dip_u = 0.0
-        for j in range(ih, l_lcm):
-            max_t = 1.0
-            jb = lcm[j]
-            je = lcm[j + 1]
-            pb = pos[jb]
-            if pos[je] - pb > 1 and x[je] != x[jb]:
-                xb = x[jb]
-                c = (pos[je] - pb) / (x[je] - xb)
-                for jj in range(jb, je + 1):
-                    t = (x[jj] - xb) * c - (pos[jj] - pb - 1)
-                    if max_t < t:
-                        max_t = t
-            if dip_u < max_t:
-                dip_u = max_t
-
-        dip_new = dip_u if dip_u > dip_l else dip_l
-        if dip2n < dip_new:
-            dip2n = dip_new
+        # and above the LCM on [high, lcm[ih]].
+        dip2n = max(dip2n, _deviation(x, pos, zip(gcm[ig + 1 :], gcm[ig:]), 1.0))
+        dip2n = max(dip2n, _deviation(x, pos, zip(lcm[ih:], lcm[ih + 1 :]), -1.0))
         if low == gcm[ig] and high == lcm[ih]:
             break
         low = gcm[ig]
@@ -336,11 +317,6 @@ def _null_stream(n: int, replicas: int, seed: int, bins: int | None) -> Iterator
                 yield _dip_sorted(grid, row)
 
 
-def _dip_null(n: int, replicas: int, seed: int, bins: int | None) -> np.ndarray:
-    """All ``replicas`` dips of ``_null_stream``, as an array."""
-    return np.fromiter(_null_stream(n, replicas, seed, bins), float, count=replicas)
-
-
 def _binomial_tails(r: int, alpha: float, level: float) -> tuple[int, int]:
     """(lo, hi): the counts e <= lo are the lower tail of Binomial(r, alpha)
     at ``level`` (P(X <= e) <= level) and e >= hi the upper one; lo is -1 and
@@ -362,9 +338,9 @@ def _binomial_tails(r: int, alpha: float, level: float) -> tuple[int, int]:
 def _sequential_null(
     n: int, alpha: float, cap: int, seed: int, bins: int | None, observed: np.ndarray
 ) -> np.ndarray:
-    """The prefix of ``_dip_null(n, cap, seed, bins)`` drawn up to the first
+    """The dips of ``_null_stream(n, cap, seed, bins)`` drawn up to the first
     look at which every observed dip is settled (see the module docstring),
-    or all of it."""
+    or all ``cap`` of them; with no observed dips nothing settles."""
     looks = [*range(_LOOK, cap, _LOOK), cap]
     level = _EPSILON / (2 * len(looks))
     stream = _null_stream(n, cap, seed, bins)
@@ -375,7 +351,7 @@ def _sequential_null(
         dips[r:stop] = np.fromiter(islice(stream, stop - r), float, count=stop - r)
         exceed += np.count_nonzero(dips[r:stop, None] > observed, axis=0)
         r = stop
-        if r < cap:
+        if r < cap and len(observed):
             lo, hi = _binomial_tails(r, alpha, level)
             if np.all((exceed <= lo) | (exceed >= hi)):
                 break
@@ -429,14 +405,11 @@ def dip_critical_value(
         raise ParameterError(f"seed must be non-negative, got {seed}")
     if bins is not None and bins < 2:
         raise ParameterError(f"bins must be >= 2, got {bins}")
-    need = 8 * replicas + (0 if bins is None else 16 * min(_CHUNK, replicas) * bins)
+    need = 8 * replicas + (0 if bins is None else (16 * min(_CHUNK, replicas) + 48) * bins)
     if need > _MAX_NULL_BYTES:
         raise ParameterError(
             f"a dip null of {replicas} replicas with bins={bins} needs "
             f"{need / 2**30:.2f} GiB; the limit is 1 GiB"
         )
-    if len(observed):
-        dips = _sequential_null(n, alpha, replicas, seed, bins, np.asarray(observed, dtype=float))
-    else:
-        dips = _dip_null(n, replicas, seed, bins)
+    dips = _sequential_null(n, alpha, replicas, seed, bins, np.asarray(observed, dtype=float))
     return _null_quantile(dips, alpha)

@@ -223,7 +223,7 @@ class TestAuditCommand:
         def unreachable(*args):
             raise AssertionError("the dip null ran")
 
-        monkeypatch.setattr(dip_module, "_dip_null", unreachable)
+        monkeypatch.setattr(dip_module, "_sequential_null", unreachable)
         huge = tmp_path / "huge.csv"
         rows = [f"{g}-{i},{g},bonafide,{i + 1}e200" for g in ("a", "b") for i in range(30)]
         huge.write_text("sample_id,group,class,response\n" + "\n".join(rows) + "\n")
@@ -236,6 +236,9 @@ class TestAuditCommand:
             assert main(["audit", "--out", str(tmp_path / "o")] + args) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "o" / "report.json").exists()
+        # control: valid values do reach the null
+        with pytest.raises(AssertionError, match="the dip null ran"):
+            main(["audit", "--out", str(tmp_path / "o")] + demo)
 
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code = main(
@@ -520,7 +523,7 @@ class TestStatSubcommands:
         def unreachable(*args):
             raise AssertionError("the dip null ran")
 
-        monkeypatch.setattr(dip_module, "_dip_null", unreachable)
+        monkeypatch.setattr(dip_module, "_sequential_null", unreachable)
         huge = "1000000000000"
         dip = ["dip", "--data", str(synth_dir / "responses.csv"), "--group", "delta"]
         audit = ["audit", "--data", str(synth_dir / "responses.csv"), "--out", str(tmp_path / "o")]
@@ -533,6 +536,10 @@ class TestStatSubcommands:
             assert main(argv) == 1, argv
             assert "GiB; the limit is 1 GiB" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+        # control: a null inside the limit does reach the stub
+        for argv in (dip + ["--replicas", "50"], audit + ["--dip-replicas", "50"]):
+            with pytest.raises(AssertionError, match="the dip null ran"):
+                main(argv)
 
     def test_sw_overflow_is_one_error_line(self, tmp_path, capsys):
         huge = tmp_path / "huge.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,9 +13,9 @@ from biasaudit.data import bona_fide_responses
 from biasaudit.dip import (
     _binomial_tails,
     _bin_to_right_edges,
-    _dip_null,
     _dip_sorted,
     _null_quantile,
+    _null_stream,
     dip_critical_value,
     dip_statistic,
 )
@@ -149,6 +151,7 @@ class TestDipProperties:
         base = dip_statistic(list(x))
         assert dip_statistic(list(2.5 * x)) == pytest.approx(base, rel=1e-9)
         assert dip_statistic(list(x + 1000.0)) == pytest.approx(base, rel=1e-6)
+        assert dip_statistic(list(-x)) == pytest.approx(base, rel=1e-12)
 
     def test_binned_two_atoms_keep_upper_bound(self):
         x = [0.0] * 100 + [1.0] * 100
@@ -217,21 +220,21 @@ class TestDipCriticalValue:
 
     def test_unbinned_null_matches_oracle(self):
         # the unbinned null keeps its per-replica uniform streams
-        for i, got in enumerate(_dip_null(60, 50, 11, None)):
+        for i, got in enumerate(_null_stream(60, 50, 11, None)):
             sample = np.sort(np.random.default_rng([11, i]).random(60))
             assert got == oracle_dip(sample.tolist())
 
     def test_chunked_draws_are_prefix_stable(self):
         # replica i does not depend on how many replicas were asked for,
         # inside the first chunk and across the chunk boundary
-        full = _dip_null(120, 1500, 5, 20)
-        assert np.array_equal(_dip_null(120, 300, 5, 20), full[:300])
-        assert np.array_equal(_dip_null(120, 1100, 5, 20), full[:1100])
+        full = list(_null_stream(120, 1500, 5, 20))
+        assert list(_null_stream(120, 300, 5, 20)) == full[:300]
+        assert list(_null_stream(120, 1100, 5, 20)) == full[:1100]
 
     @pytest.mark.parametrize("n, bins", [(200, 50), (30, 10)])
     def test_binned_null_matches_uniform_then_bin(self, n, bins):
         # multinomial bin counts against binning n uniforms: same distribution
-        new = _dip_null(n, 2000, 21, bins)
+        new = list(_null_stream(n, 2000, 21, bins))
         old = _seed_binned_null(n, 2000, 22, bins)
         assert sps.ks_2samp(new, old).pvalue > 0.01
 
@@ -273,18 +276,19 @@ class TestDipCriticalValue:
         # guard lets through reach the stub, values it refuses never do
         reached = []
 
-        def stub(n, replicas, seed, bins):
-            reached.append((replicas, bins))
+        def stub(n, alpha, cap, seed, bins, observed):
+            reached.append((cap, bins))
             return np.zeros(1)
 
-        monkeypatch.setattr(dip_module, "_dip_null", stub)
+        monkeypatch.setattr(dip_module, "_sequential_null", stub)
         limit = 1 << 30
         # unbinned: 8 bytes per replica dip
         dip_critical_value(50, 0.05, limit // 8, seed=0)
         with pytest.raises(ParameterError, match="the limit is 1 GiB"):
             dip_critical_value(50, 0.05, limit // 8 + 1, seed=0)
         # binned: plus 16 bytes per entry of one 1024-replica chunk of counts
-        bins = (limit - 8 * 2048) // (16 * 1024)
+        # and 48 per bin for the bin edges and probabilities
+        bins = (limit - 8 * 2048) // (16 * 1024 + 48)
         dip_critical_value(50, 0.05, 2048, seed=0, bins=bins)
         with pytest.raises(ParameterError, match="the limit is 1 GiB"):
             dip_critical_value(50, 0.05, 2048, seed=0, bins=bins + 1)
@@ -293,6 +297,21 @@ class TestDipCriticalValue:
                 dip_critical_value(200, 0.05, huge_replicas, seed=0, bins=huge_bins)
         assert reached == [(limit // 8, None), (2048, bins)]
 
+    @pytest.mark.parametrize("replicas, bins", [(1, 200_000), (64, 20_000)])
+    def test_counted_bytes_bound_the_traced_peak(self, replicas, bins, monkeypatch):
+        # the per-bin arrays dominate at one replica; a look of 64 adds rows.
+        # With its limit just under the traced peak, the guard must refuse
+        # the same null: its count is at least what the null holds.
+        tracemalloc.start()
+        try:
+            dip_critical_value(200, 0.05, replicas, 0, bins=bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(dip_module, "_MAX_NULL_BYTES", peak - 1)
+        with pytest.raises(ParameterError, match="the limit is 1 GiB"):
+            dip_critical_value(200, 0.05, replicas, 0, bins=bins)
+
 
 # the audit's default null at the README demo's group size
 NULL_N, NULL_SEED, NULL_BINS, NULL_CAP = 200, 12345, 50, 10000
@@ -300,7 +319,7 @@ NULL_N, NULL_SEED, NULL_BINS, NULL_CAP = 200, 12345, 50, 10000
 
 @pytest.fixture(scope="module")
 def full_null():
-    return _dip_null(NULL_N, NULL_CAP, NULL_SEED, NULL_BINS)
+    return np.fromiter(_null_stream(NULL_N, NULL_CAP, NULL_SEED, NULL_BINS), float)
 
 
 @pytest.fixture

@@ -178,7 +178,7 @@ class TestReportDeterminism:
         assert render_json(run_audit(readme_demo)) == render_json(first)
 
     def test_groups_of_one_size_share_one_null(self, monkeypatch):
-        # a _dip_null-style stub around the null stream records each draw
+        # a stub around the null stream records each draw
         streams, calls = [], []
         real_stream, real_cv = dip_module._null_stream, report_module.dip_critical_value
 
