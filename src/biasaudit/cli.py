@@ -21,19 +21,14 @@ from .errors import AuditError, ParameterError
 from .report import (
     AuditConfig,
     _dip_tests,
+    _name_sides,
     _operating_points,
     _separability,
     render_json,
     run_audit,
 )
 from .plots import render_plots
-from .stats import (
-    ContingencyTable2x2,
-    MwuMode,
-    chi_squared_one_sided,
-    mann_whitney_u,
-    shapiro_wilk,
-)
+from .stats import MwuMode, chi_squared_one_sided, mann_whitney_u, shapiro_wilk
 from .svm import CodeMatrix, FeatureMode, load_codes_csv, save_codes_csv
 from .synth import demo_dataset, gen_code_vectors
 
@@ -202,11 +197,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_chi2(args) -> int:
-    res = chi_squared_one_sided(
-        ContingencyTable2x2(
-            args.accepted_a, args.rejected_a, args.accepted_b, args.rejected_b
-        )
-    )
+    res = chi_squared_one_sided(args.accepted_a, args.rejected_a, args.accepted_b, args.rejected_b)
     print(f"statistic {res.statistic!r}")
     print(f"p_value {res.p_value!r}")
     print(f"direction {res.direction or 'tie'}")
@@ -217,11 +208,10 @@ def _cmd_mwu(args) -> int:
     ds = load_csv(args.data)
     a = bona_fide_responses(ds, args.group_a)
     b = bona_fide_responses(ds, args.group_b)
-    res = mann_whitney_u(a, b, args.mode)
-    named = {"a": args.group_a, "b": args.group_b}
+    res = _name_sides(mann_whitney_u(a, b, args.mode), args.group_a, args.group_b)
     print(f"U {res.statistic!r}")
     print(f"p_value {res.p_value!r}")
-    print(f"direction {named.get(res.direction, 'tie')}")
+    print(f"direction {res.direction or 'tie'}")
     return 0
 
 

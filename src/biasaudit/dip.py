@@ -57,11 +57,12 @@ _LOOK = 64  # replicas per look of the sequential null
 _EPSILON = 1e-3  # bound on the chance that a stopped test flips a verdict
 
 # dip_critical_value refuses a null whose working set exceeds this: 8 bytes
-# per float64 replica dip and, when binned, 16 bytes per entry of one
-# min(_CHUNK, replicas) x bins chunk of counts (8 in the int64 array, 8 for
-# the entry's slot in its tolist() copy) plus 48 per bin for the arrays built
-# once: 32 for the bin-edge float list, 8 for the probability vector and 8 of
-# headroom for the kernel's lists (tracemalloc reads 40-44 in all)
+# per float64 replica dip (sorted in place, not copied) and, when binned, 16
+# bytes per entry of one min(_CHUNK, replicas) x bins chunk of counts (8 in
+# the int64 array, 8 for the entry's slot in its tolist() copy) plus 48 per
+# bin for the arrays built once: 32 for the bin-edge float list, 8 for the
+# probability vector and 8 of headroom for the kernel's lists (tracemalloc
+# reads 40-44 in all)
 _MAX_NULL_BYTES = 1 << 30
 
 
@@ -340,14 +341,16 @@ def _sequential_null(
 ) -> np.ndarray:
     """The dips of ``_null_stream(n, cap, seed, bins)`` drawn up to the first
     look at which every observed dip is settled (see the module docstring),
-    or all ``cap`` of them; with no observed dips nothing settles."""
-    looks = [*range(_LOOK, cap, _LOOK), cap]
+    or all ``cap`` of them, sorted ascending; with no observed dips nothing
+    settles."""
+    looks = range(_LOOK, cap + _LOOK, _LOOK)  # the last look is capped at cap
     level = _EPSILON / (2 * len(looks))
     stream = _null_stream(n, cap, seed, bins)
     dips = np.empty(cap)
     exceed = np.zeros(len(observed), dtype=np.int64)  # null dips > each observed
     r = 0
     for stop in looks:
+        stop = min(stop, cap)
         dips[r:stop] = np.fromiter(islice(stream, stop - r), float, count=stop - r)
         exceed += np.count_nonzero(dips[r:stop, None] > observed, axis=0)
         r = stop
@@ -355,13 +358,15 @@ def _sequential_null(
             lo, hi = _binomial_tails(r, alpha, level)
             if np.all((exceed <= lo) | (exceed >= hi)):
                 break
-    return dips[:r]
+    dips = dips[:r]
+    dips.sort()  # in place, so the null holds 8 bytes per replica
+    return dips
 
 
 def _null_quantile(dips: np.ndarray, alpha: float) -> CriticalValue:
-    """Conservative (1 - alpha) order statistic of the null dips: the
-    smallest dip with at least (1 - alpha) of the null mass at or below it."""
-    dips = np.sort(dips)
+    """Conservative (1 - alpha) order statistic of the null dips, sorted
+    ascending: the smallest dip with at least (1 - alpha) of the null mass at
+    or below it."""
     replicas = len(dips)
     q = 1.0 - alpha
     rq = q * replicas

@@ -29,7 +29,7 @@ from .data import (
 from .dip import DipResult, dip_critical_value, dip_statistic
 from .errors import InsufficientDataError, ParameterError
 from .stats import (
-    ContingencyTable2x2,
+    _COUNTS,
     SummaryStats,
     TestResult,
     chi_squared_one_sided,
@@ -110,13 +110,14 @@ class AuditConfig:
 
 @dataclass(frozen=True, eq=False)
 class PairAnalysis:
-    """Everything computed for one group pair. ``mann_whitney.direction``
-    names the stochastically larger group, not "a" or "b". ``hist_edges``
+    """Everything computed for one group pair. ``chi_squared`` maps each
+    anchor label to its four counts and the rate test on them; every
+    ``direction`` names a group, not "a" or "b". ``hist_edges``
     (bins + 1 floats) and ``hist_counts`` (rows a and b, bins ints each) hold
     the overlaid bona fide histogram behind the pair's plot; not serialized."""
 
     pair: GroupPair
-    chi_squared: dict[str, tuple[ContingencyTable2x2, TestResult]]
+    chi_squared: dict[str, tuple[tuple[int, int, int, int], TestResult]]
     mann_whitney: TestResult
     curve: BiasCurve
     regions: tuple[BiasRegion, ...]
@@ -159,8 +160,8 @@ class AuditReport:
             "anchor_thresholds": [dict(a) for a in self.anchors],
             "chi_squared": {
                 pa.pair.key: {
-                    label: {**_fields(res), "table": _counts(table)}
-                    for label, (table, res) in pa.chi_squared.items()
+                    label: {**_fields(res), "table": dict(zip(_COUNTS, counts))}
+                    for label, (counts, res) in pa.chi_squared.items()
                 }
                 for pa in self.pairs
             },
@@ -197,9 +198,10 @@ def _fields(obj) -> dict:
     return out
 
 
-def _counts(table: ContingencyTable2x2) -> dict:
-    """The table's four counts by name; the group names stay out."""
-    return {k: getattr(table, k) for k in ("accepted_a", "rejected_a", "accepted_b", "rejected_b")}
+def _name_sides(res: TestResult, a: str, b: str) -> TestResult:
+    """``res`` with its direction "a" or "b" replaced by the group name
+    ``a`` or ``b``; a tie stays None."""
+    return replace(res, direction={"a": a, "b": b}.get(res.direction))
 
 
 def _analyze_pair(
@@ -213,12 +215,9 @@ def _analyze_pair(
     chi2 = {}
     for anchor in anchors:
         t = anchor["threshold"]
-        acc_a, rej_a = outcomes_at(a_s, t)
-        acc_b, rej_b = outcomes_at(b_s, t)
-        table = ContingencyTable2x2(acc_a, rej_a, acc_b, rej_b, pair.a, pair.b)
-        chi2[anchor["label"]] = (table, chi_squared_one_sided(table))
-    mwu = mann_whitney_u(a_s, b_s)
-    mwu = replace(mwu, direction={"a": pair.a, "b": pair.b}.get(mwu.direction))
+        counts = (*outcomes_at(a_s, t), *outcomes_at(b_s, t))
+        chi2[anchor["label"]] = counts, _name_sides(chi_squared_one_sided(*counts), pair.a, pair.b)
+    mwu = _name_sides(mann_whitney_u(a_s, b_s), pair.a, pair.b)
     curve = bias_sweep(a_s, b_s, alpha=alpha, pair=pair)
     regions = tuple(significant_regions(curve))
     lo, hi = min(a_s[0], b_s[0]), max(a_s[-1], b_s[-1])
@@ -240,7 +239,10 @@ def _analyze_pair(
 def _operating_points(ds: Dataset) -> tuple[OperatingPoint, dict[str, OperatingPoint]]:
     """The pooled EER point, and the HTER at its threshold of each group that
     has attack rows. Raises InsufficientDataError without attack rows."""
-    eer = eer_operating_point(roc_curve(bona_fide_responses(ds), attack_responses(ds)))
+    attack = attack_responses(ds)
+    if not len(attack):
+        raise InsufficientDataError("no attack rows: the EER needs both classes")
+    eer = eer_operating_point(roc_curve(bona_fide_responses(ds), attack))
     per_group_hter = {}
     for g in ds.groups():
         att_g = attack_responses(ds, g)

@@ -29,7 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ContingencyTable2x2",
     "Sidedness",
     "TestResult",
     "MwuMode",
@@ -53,8 +52,10 @@ class Sidedness(enum.Enum):
 class TestResult:
     """Outcome of a hypothesis test.
 
-    ``direction`` names the empirically worse-off group for one-sided group
-    comparisons and is None when the test is symmetric or the groups tie.
+    ``direction`` is the side a two-sample comparison points to: "a" or "b"
+    for its first or second sample (the one that rejects more for the rate
+    test, the stochastically larger one for Mann-Whitney), None when the
+    samples tie or the test compares no samples (Shapiro-Wilk).
     """
 
     statistic: float
@@ -63,22 +64,9 @@ class TestResult:
     direction: str | None = None
 
 
-@dataclass(frozen=True)
-class ContingencyTable2x2:
-    """Accept/reject counts for two groups at one threshold."""
-
-    accepted_a: int
-    rejected_a: int
-    accepted_b: int
-    rejected_b: int
-    group_a: str = "a"
-    group_b: str = "b"
-
-    def __post_init__(self):
-        for name in ("accepted_a", "rejected_a", "accepted_b", "rejected_b"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ParameterError(f"{name} must be a non-negative int, got {v!r}")
+# the side of a two-sample comparison's sign: 1 for the first sample, -1
+# for the second, 0 for a tie
+_SIDE = {1: "a", -1: "b", 0: None}
 
 
 def chi2_survival(x: float) -> float:
@@ -116,18 +104,26 @@ def _one_sided_chi2(
     return stat, chi2_survival(stat) / 2.0, 1 if lhs > rhs else -1
 
 
-def chi_squared_one_sided(t: ContingencyTable2x2) -> TestResult:
-    """One-sided two-proportion chi-squared test on a 2x2 table.
+# chi_squared_one_sided's counts, in order; report.json's "table" keys
+_COUNTS = ("accepted_a", "rejected_a", "accepted_b", "rejected_b")
+
+
+def chi_squared_one_sided(
+    accepted_a: int, rejected_a: int, accepted_b: int, rejected_b: int
+) -> TestResult:
+    """One-sided two-proportion chi-squared test on a 2x2 table of counts.
 
     Tests whether one group's rejection rate exceeds the other's. The p-value
     is the halved two-sided Pearson p (no Yates correction), attributed to the
-    group with the higher rejection rate; exactly 1.0 when the rates tie.
+    group with the higher rejection rate, "a" or "b"; exactly 1.0 when the
+    rates tie. The counts must be non-negative Python ints.
     """
-    stat, p_one, sign = _one_sided_chi2(
-        t.accepted_a, t.rejected_a, t.accepted_b, t.rejected_b
-    )
-    worse = t.group_a if sign > 0 else t.group_b if sign < 0 else None
-    return TestResult(stat, p_one, Sidedness.ONE_SIDED, worse)
+    counts = (accepted_a, rejected_a, accepted_b, rejected_b)
+    for name, v in zip(_COUNTS, counts):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise ParameterError(f"{name} must be a non-negative int, got {v!r}")
+    stat, p_one, sign = _one_sided_chi2(*counts)
+    return TestResult(stat, p_one, Sidedness.ONE_SIDED, _SIDE[sign])
 
 
 class MwuMode(enum.Enum):
@@ -207,12 +203,7 @@ def mann_whitney_u(
         )
 
     center = n_a * n_b / 2.0
-    if u_a > center:
-        direction = "a"
-    elif u_a < center:
-        direction = "b"
-    else:
-        direction = None
+    direction = _SIDE[(u_a > center) - (u_a < center)]
 
     if mode is MwuMode.EXACT:
         p = _exact_mwu_p(doubled, du_a, n_a, n_b)

@@ -159,27 +159,32 @@ def _resolve_gamma(x: np.ndarray, gamma: float | None) -> float:
     return 1.0 / (x.shape[1] * var)
 
 
-# train_svm_smo holds a dense n x n float64 kernel (and temporaries of that
-# size), so it refuses training sets above 11,585 rows
+# train_svm_smo holds a dense n x n float64 kernel, and one more array of
+# that size while _rbf_matrix builds it, so it refuses training sets above
+# 8,192 rows
 _MAX_KERNEL_BYTES = 1 << 30
 
 
 def _check_kernel_rows(n: int) -> None:
-    if n * n * 8 > _MAX_KERNEL_BYTES:
+    need = 2 * n * n * 8
+    if need > _MAX_KERNEL_BYTES:
         raise ParameterError(
-            f"{n} training rows need a {n * n * 8 / 2**30:.2f} GiB kernel; "
-            f"the limit is 1 GiB ({math.isqrt(_MAX_KERNEL_BYTES // 8)} rows)"
+            f"{n} training rows need {need / 2**30:.2f} GiB to build the kernel; "
+            f"the limit is 1 GiB ({math.isqrt(_MAX_KERNEL_BYTES // 16)} rows)"
         )
 
 
 def _rbf_matrix(x: np.ndarray, z: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(z * z, axis=1)[None, :]
-        - 2.0 * (x @ z.T)
-    )
+    """exp(-gamma * |x_i - z_j|^2), built in place: at most two len(x) x
+    len(z) float64 arrays are alive at once."""
+    g = x @ z.T
+    sq = np.sum(x * x, axis=1)[:, None] + np.sum(z * z, axis=1)[None, :]
+    g *= 2.0
+    sq -= g
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-gamma * sq)
+    sq *= -gamma
+    np.exp(sq, out=sq)
+    return sq
 
 
 def train_svm_smo(

@@ -22,7 +22,6 @@ from biasaudit.errors import (
 )
 from biasaudit.stats import (
     MWU_EXACT_LIMIT,
-    ContingencyTable2x2,
     MwuMode,
     Sidedness,
     TestResult,
@@ -45,6 +44,25 @@ class BiasCurve:
     p_values: tuple[float, ...]
     alpha: float
     directions: tuple[str | None, ...]
+
+
+@dataclass(frozen=True)
+class ContingencyTable2x2:
+    """Accept/reject counts for two groups at one threshold, with the
+    groups' names (the package's rate test takes the four counts alone)."""
+
+    accepted_a: int
+    rejected_a: int
+    accepted_b: int
+    rejected_b: int
+    group_a: str = "a"
+    group_b: str = "b"
+
+    def __post_init__(self):
+        for name in ("accepted_a", "rejected_a", "accepted_b", "rejected_b"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ParameterError(f"{name} must be a non-negative int, got {v!r}")
 
 
 def chi_squared_one_sided(t: ContingencyTable2x2) -> TestResult:

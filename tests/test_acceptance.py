@@ -16,7 +16,6 @@ import pytest
 from biasaudit.cli import main
 from biasaudit.dip import dip_critical_value, dip_statistic
 from biasaudit.stats import (
-    ContingencyTable2x2,
     MwuMode,
     chi_squared_one_sided,
     mann_whitney_u,
@@ -131,9 +130,7 @@ def test_criterion_3_chi2_against_conditional_midp():
             continue
         if rej_a * row_b == rej_b * row_a:
             continue
-        mine = chi_squared_one_sided(
-            ContingencyTable2x2(acc_a, rej_a, acc_b, rej_b)
-        ).p_value
+        mine = chi_squared_one_sided(acc_a, rej_a, acc_b, rej_b).p_value
         if mine < 0.004:  # asymptotics are only claimed for moderate tails
             continue
         want = midp_oracle(acc_a, rej_a, acc_b, rej_b)
@@ -141,7 +138,7 @@ def test_criterion_3_chi2_against_conditional_midp():
         checked += 1
     assert worst < 0.10
 
-    tie = chi_squared_one_sided(ContingencyTable2x2(27, 3, 45, 5))
+    tie = chi_squared_one_sided(27, 3, 45, 5)
     assert tie.p_value == 1.0
     print(f"criterion 3: PASS (200 tables, worst mid-p rel err {worst:.3f})")
 

@@ -590,6 +590,13 @@ class TestStatSubcommands:
             for g, op in ops["per_group_hter"].items()
         }
 
+    def test_eer_without_attack_rows_names_the_cause(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "responses.csv").read_text().splitlines(keepends=True)
+        data = tmp_path / "bona.csv"
+        data.write_text("".join(ln for ln in lines if ",attack," not in ln))
+        assert main(["eer", "--data", str(data)]) == 1
+        assert capsys.readouterr() == ("", "error: no attack rows: the EER needs both classes\n")
+
     def test_sweep_csv_and_regions(self, synth_dir, capsys):
         code = main(
             [
@@ -657,7 +664,7 @@ class TestArgparseBehavior:
 # the package's public names; each must stay exported from the top level
 PUBLIC_NAMES = """
 __version__ AuditConfig AuditError AuditReport BiasCurve BiasRegion CodeMatrix
-ContingencyTable2x2 Dataset DegenerateDataError DipResult EmptyDatasetError FeatureMode
+Dataset DegenerateDataError DipResult EmptyDatasetError FeatureMode
 GroupPair InsufficientDataError MwuMode OperatingPoint ParameterError RocCurve RowError
 SchemaError Sidedness SummaryStats SvmModel TestResult UnknownGroupError attack_responses
 auc_from_scores bias_sweep bona_fide_responses chi2_survival chi_squared_one_sided

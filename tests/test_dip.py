@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -246,7 +247,7 @@ class TestDipCriticalValue:
     def test_standard_error_order_statistics(self):
         # q = 0.95, R = 100: cv at rank 95; SE from ranks
         # floor(95 - 2.18) = 92 and ceil(95 + 2.18) = 98
-        cv = _null_quantile(np.arange(100, 0, -1) / 100, 0.05)
+        cv = _null_quantile(np.arange(1, 101) / 100, 0.05)
         assert cv == 0.95
         assert cv.se == pytest.approx((0.98 - 0.92) / 2, abs=1e-15)
         one = _null_quantile(np.array([0.3]), 0.05)
@@ -312,6 +313,24 @@ class TestDipCriticalValue:
         with pytest.raises(ParameterError, match="the limit is 1 GiB"):
             dip_critical_value(200, 0.05, replicas, 0, bins=bins)
 
+    def test_unbinned_null_holds_one_float_per_replica(self, monkeypatch):
+        # the guard counts 8 bytes per unbinned replica: the drawn dips are
+        # sorted where they lie, not copied. A constant stream stands in for
+        # the kernel, whose 20,000 real replicas take seconds under tracemalloc
+        stream = lambda n, replicas, seed, bins: itertools.repeat(0.5)
+        monkeypatch.setattr(dip_module, "_null_stream", stream)
+        replicas = 20_000
+        dip_critical_value(50, 0.05, replicas, 0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            cv = dip_critical_value(50, 0.05, replicas, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cv.replicas == replicas
+        # beyond the dips: one look's draws and a few small objects
+        assert peak <= 8 * replicas + 8192
+
 
 # the audit's default null at the README demo's group size
 NULL_N, NULL_SEED, NULL_BINS, NULL_CAP = 200, 12345, 50, 10000
@@ -360,7 +379,7 @@ class TestSequentialNull:
                 assert hi == (above.min() if above.size else r + 1)
 
     def test_verdicts_equal_the_full_cap(self, cached_stream, full_null):
-        full_cv = _null_quantile(full_null, 0.05)
+        full_cv = _null_quantile(np.sort(full_null), 0.05)
         for seed in DEMO_SEEDS:
             dips = _demo_dips(seed)
             cv = dip_critical_value(

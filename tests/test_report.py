@@ -356,11 +356,11 @@ class TestSvmSection:
         undersized = demo_codes.take(rows + np.flatnonzero(labels == "gamma")[:3].tolist())
         with pytest.raises(InsufficientDataError):
             run_audit(demo, AuditConfig(**FAST), codes=undersized)
-        # 7,300 rows per group: a pair's largest training fold (k = 5) holds
-        # 2 * (7300 - 1460) = 11,680 rows, above the kernel limit of 11,585
-        groups = [g for g in demo.groups() for _ in range(7300)]
+        # 5,121 rows per group: a pair's largest training fold (k = 5) holds
+        # 2 * (5121 - 1024) = 8,194 rows, above the kernel limit of 8,192
+        groups = [g for g in demo.groups() for _ in range(5121)]
         oversized = CodeMatrix(np.zeros((len(groups), 1), dtype=np.int64), groups, 64)
-        with pytest.raises(ParameterError, match="11680 training rows"):
+        with pytest.raises(ParameterError, match="8194 training rows"):
             run_audit(demo, AuditConfig(**FAST), codes=oversized)
 
     def test_undersized_code_group_rejected(self, demo, demo_codes):

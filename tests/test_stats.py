@@ -13,7 +13,6 @@ from biasaudit.errors import (
 )
 from biasaudit.stats import (
     MWU_EXACT_LIMIT,
-    ContingencyTable2x2,
     MwuMode,
     Sidedness,
     chi2_survival,
@@ -63,28 +62,28 @@ OVERFLOWING = [
 
 class TestChiSquaredOneSided:
     def test_identical_proportions(self):
-        res = chi_squared_one_sided(ContingencyTable2x2(190, 10, 190, 10))
+        res = chi_squared_one_sided(190, 10, 190, 10)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert res.direction is None
         assert res.sidedness is Sidedness.ONE_SIDED
 
     def test_no_errors_either_group(self):
-        res = chi_squared_one_sided(ContingencyTable2x2(200, 0, 200, 0))
+        res = chi_squared_one_sided(200, 0, 200, 0)
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
     def test_proportional_tie_detected_exactly(self):
         # 3/30 vs 5/50: same rate through integer cross-product, not floats
-        res = chi_squared_one_sided(ContingencyTable2x2(27, 3, 45, 5))
+        res = chi_squared_one_sided(27, 3, 45, 5)
         assert res.p_value == 1.0
         assert res.direction is None
 
     def test_strong_imbalance(self):
-        res = chi_squared_one_sided(ContingencyTable2x2(180, 20, 198, 2, "x", "y"))
+        res = chi_squared_one_sided(180, 20, 198, 2)
         assert res.statistic == pytest.approx(15.584415584415584, rel=1e-12)
         assert res.p_value == pytest.approx(3.9446e-05, rel=1e-3)
-        assert res.direction == "x"
+        assert res.direction == "a"
 
     def test_matches_pooled_two_proportion_z(self):
         # the one-sided p must equal the normal tail of the pooled
@@ -96,28 +95,12 @@ class TestChiSquaredOneSided:
             rej_b = int(rng.integers(1, row_b))
             if rej_a * row_b == rej_b * row_a:
                 continue
-            t = ContingencyTable2x2(int(row_a) - rej_a, rej_a, int(row_b) - rej_b, rej_b)
-            res = chi_squared_one_sided(t)
+            res = chi_squared_one_sided(int(row_a) - rej_a, rej_a, int(row_b) - rej_b, rej_b)
             p_pool = (rej_a + rej_b) / (row_a + row_b)
             se = math.sqrt(p_pool * (1 - p_pool) * (1 / row_a + 1 / row_b))
             z = abs(rej_a / row_a - rej_b / row_b) / se
             p_z = math.erfc(z / math.sqrt(2)) / 2
             assert res.p_value == pytest.approx(p_z, rel=1e-9)
-
-    def test_row_swap_invariance(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            counts = rng.integers(0, 60, 4)
-            if counts[0] + counts[1] == 0 or counts[2] + counts[3] == 0:
-                continue
-            t = ContingencyTable2x2(*[int(c) for c in counts], "a", "b")
-            s = ContingencyTable2x2(
-                int(counts[2]), int(counts[3]), int(counts[0]), int(counts[1]), "b", "a"
-            )
-            r1, r2 = chi_squared_one_sided(t), chi_squared_one_sided(s)
-            assert r1.statistic == pytest.approx(r2.statistic, abs=1e-12)
-            assert r1.p_value == pytest.approx(r2.p_value, abs=1e-12)
-            assert r1.direction == r2.direction
 
     def test_statistic_is_the_exact_quotient_rounded_once(self):
         # counts of a 50k-per-group sweep: numerator and denominator pass
@@ -125,23 +108,56 @@ class TestChiSquaredOneSided:
         rng = np.random.default_rng(12)
         for _ in range(500):
             acc_a, acc_b = (int(v) for v in rng.integers(1, 50_000, 2))
-            t = ContingencyTable2x2(acc_a, 50_000 - acc_a, acc_b, 50_000 - acc_b)
-            det = acc_a * t.rejected_b - acc_b * t.rejected_a
+            rej_a, rej_b = 50_000 - acc_a, 50_000 - acc_b
+            det = acc_a * rej_b - acc_b * rej_a
             want = Fraction(
                 100_000 * det * det,
-                50_000 * 50_000 * (acc_a + acc_b) * (t.rejected_a + t.rejected_b),
+                50_000 * 50_000 * (acc_a + acc_b) * (rej_a + rej_b),
             )
-            assert chi_squared_one_sided(t).statistic == float(want)
+            assert chi_squared_one_sided(acc_a, rej_a, acc_b, rej_b).statistic == float(want)
 
     def test_empty_row_rejected(self):
         with pytest.raises(DegenerateDataError):
-            chi_squared_one_sided(ContingencyTable2x2(0, 0, 10, 5))
+            chi_squared_one_sided(0, 0, 10, 5)
 
     def test_count_validation(self):
-        with pytest.raises(ParameterError):
-            ContingencyTable2x2(-1, 5, 5, 5)
-        with pytest.raises(ParameterError):
-            ContingencyTable2x2(1.5, 5, 5, 5)
+        with pytest.raises(ParameterError, match="accepted_a must be a non-negative int, got -1"):
+            chi_squared_one_sided(-1, 5, 5, 5)
+        with pytest.raises(ParameterError, match="accepted_a must be a non-negative int, got 1.5"):
+            chi_squared_one_sided(1.5, 5, 5, 5)
+        with pytest.raises(ParameterError, match="rejected_b must be a non-negative int, got True"):
+            chi_squared_one_sided(5, 5, 5, True)
+        with pytest.raises(ParameterError, match="accepted_b must be a non-negative int"):
+            chi_squared_one_sided(5, 5, np.int64(5), 5)
+
+
+def test_swapping_the_samples_swaps_a_and_b():
+    # relabel symmetry of both two-sample tests: with the samples swapped the
+    # statistic and p stay (U becomes n_a * n_b - U) and the side flips
+    other = {"a": "b", "b": "a", None: None}
+    rng = np.random.default_rng(11)
+    chi2_sides, mwu_sides = set(), set()
+    for _ in range(40):
+        counts = [int(c) for c in rng.integers(0, 60, 4)]
+        if counts[0] + counts[1] == 0 or counts[2] + counts[3] == 0:
+            continue
+        r1 = chi_squared_one_sided(*counts)
+        r2 = chi_squared_one_sided(*counts[2:], *counts[:2])
+        assert r1.statistic == pytest.approx(r2.statistic, abs=1e-12)
+        assert r1.p_value == pytest.approx(r2.p_value, abs=1e-12)
+        assert r2.direction == other[r1.direction]
+        chi2_sides.add(r1.direction)
+    for trial in range(60):
+        # tie-free samples of up to 20 take the exact path, integers the normal one
+        n_a, n_b = (int(v) for v in rng.integers(1, 11, 2))
+        draw = rng.normal if trial % 2 else lambda size: rng.integers(0, 5, size).astype(float)
+        a, b = draw(size=n_a), draw(size=n_b)
+        r1, r2 = mann_whitney_u(a, b), mann_whitney_u(b, a)
+        assert r1.statistic + r2.statistic == n_a * n_b
+        assert r1.p_value == r2.p_value
+        assert r2.direction == other[r1.direction]
+        mwu_sides.add(r1.direction)
+    assert chi2_sides >= {"a", "b"} and mwu_sides == {"a", "b", None}
 
 
 class TestChi2Survival:

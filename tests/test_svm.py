@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,12 +293,28 @@ class TestTrainSvmSmo:
         assert not model.converged
 
     def test_kernel_memory_guard(self):
-        # 12,000 rows need a 1.07 GiB kernel: refused before it is allocated
-        x = np.zeros((12_000, 1))
-        y = np.where(np.arange(12_000) % 2 == 0, 1.0, -1.0)
-        limit = r"12000 training rows.*the limit is 1 GiB \(11585 rows\)"
+        # 8,193 rows need two 8193 x 8193 arrays, 1.00 GiB: refused before
+        # either is allocated
+        x = np.zeros((8_193, 1))
+        y = np.where(np.arange(8_193) % 2 == 0, 1.0, -1.0)
+        limit = r"8193 training rows.*the limit is 1 GiB \(8192 rows\)"
         with pytest.raises(ParameterError, match=limit):
             train_svm_smo(x, y)
+
+    def test_fit_holds_two_kernel_sized_arrays(self):
+        # the guard counts two n x n float64 arrays, as the kernel is built
+        # in place; the rest of a fit is O(n) vectors and numpy's fixed-size
+        # ufunc buffers
+        x, y = make_blobs(seed=9, n_per=150, d=4)
+        train_svm_smo(x, y)  # first-call allocations
+        tracemalloc.start()
+        try:
+            train_svm_smo(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(x)
+        assert peak <= 2 * n * n * 8 + 256 * 1024
 
     def test_input_validation(self):
         x, y = make_blobs(n_per=5, d=2)
@@ -438,14 +455,14 @@ class TestCrossValidatedAuc:
 
     def test_pair_inputs_checked_against_the_largest_training_fold(self):
         # with k = 5 the last fold holds out floor(n/5) rows of each group;
-        # 5793 + 5792 = 11,585 training rows fit the kernel, 2 * 5793 do not
+        # 4096 + 4096 = 8,192 training rows fit the kernel, 4097 + 4096 do not
         def codes(n_a, n_b):
             return CodeMatrix(np.zeros((n_a + n_b, 1), dtype=np.int64), ["a"] * n_a + ["b"] * n_b, 2)
 
-        rows = _pair_rows(codes(7241, 7240), ["a", "b"], 5)
-        assert [len(rows["a"]), len(rows["b"])] == [7241, 7240]
-        with pytest.raises(ParameterError, match="11586 training rows"):
-            _pair_rows(codes(7241, 7241), ["a", "b"], 5)
+        rows = _pair_rows(codes(5120, 5120), ["a", "b"], 5)
+        assert [len(rows["a"]), len(rows["b"])] == [5120, 5120]
+        with pytest.raises(ParameterError, match="8193 training rows"):
+            _pair_rows(codes(5121, 5120), ["a", "b"], 5)
         with pytest.raises(InsufficientDataError, match="group 'b'"):
             _pair_rows(codes(10, 4), ["a", "b"], 5)
 
