@@ -57,12 +57,15 @@ _LOOK = 64  # replicas per look of the sequential null
 _EPSILON = 1e-3  # bound on the chance that a stopped test flips a verdict
 
 # dip_critical_value refuses a null whose working set exceeds this: 8 bytes
-# per float64 replica dip (sorted in place, not copied) and, when binned, 16
-# bytes per entry of one min(_CHUNK, replicas) x bins chunk of counts (8 in
-# the int64 array, 8 for the entry's slot in its tolist() copy) plus 48 per
-# bin for the arrays built once: 32 for the bin-edge float list, 8 for the
-# probability vector and 8 of headroom for the kernel's lists (tracemalloc
-# reads 40-44 in all)
+# per float64 replica dip (sorted in place, not copied), 16 per replica for
+# the two float arrays in which a look builds its binomial tails, 32 KiB for
+# one look's draws, the driver's small objects and what numpy allocates on
+# its first calls (tracemalloc reads 2-19 KiB on a cold call, 1.6 KiB once
+# numpy's caches are warm) and, when binned, 16 bytes per entry of one
+# min(_CHUNK, replicas) x bins chunk of counts (8 in the int64 array, 8 for
+# the entry's slot in its tolist() copy) plus 48 per bin for the arrays built
+# once: 32 for the bin-edge float list, 8 for the probability vector and 8 of
+# headroom for the kernel's lists (tracemalloc reads 40-44 in all)
 _MAX_NULL_BYTES = 1 << 30
 
 
@@ -322,16 +325,23 @@ def _binomial_tails(r: int, alpha: float, level: float) -> tuple[int, int]:
     """(lo, hi): the counts e <= lo are the lower tail of Binomial(r, alpha)
     at ``level`` (P(X <= e) <= level) and e >= hi the upper one; lo is -1 and
     hi is r + 1 when a tail is empty. The pmf comes from a cumulative sum of
-    the log ratios pmf(k + 1) / pmf(k)."""
-    k = np.arange(r)
-    log_pmf = np.empty(r + 1)
-    log_pmf[0] = r * math.log1p(-alpha)
-    steps = np.log((r - k) / (k + 1)) + math.log(alpha / (1.0 - alpha))
-    log_pmf[1:] = log_pmf[0] + np.cumsum(steps)
-    pmf = np.exp(log_pmf)
-    below = np.cumsum(pmf)  # P(X <= e), nondecreasing
-    above = np.cumsum(pmf[::-1])  # P(X >= r - j), nondecreasing in j
+    the log ratios pmf(k + 1) / pmf(k), k = 0..r-1, built in place in two
+    arrays of r + 1 floats."""
+    pmf = np.empty(r + 1)
+    pmf[0] = r * math.log1p(-alpha)
+    steps = pmf[1:]
+    work = np.arange(1.0, r + 2.0)  # k + 1, exact
+    np.subtract(r + 1.0, work[:r], out=steps)  # r - k
+    steps /= work[:r]
+    np.log(steps, out=steps)
+    steps += math.log(alpha / (1.0 - alpha))
+    np.cumsum(steps, out=steps)
+    steps += pmf[0]
+    np.exp(pmf, out=pmf)
+    below = np.cumsum(pmf, out=work)  # P(X <= e), nondecreasing
     lo = int(np.searchsorted(below, level, side="right")) - 1
+    work[:] = pmf[::-1]
+    above = np.cumsum(work, out=work)  # P(X >= r - j), nondecreasing in j
     hi = r + 1 - int(np.searchsorted(above, level, side="right"))
     return lo, hi
 
@@ -410,7 +420,9 @@ def dip_critical_value(
         raise ParameterError(f"seed must be non-negative, got {seed}")
     if bins is not None and bins < 2:
         raise ParameterError(f"bins must be >= 2, got {bins}")
-    need = 8 * replicas + (0 if bins is None else (16 * min(_CHUNK, replicas) + 48) * bins)
+    need = 24 * replicas + 32768
+    if bins is not None:
+        need += (16 * min(_CHUNK, replicas) + 48) * bins
     if need > _MAX_NULL_BYTES:
         raise ParameterError(
             f"a dip null of {replicas} replicas with bins={bins} needs "

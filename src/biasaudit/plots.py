@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .report import AuditReport
+from .report import AuditReport, _pcurve_csvs
 
 __all__ = ["render_plots"]
 
@@ -217,8 +217,10 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
     at most four vertices per pixel column (M4: the first, the last, the
     lowest and the highest), which gives the same picture; its CSV holds
     every threshold at full precision, so it is the data to redraw from.
-    The histogram CSV holds exactly the plotted numbers.
+    The histogram CSV holds exactly the plotted numbers. Raises ValueError,
+    before any file is written, if a sweep float is not finite.
     """
+    csvs = _pcurve_csvs(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -239,11 +241,8 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
             ),
             encoding="utf-8",
         )
-        # a float repr never needs CSV quoting, so one join writes csv.writer's bytes
         pcurve_csv = out / f"pcurve_{stem}.csv"
-        rows = zip(pa.curve.grid.tolist(), pa.curve.p_values.tolist())
-        text = "".join(["threshold,p_value\n"] + [f"{t!r},{p!r}\n" for t, p in rows])
-        pcurve_csv.write_text(text, encoding="utf-8", newline="")
+        pcurve_csv.write_text(next(csvs), encoding="utf-8", newline="")
 
         hist_svg = out / f"hist_{stem}.svg"
         hist_svg.write_text(

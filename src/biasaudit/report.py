@@ -13,7 +13,8 @@ import math
 import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -108,6 +109,11 @@ class AuditConfig:
         return d
 
 
+# the separator of report.json's sweep list items, 8 spaces in; no float
+# repr holds it, so splitting a series text gives back its reprs
+_SERIES_SEP = ",\n        "
+
+
 @dataclass(frozen=True, eq=False)
 class PairAnalysis:
     """Everything computed for one group pair. ``chi_squared`` maps each
@@ -123,6 +129,34 @@ class PairAnalysis:
     regions: tuple[BiasRegion, ...]
     hist_edges: np.ndarray
     hist_counts: np.ndarray
+
+    @cached_property
+    def _series_text(self) -> tuple[str, str]:
+        """The sweep's grid and p-values, each as the shortest round-trip
+        reprs of its floats joined by ``_SERIES_SEP``: the items of
+        report.json's lists and the columns of the p-curve CSV, formatted
+        once for both. Raises ValueError if a float is not finite."""
+        texts = []
+        for name in ("grid", "p_values"):
+            values = getattr(self.curve, name)
+            if not np.isfinite(values).all():
+                raise ValueError(f"bias sweep {self.pair.key} {name}: a float is not finite")
+            texts.append(_SERIES_SEP.join(map(float.__repr__, values.tolist())))
+        return texts[0], texts[1]
+
+
+def _pcurve_csvs(report: AuditReport) -> Iterator[str]:
+    """Each pair's p-curve CSV text, in pair order: a header and one row per
+    threshold, the reprs report.json holds. A float repr never needs CSV
+    quoting, so one join writes csv.writer's bytes. Every pair's series is
+    checked before this returns, so a non-finite float raises ValueError
+    before any text is built; each text is built when it is reached."""
+    texts = [pa._series_text for pa in report.pairs]
+    items = lambda text: text.split(_SERIES_SEP) if text else []  # "" is no items
+    return (
+        "".join(["threshold,p_value\n"] + [f"{t},{p}\n" for t, p in zip(items(g), items(p))])
+        for g, p in texts
+    )
 
 
 @dataclass(frozen=True)
@@ -376,23 +410,26 @@ def render_json(report: AuditReport) -> bytes:
 
     Floats use Python's shortest round-trip repr (up to 17 significant
     digits), so equal reports render to identical bytes. The sweep series
-    are written in one join each, as the bytes ``json.dumps`` would give
-    them, and spliced into the encoded rest of the report.
+    are each pair's ``_series_text``, written as the bytes ``json.dumps``
+    would give them and spliced into the encoded rest of the report.
     """
     d = report.to_dict()
     series = []
     for pa in report.pairs:
         sweep = d["bias_sweeps"][pa.pair.key]
-        for name in ("grid", "p_values"):
-            if not np.isfinite(getattr(pa.curve, name)).all():
-                raise ValueError(f"bias sweep {pa.pair.key} {name}: a float is not finite")
-            series.append(sweep[name])
+        for name, text in zip(("grid", "p_values"), pa._series_text):
+            series.append(text)
             sweep[name] = f"\x01{len(series) - 1}"
-    text = json.dumps(d, sort_keys=True, indent=2, allow_nan=False)
-    parts = _SERIES_ENCODED.split(text)
-    for i in range(1, len(parts), 2):
-        # a list at bias_sweeps.A|B.name: items 8 spaces in, the bracket 6
-        values = series[int(parts[i])]
-        items = ",\n        ".join(map(float.__repr__, values))
-        parts[i] = f"[\n        {items}\n      ]" if values else "[]"
-    return ("".join(parts) + "\n").encode("utf-8")
+    parts = _SERIES_ENCODED.split(json.dumps(d, sort_keys=True, indent=2, allow_nan=False))
+    pieces = []
+    for i, part in enumerate(parts):
+        if i % 2 == 0:
+            pieces.append(part)
+        elif text := series[int(part)]:
+            # a list at bias_sweeps.A|B.name: items 8 spaces in, the bracket
+            # 6; the text goes in as its own piece, so it is copied once
+            pieces += ["[\n        ", text, "\n      ]"]
+        else:
+            pieces.append("[]")
+    pieces.append("\n")
+    return "".join(pieces).encode("utf-8")

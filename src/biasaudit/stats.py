@@ -79,29 +79,13 @@ def chi2_survival(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
-def _one_sided_chi2(
-    acc_a: int, rej_a: int, acc_b: int, rej_b: int
-) -> tuple[float, float, int]:
-    """(statistic, one-sided p, sign) of the rate test on one 2x2 table.
-
-    ``sign`` is 1 when group a has the higher rejection rate, -1 when group
-    b has, and 0 on a tie. The counts must be Python ints: the statistic is
-    formed in exact integer arithmetic and rounded once.
-    """
-    row_a = acc_a + rej_a
-    row_b = acc_b + rej_b
-    if row_a == 0 or row_b == 0:
-        raise DegenerateDataError("both groups need at least one trial")
-    # Exact integer cross-comparison of rej_a/row_a vs rej_b/row_b.
-    lhs = rej_a * row_b
-    rhs = rej_b * row_a
-    if lhs == rhs:
-        return 0.0, 1.0, 0
-    n = row_a + row_b
-    det = acc_a * rej_b - acc_b * rej_a
-    # Unequal rates imply every margin is positive, so the denominator is too.
-    stat = n * det * det / (row_a * row_b * (acc_a + acc_b) * (rej_a + rej_b))
-    return stat, chi2_survival(stat) / 2.0, 1 if lhs > rhs else -1
+def _chi2_tail(n: int, det: int, rows: int, margins: int) -> tuple[float, float]:
+    """(statistic, one-sided p) of the rate test on one untied 2x2 table, from
+    Python ints: its total ``n``, ``det`` = acc_a * rej_b - acc_b * rej_a, the
+    product of its row totals and the product of its column totals. The
+    statistic is formed in exact integer arithmetic and rounded once."""
+    stat = n * det * det / (rows * margins)
+    return stat, chi2_survival(stat) / 2.0
 
 
 # chi_squared_one_sided's counts, in order; report.json's "table" keys
@@ -122,8 +106,19 @@ def chi_squared_one_sided(
     for name, v in zip(_COUNTS, counts):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise ParameterError(f"{name} must be a non-negative int, got {v!r}")
-    stat, p_one, sign = _one_sided_chi2(*counts)
-    return TestResult(stat, p_one, Sidedness.ONE_SIDED, _SIDE[sign])
+    row_a = accepted_a + rejected_a
+    row_b = accepted_b + rejected_b
+    if row_a == 0 or row_b == 0:
+        raise DegenerateDataError("both groups need at least one trial")
+    # rejected_a * row_b - rejected_b * row_a = -det: the rates tie exactly
+    # when det is 0, and group a rejects more when det < 0
+    det = accepted_a * rejected_b - accepted_b * rejected_a
+    if det == 0:
+        return TestResult(0.0, 1.0, Sidedness.ONE_SIDED, None)
+    # Unequal rates imply every margin is positive, so the denominator is too.
+    margins = (accepted_a + accepted_b) * (rejected_a + rejected_b)
+    stat, p_one = _chi2_tail(row_a + row_b, det, row_a * row_b, margins)
+    return TestResult(stat, p_one, Sidedness.ONE_SIDED, "b" if det > 0 else "a")
 
 
 class MwuMode(enum.Enum):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import GroupPair, _read_only
 from .errors import InsufficientDataError, ParameterError
-from .stats import _one_sided_chi2
+from .stats import _chi2_tail
 
 __all__ = [
     "RocCurve",
@@ -191,17 +191,24 @@ def bias_sweep(
     if len(grid_arr) < 2:
         raise ParameterError(f"degenerate sweep grid of size {len(grid_arr)}")
 
-    # Accept counts for the whole grid at once; the statistic itself stays in
-    # exact integer arithmetic, so the counts go in as Python ints.
+    # The tables of the whole grid as int64 columns: |det| <= n_a * n_b and
+    # margins <= (n_a + n_b)**2 / 4, far inside int64 for any sample that
+    # fits in memory. Each untied point's statistic is then formed from
+    # Python ints, exactly, as chi_squared_one_sided forms it.
     n_a, n_b = len(a_s), len(b_s)
-    acc_a = np.searchsorted(a_s, grid_arr, side="right").tolist()
-    acc_b = np.searchsorted(b_s, grid_arr, side="right").tolist()
-    p_values, signs = [], []
-    for ca, cb in zip(acc_a, acc_b):
-        _, p, sign = _one_sided_chi2(ca, n_a - ca, cb, n_b - cb)
-        p_values.append(p)
-        signs.append(sign)
-    return BiasCurve(pair, grid_arr, p_values, alpha, signs)
+    acc_a = np.searchsorted(a_s, grid_arr, side="right").astype(np.int64)
+    acc_b = np.searchsorted(b_s, grid_arr, side="right").astype(np.int64)
+    rej_a, rej_b = n_a - acc_a, n_b - acc_b
+    det = acc_a * rej_b - acc_b * rej_a
+    margins = (acc_a + acc_b) * (rej_a + rej_b)
+    untied = det != 0
+    n, rows = n_a + n_b, n_a * n_b
+    p_values = np.ones(len(grid_arr))
+    p_values[untied] = [
+        _chi2_tail(n, d, rows, m)[1]
+        for d, m in zip(det[untied].tolist(), margins[untied].tolist())
+    ]
+    return BiasCurve(pair, grid_arr, p_values, alpha, -np.sign(det))
 
 
 def significant_regions(curve: BiasCurve) -> list[BiasRegion]:

@@ -283,35 +283,52 @@ class TestDipCriticalValue:
 
         monkeypatch.setattr(dip_module, "_sequential_null", stub)
         limit = 1 << 30
-        # unbinned: 8 bytes per replica dip
-        dip_critical_value(50, 0.05, limit // 8, seed=0)
+        # unbinned: 8 bytes per replica dip and 16 for the binomial tails,
+        # plus 32 KiB for one look
+        replicas = (limit - 32768) // 24
+        dip_critical_value(50, 0.05, replicas, seed=0)
         with pytest.raises(ParameterError, match="the limit is 1 GiB"):
-            dip_critical_value(50, 0.05, limit // 8 + 1, seed=0)
+            dip_critical_value(50, 0.05, replicas + 1, seed=0)
         # binned: plus 16 bytes per entry of one 1024-replica chunk of counts
         # and 48 per bin for the bin edges and probabilities
-        bins = (limit - 8 * 2048) // (16 * 1024 + 48)
+        bins = (limit - 24 * 2048 - 32768) // (16 * 1024 + 48)
         dip_critical_value(50, 0.05, 2048, seed=0, bins=bins)
         with pytest.raises(ParameterError, match="the limit is 1 GiB"):
             dip_critical_value(50, 0.05, 2048, seed=0, bins=bins + 1)
         for huge_replicas, huge_bins in ((10**12, None), (10**12, 50), (1, 10**12)):
             with pytest.raises(ParameterError, match="the limit is 1 GiB"):
                 dip_critical_value(200, 0.05, huge_replicas, seed=0, bins=huge_bins)
-        assert reached == [(limit // 8, None), (2048, bins)]
+        assert reached == [(replicas, None), (2048, bins)]
 
-    @pytest.mark.parametrize("replicas, bins", [(1, 200_000), (64, 20_000)])
-    def test_counted_bytes_bound_the_traced_peak(self, replicas, bins, monkeypatch):
+    @pytest.mark.parametrize(
+        "n, replicas, bins, observed",
+        [
+            pytest.param(200, 1, 200_000, (), id="1-200000"),
+            pytest.param(200, 64, 20_000, (), id="64-20000"),
+            pytest.param(50, 20_000, None, (0.5,), id="20000-unsettled"),
+        ],
+    )
+    def test_counted_bytes_bound_the_traced_peak(self, n, replicas, bins, observed, monkeypatch):
         # the per-bin arrays dominate at one replica; a look of 64 adds rows.
+        # The unbinned case keeps one observed dip unsettled to the last look
+        # (a stub stream puts exceedances at alpha * r), so every look builds
+        # its binomial tails; its 20,000 real replicas would take seconds.
         # With its limit just under the traced peak, the guard must refuse
-        # the same null: its count is at least what the null holds.
+        # the same null: its count is at least what the null holds. Nothing
+        # warms numpy's caches first, so what its first calls allocate counts.
+        if bins is None:
+            stream = lambda n, replicas, seed, bins: itertools.cycle([1.0] + [0.0] * 19)
+            monkeypatch.setattr(dip_module, "_null_stream", stream)
         tracemalloc.start()
         try:
-            dip_critical_value(200, 0.05, replicas, 0, bins=bins)
+            cv = dip_critical_value(n, 0.05, replicas, 0, bins=bins, observed=observed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert cv.replicas == replicas
         monkeypatch.setattr(dip_module, "_MAX_NULL_BYTES", peak - 1)
         with pytest.raises(ParameterError, match="the limit is 1 GiB"):
-            dip_critical_value(200, 0.05, replicas, 0, bins=bins)
+            dip_critical_value(n, 0.05, replicas, 0, bins=bins, observed=observed)
 
     def test_unbinned_null_holds_one_float_per_replica(self, monkeypatch):
         # the guard counts 8 bytes per unbinned replica: the drawn dips are

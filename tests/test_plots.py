@@ -75,9 +75,9 @@ class TestRenderPlots:
             assert rows[0] == ["threshold", "p_value"]
             assert len(rows) - 1 == len(pa.curve.grid)
             for row, t, p in zip(rows[1:], pa.curve.grid.tolist(), pa.curve.p_values.tolist()):
-                # repr round-trip: the CSV is the plotted data, bit for bit
-                assert float(row[0]) == t
-                assert float(row[1]) == p
+                # the shortest round-trip reprs: the plotted data, bit for
+                # bit, in the same text as report.json
+                assert row == [repr(t), repr(p)]
 
     def test_hist_csv_equals_histogram_series(self, report, plot_dir):
         out, _ = plot_dir

@@ -10,7 +10,8 @@ import biasaudit.report as report_module
 from biasaudit.cli import main
 from biasaudit.data import Dataset, load_csv
 from biasaudit.errors import InsufficientDataError, ParameterError
-from biasaudit.report import AuditConfig, render_json, run_audit
+from biasaudit.plots import render_plots
+from biasaudit.report import AuditConfig, _pcurve_csvs, render_json, run_audit
 from biasaudit.svm import CodeMatrix, FeatureMode, load_codes_csv
 from biasaudit.synth import demo_dataset, gen_code_vectors
 
@@ -274,13 +275,27 @@ class TestRenderJsonOracle:
         assert render_json(rep) == want.encode()
 
     @pytest.mark.parametrize("name", ["grid", "p_values"])
-    def test_non_finite_series_rejected(self, report, name):
+    def test_non_finite_series_rejected(self, report, name, tmp_path):
+        """A non-finite sweep float is a ValueError in render_json and in
+        render_plots, which write the one formatted text of each series;
+        render_plots raises before it writes any file."""
         pa = report.pairs[-1]
         values = getattr(pa.curve, name).copy()
         values[len(values) // 2] = math.nan if name == "p_values" else math.inf
-        bad = replace(pa, curve=replace(pa.curve, **{name: values}))
-        with pytest.raises(ValueError):
-            render_json(replace(report, pairs=report.pairs[:-1] + (bad,)))
+        bad_pair = replace(pa, curve=replace(pa.curve, **{name: values}))
+        bad = replace(report, pairs=report.pairs[:-1] + (bad_pair,))
+        with pytest.raises(ValueError, match=f"{name}: a float is not finite"):
+            render_json(bad)
+        with pytest.raises(ValueError, match=f"{name}: a float is not finite"):
+            render_plots(bad, tmp_path / "plots")
+        assert not (tmp_path / "plots").exists()
+
+    def test_empty_sweep_csv_is_its_header(self, tmp_path):
+        # the p-curve CSV render_plots writes; its SVG needs a non-empty
+        # sweep, which every audited pair has
+        csvs = list(_pcurve_csvs(_empty_sweep(tmp_path)))
+        assert csvs[0] == "threshold,p_value\n"
+        assert all(text.count("\n") > 1 for text in csvs[1:])
 
 
 class TestReportEdgeCases:

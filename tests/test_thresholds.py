@@ -5,7 +5,7 @@ import pytest
 
 from biasaudit.data import GroupPair
 from biasaudit.errors import InsufficientDataError, ParameterError
-from biasaudit.stats import MwuMode, mann_whitney_u
+from biasaudit.stats import MwuMode, chi_squared_one_sided, mann_whitney_u
 from biasaudit.thresholds import (
     BiasCurve,
     bias_sweep,
@@ -278,6 +278,24 @@ class TestBiasSweep:
             ref = mann_whitney_u(x, y, mode)
             assert mann_whitney_u([4.0 * v for v in x], [4.0 * v for v in y], mode) == ref
             assert mann_whitney_u([v**3 for v in x], [v**3 for v in y], mode) == ref
+
+    def test_exact_where_the_statistic_outgrows_int64(self):
+        # 50,000 rows a group: n * det**2 reaches about 2**73 and passes
+        # 2**63 at 99% of the points, past int64 and past float64's exact
+        # integers, so only Python ints give each point the one rounding of
+        # chi_squared_one_sided
+        rng = np.random.default_rng(5050)
+        a = np.sort(rng.normal(0.0, 1.0, 50_000))
+        b = np.sort(rng.normal(0.3, 1.0, 50_000))
+        curve = bias_sweep(a, b)
+        acc_a = np.searchsorted(a, curve.grid, side="right").tolist()
+        acc_b = np.searchsorted(b, curve.grid, side="right").tolist()
+        det = [x * (50_000 - y) - y * (50_000 - x) for x, y in zip(acc_a, acc_b)]
+        assert 100_000 * max(det, key=abs) ** 2 > 2**63
+        side = {"a": 1, "b": -1, None: 0}
+        for x, y, p, sign in zip(acc_a, acc_b, curve.p_values.tolist(), curve.signs.tolist()):
+            ref = chi_squared_one_sided(x, 50_000 - x, y, 50_000 - y)
+            assert (repr(p), sign) == (repr(ref.p_value), side[ref.direction])
 
     def test_curve_owns_read_only_columns(self):
         curve = bias_sweep([1.0, 3.0, 3.0], [2.0, 2.0, 3.0])
