@@ -14,6 +14,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -265,8 +266,4 @@ def group_pairs(ds: Dataset) -> list[GroupPair]:
         raise InsufficientDataError(
             f"need at least two groups for pairwise analysis, got {len(groups)}"
         )
-    return [
-        GroupPair(groups[i], groups[j])
-        for i in range(len(groups))
-        for j in range(i + 1, len(groups))
-    ]
+    return [GroupPair(a, b) for a, b in combinations(groups, 2)]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .report import AuditReport, _pcurve_csvs
+from .report import AuditReport, _pcurve_csv
 
 __all__ = ["render_plots"]
 
@@ -102,12 +102,15 @@ def _x_mapper(lo: float, hi: float):
     return to_px
 
 
-def _axes(svg: _Svg, x_ticks, y_ticks, x_label, y_label):
+def _axes(svg: _Svg, lo: float, hi: float, to_x, y_ticks, x_label, y_label):
+    """Both axes, with five evenly spaced x ticks from ``lo`` to ``hi``."""
     svg.line(_ML, _MT, _ML, _MT + _PLOT_H, "#222222")
     svg.line(_ML, _MT + _PLOT_H, _ML + _PLOT_W, _MT + _PLOT_H, "#222222")
-    for px, label in x_ticks:
+    for i in range(5):
+        v = lo + (hi - lo) * i / 4
+        px = to_x(v)
         svg.line(px, _MT + _PLOT_H, px, _MT + _PLOT_H + 4, "#222222")
-        svg.text(px, _MT + _PLOT_H + 17, label, size=10)
+        svg.text(px, _MT + _PLOT_H + 17, _tick_label(v), size=10)
     for py, label in y_ticks:
         svg.line(_ML - 4, py, _ML, py, "#222222")
         svg.line(_ML, py, _ML + _PLOT_W, py, "#eeeeee")
@@ -156,12 +159,8 @@ def _pcurve_svg(grid, p_values, alpha, regions, title) -> str:
             extra=f' data-lo="{r.lo!r}" data-hi="{r.hi!r}"',
         )
 
-    x_ticks = []
-    for i in range(5):
-        v = lo + (hi - lo) * i / 4
-        x_ticks.append((to_x(v), _tick_label(v)))
     y_ticks = [(to_y(10.0**e), f"1e{e}" if e else "1") for e in range(0, -13, -3)]
-    _axes(svg, x_ticks, y_ticks, "threshold", "one-sided p")
+    _axes(svg, lo, hi, to_x, y_ticks, "threshold", "one-sided p")
 
     ay = to_y(alpha)
     svg.line(_ML, ay, _ML + _PLOT_W, ay, "#c23b22", width=1.0, dash="5,4")
@@ -193,13 +192,9 @@ def _hist_svg(pair, edges, counts, title) -> str:
             y = to_y(c)
             svg.rect(x0, y, x1 - x0, _MT + _PLOT_H - y, color, opacity=0.55)
 
-    x_ticks = []
-    for i in range(5):
-        v = edges[0] + (edges[-1] - edges[0]) * i / 4
-        x_ticks.append((to_x(v), _tick_label(v)))
     step = max(1, int(math.ceil(max_count / 5)))
     y_ticks = [(to_y(c), str(c)) for c in range(0, max_count + 1, step)]
-    _axes(svg, x_ticks, y_ticks, "response", "count")
+    _axes(svg, edges[0], edges[-1], to_x, y_ticks, "response", "count")
 
     # legend, top right
     lx = _ML + _PLOT_W - 150
@@ -217,10 +212,8 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
     at most four vertices per pixel column (M4: the first, the last, the
     lowest and the highest), which gives the same picture; its CSV holds
     every threshold at full precision, so it is the data to redraw from.
-    The histogram CSV holds exactly the plotted numbers. Raises ValueError,
-    before any file is written, if a sweep float is not finite.
+    The histogram CSV holds exactly the plotted numbers.
     """
-    csvs = _pcurve_csvs(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -242,7 +235,7 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
             encoding="utf-8",
         )
         pcurve_csv = out / f"pcurve_{stem}.csv"
-        pcurve_csv.write_text(next(csvs), encoding="utf-8", newline="")
+        pcurve_csv.write_text(_pcurve_csv(pa), encoding="utf-8", newline="")
 
         hist_svg = out / f"hist_{stem}.svg"
         hist_svg.write_text(

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -135,28 +134,17 @@ class PairAnalysis:
         """The sweep's grid and p-values, each as the shortest round-trip
         reprs of its floats joined by ``_SERIES_SEP``: the items of
         report.json's lists and the columns of the p-curve CSV, formatted
-        once for both. Raises ValueError if a float is not finite."""
-        texts = []
-        for name in ("grid", "p_values"):
-            values = getattr(self.curve, name)
-            if not np.isfinite(values).all():
-                raise ValueError(f"bias sweep {self.pair.key} {name}: a float is not finite")
-            texts.append(_SERIES_SEP.join(map(float.__repr__, values.tolist())))
-        return texts[0], texts[1]
+        once for both. The curve holds finite floats only."""
+        join = lambda values: _SERIES_SEP.join(map(float.__repr__, values.tolist()))
+        return join(self.curve.grid), join(self.curve.p_values)
 
 
-def _pcurve_csvs(report: AuditReport) -> Iterator[str]:
-    """Each pair's p-curve CSV text, in pair order: a header and one row per
-    threshold, the reprs report.json holds. A float repr never needs CSV
-    quoting, so one join writes csv.writer's bytes. Every pair's series is
-    checked before this returns, so a non-finite float raises ValueError
-    before any text is built; each text is built when it is reached."""
-    texts = [pa._series_text for pa in report.pairs]
-    items = lambda text: text.split(_SERIES_SEP) if text else []  # "" is no items
-    return (
-        "".join(["threshold,p_value\n"] + [f"{t},{p}\n" for t, p in zip(items(g), items(p))])
-        for g, p in texts
-    )
+def _pcurve_csv(pa: PairAnalysis) -> str:
+    """The pair's p-curve CSV text: a header and one row per threshold, the
+    reprs report.json holds. A float repr never needs CSV quoting, so one
+    join writes csv.writer's bytes."""
+    grid, p_values = (text.split(_SERIES_SEP) for text in pa._series_text)
+    return "".join(["threshold,p_value\n"] + [f"{t},{p}\n" for t, p in zip(grid, p_values)])
 
 
 @dataclass(frozen=True)
@@ -175,6 +163,11 @@ class AuditReport:
     svm_auc: dict[str, float] | None
 
     def to_dict(self) -> dict:
+        return self._dict(np.ndarray.tolist)
+
+    def _dict(self, series) -> dict:
+        """``to_dict()``, with each sweep's grid and p-values given as
+        ``series`` of the curve's array."""
         d: dict = {
             "toolkit_version": self.version,
             "config": self.config.to_dict(),
@@ -203,8 +196,8 @@ class AuditReport:
             "bias_sweeps": {
                 pa.pair.key: {
                     "alpha": pa.curve.alpha,
-                    "grid": pa.curve.grid.tolist(),
-                    "p_values": pa.curve.p_values.tolist(),
+                    "grid": series(pa.curve.grid),
+                    "p_values": series(pa.curve.p_values),
                     "regions": [_fields(r) for r in pa.regions],
                 }
                 for pa in self.pairs
@@ -255,8 +248,6 @@ def _analyze_pair(
     curve = bias_sweep(a_s, b_s, alpha=alpha, pair=pair)
     regions = tuple(significant_regions(curve))
     lo, hi = min(a_s[0], b_s[0]), max(a_s[-1], b_s[-1])
-    if lo == hi:  # degenerate: a single response value
-        lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, bins + 1)
     counts = np.stack([np.histogram(a_s, edges)[0], np.histogram(b_s, edges)[0]])
     return PairAnalysis(
@@ -399,10 +390,10 @@ def run_audit(
     )
 
 
-# While the rest of the report is encoded, sweep series i stands in as the
-# string "\x01<i>"; group labels hold no control character, so no other
-# string encodes to it
-_SERIES_ENCODED = re.compile(r'"\\u0001(\d+)"')
+# While the rest of the report is encoded, each sweep series stands in as
+# this string. A Dataset's group labels hold no control character; a
+# hand-built GroupPair's label may be this string, and render_json refuses it
+_SERIES_HOLE = "\x01"
 
 
 def render_json(report: AuditReport) -> bytes:
@@ -413,23 +404,19 @@ def render_json(report: AuditReport) -> bytes:
     are each pair's ``_series_text``, written as the bytes ``json.dumps``
     would give them and spliced into the encoded rest of the report.
     """
-    d = report.to_dict()
-    series = []
-    for pa in report.pairs:
-        sweep = d["bias_sweeps"][pa.pair.key]
-        for name, text in zip(("grid", "p_values"), pa._series_text):
-            series.append(text)
-            sweep[name] = f"\x01{len(series) - 1}"
-    parts = _SERIES_ENCODED.split(json.dumps(d, sort_keys=True, indent=2, allow_nan=False))
-    pieces = []
-    for i, part in enumerate(parts):
-        if i % 2 == 0:
-            pieces.append(part)
-        elif text := series[int(part)]:
+    encoded = json.dumps(
+        report._dict(lambda _: _SERIES_HOLE), sort_keys=True, indent=2, allow_nan=False
+    )
+    parts = encoded.split(json.dumps(_SERIES_HOLE))
+    if len(parts) != 2 * len(report.pairs) + 1:
+        raise ValueError(f"a group label is {_SERIES_HOLE!r}, which render_json reserves")
+    pieces = [parts[0]]
+    holes = iter(parts[1:])
+    # sort_keys lays the holes out by pair key, then grid before p_values
+    for pa in sorted(report.pairs, key=lambda pa: pa.pair.key):
+        for text in pa._series_text:
             # a list at bias_sweeps.A|B.name: items 8 spaces in, the bracket
             # 6; the text goes in as its own piece, so it is copied once
-            pieces += ["[\n        ", text, "\n      ]"]
-        else:
-            pieces.append("[]")
+            pieces += ["[\n        ", text, "\n      ]", next(holes)]
     pieces.append("\n")
     return "".join(pieces).encode("utf-8")

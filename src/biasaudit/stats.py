@@ -253,26 +253,21 @@ def shapiro_wilk(a: Sequence[float]) -> TestResult:
     m = [_NORMAL.inv_cdf((n - i + 1 - 0.375) / (n + 0.25)) for i in range(1, half + 1)]
     mss = 2.0 * math.fsum(v * v for v in m)
 
-    w = [0.0] * half
     if n == 3:
-        w[0] = math.sqrt(0.5)
+        w = [math.sqrt(0.5)]
     else:
+        # Royston's polynomial weights for the extreme pairs, one when
+        # n <= 5 and two above; the rest scale m so all have unit norm
         rsn = 1.0 / math.sqrt(n)
-        w0 = m[0] / math.sqrt(mss) + _poly(_SW_C1, rsn)
-        if n <= 5:
-            denom = mss - 2.0 * m[0] ** 2
-            fac = math.sqrt(denom / (1.0 - 2.0 * w0**2))
-            w[0] = w0
-            for i in range(1, half):
-                w[i] = m[i] / fac
-        else:
-            w1 = m[1] / math.sqrt(mss) + _poly(_SW_C2, rsn)
-            denom = mss - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2
-            fac = math.sqrt(denom / (1.0 - 2.0 * w0**2 - 2.0 * w1**2))
-            w[0] = w0
-            w[1] = w1
-            for i in range(2, half):
-                w[i] = m[i] / fac
+        fixed = [m[0] / math.sqrt(mss) + _poly(_SW_C1, rsn)]
+        if n > 5:
+            fixed.append(m[1] / math.sqrt(mss) + _poly(_SW_C2, rsn))
+        denom, rest = mss, 1.0
+        for mi, wi in zip(m, fixed):
+            denom -= 2.0 * mi**2
+            rest -= 2.0 * wi**2
+        fac = math.sqrt(denom / rest)
+        w = fixed + [mi / fac for mi in m[len(fixed):]]
 
     ssq = _sum_of_squares(x)[1]
     num = math.fsum(w[i] * (x[n - 1 - i] - x[i]) for i in range(half))

@@ -14,6 +14,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -363,9 +364,8 @@ def _pair_rows(m: CodeMatrix, groups: Sequence[str], folds: int) -> dict[str, np
                 f"code vectors for group {g!r}: have {len(idx)}, need >= {folds}"
             )
     train = {g: len(idx) - len(idx) // folds for g, idx in rows.items()}
-    for i, a in enumerate(groups):
-        for b in groups[i + 1 :]:
-            _check_kernel_rows(train[a] + train[b])
+    for a, b in combinations(groups, 2):
+        _check_kernel_rows(train[a] + train[b])
     return rows
 
 
@@ -387,8 +387,7 @@ def _pairwise_aucs(
         GroupPair(a, b).key: cross_validated_auc(
             m.take(np.concatenate([rows[a], rows[b]])), mode, c, gamma, folds, seed
         )
-        for i, a in enumerate(groups)
-        for b in groups[i + 1 :]
+        for a, b in combinations(groups, 2)
     }
 
 

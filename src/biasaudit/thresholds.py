@@ -62,6 +62,10 @@ class BiasCurve:
     arrays the curve owns: float64 ``grid`` and ``p_values``, and int8
     ``signs``, 1 where group a rejects more at ``grid[i]``, -1 where group b
     does, 0 on a tie. The signs label regions without recomputing the tables.
+
+    A curve holds at least one point, its three columns have one length, its
+    grid and p-values are finite and its grid rises strictly; anything else
+    raises ParameterError.
     """
 
     pair: GroupPair
@@ -73,6 +77,16 @@ class BiasCurve:
     def __post_init__(self):
         for name, dtype in (("grid", np.float64), ("p_values", np.float64), ("signs", np.int8)):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
+        shape = self.grid.shape
+        if len(shape) != 1 or self.p_values.shape != shape or self.signs.shape != shape:
+            raise ParameterError("grid, p_values and signs must be columns of one length")
+        if not shape[0]:
+            raise ParameterError("a bias curve needs at least one point")
+        for name in ("grid", "p_values"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ParameterError(f"bias curve {name}: a float is not finite")
+        if not (self.grid[1:] > self.grid[:-1]).all():
+            raise ParameterError("bias curve grid must rise strictly")
 
 
 @dataclass(frozen=True)

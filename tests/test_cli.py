@@ -345,6 +345,15 @@ class TestConfigFile:
                 )
         assert [p.name for p in tmp_path.iterdir()] == ["audit.cfg"]
 
+    def test_blank_and_comment_lines_skipped(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text("\n# folds for a small file\n   \n  # indented\nsvm_folds = 3\n\n")
+        codes = str(synth_dir / "codes.csv")
+        assert main(["--config", str(cfg), "svm-sep", "--codes", codes]) == 0
+        from_file = capsys.readouterr()
+        assert main(["svm-sep", "--codes", codes, "--svm-folds", "3"]) == 0
+        assert capsys.readouterr() == from_file
+
     def test_unknown_key_rejected(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "audit.cfg"
         cfg.write_text("not_a_key = 5\n")
@@ -628,6 +637,64 @@ class TestStatSubcommands:
         assert lines[0].startswith("alpha|beta auc ")
         for line in lines:
             assert 0.0 <= float(line.rsplit(" ", 1)[1]) <= 1.0
+
+
+class TestInputErrors:
+    """Each bad input exits 1 with one error line that names it."""
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--quantiles", "0.1,,0.2"], "bad quantile list: '0.1,,0.2'"),
+            (["--svm-gamma", "abc"], "gamma must be a number or 'auto', got 'abc'"),
+        ],
+    )
+    def test_bad_flag_value(self, tmp_path, capsys, flag, message):
+        # the flag is parsed before the (missing) data file is read
+        code = main(["audit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)] + flag)
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sample_id,group,class,response\n,a,bonafide,0.1\n", "line 2: empty sample_id"),
+            ("sample_id,group,class,response\ns1,,bonafide,0.1\n", "line 2: empty group"),
+            (
+                "group,sample_id,class,response\na,s1,bonafide,0.1\n",
+                "{path}: bad header: column order must be sample_id,group,class,response",
+            ),
+        ],
+        ids=["empty-sample-id", "empty-group", "columns-out-of-order"],
+    )
+    def test_bad_response_csv(self, tmp_path, capsys, text, message):
+        path = tmp_path / "responses.csv"
+        path.write_text(text)
+        assert main(["eer", "--data", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize(
+        "size_line, message",
+        [
+            ("#K=x", "{path}: bad #K= line: '#K=x'"),
+            ("#K=1", "{path}: codebook size must be >= 2, got 1"),
+            ("#K=4", "need at least two groups in {path}"),
+        ],
+    )
+    def test_bad_codes_csv(self, tmp_path, capsys, size_line, message):
+        path = tmp_path / "codes.csv"
+        rows = "".join(f"s{i},solo,{i % 4}\n" for i in range(6))
+        path.write_text(f"{size_line}\nsample_id,group,c0\n{rows}")
+        assert main(["svm-sep", "--codes", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+    def test_sweep_of_one_group_with_itself(self, synth_dir, capsys):
+        data = str(synth_dir / "responses.csv")
+        assert main(["sweep", "--data", data, "--group-a", "beta", "--group-b", "beta"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: a pair needs two distinct groups, got 'beta' twice\n",
+        )
 
 
 class TestArgparseBehavior:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import _pcurve_oracle as oracle
-from biasaudit.plots import _fmt, _pcurve_svg, render_plots
+from biasaudit.plots import _ML, _MT, _PLOT_H, _fmt, _pcurve_svg, render_plots
 from biasaudit.report import AuditConfig, run_audit
 from biasaudit.synth import demo_dataset
 
@@ -180,3 +180,9 @@ class TestPcurveM4:
         assert per_column.max() == 4
         drawn = _polyline(_pcurve_svg(grid, p_values, 0.05, (), "all kept"))
         assert drawn == [(_fmt(x), _fmt(y)) for x, y in full]
+
+    def test_one_point_curve_draws_at_the_left_edge(self):
+        # a one-point grid spans no width; _x_mapper maps it to the axis
+        drawn = _polyline(_pcurve_svg(np.array([0.3]), np.array([0.01]), 0.05, (), "one point"))
+        # p = 0.01 is 2 of the 12 decades of the log axis down from p = 1
+        assert drawn == [(_fmt(_ML), _fmt(_MT + 2 / 12 * _PLOT_H))]

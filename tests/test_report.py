@@ -10,8 +10,7 @@ import biasaudit.report as report_module
 from biasaudit.cli import main
 from biasaudit.data import Dataset, load_csv
 from biasaudit.errors import InsufficientDataError, ParameterError
-from biasaudit.plots import render_plots
-from biasaudit.report import AuditConfig, _pcurve_csvs, render_json, run_audit
+from biasaudit.report import AuditConfig, render_json, run_audit
 from biasaudit.svm import CodeMatrix, FeatureMode, load_codes_csv
 from biasaudit.synth import demo_dataset, gen_code_vectors
 
@@ -246,13 +245,6 @@ def _odd_labels(_):
     return run_audit(ds, AuditConfig(**FAST))
 
 
-def _empty_sweep(_):
-    rep = run_audit(demo_dataset(n_per_group=4, seed=7), AuditConfig(**FAST))
-    pa = rep.pairs[0]
-    empty = replace(pa.curve, grid=[], p_values=[], signs=[])
-    return replace(rep, pairs=(replace(pa, curve=empty, regions=()),) + rep.pairs[1:])
-
-
 REPORTS = {
     "readme-demo-with-codes": _readme_demo,
     "no-attacks": lambda _: run_audit(
@@ -260,7 +252,6 @@ REPORTS = {
     ),
     "4-row-groups": lambda _: run_audit(demo_dataset(n_per_group=4, seed=7), AuditConfig(**FAST)),
     "odd-labels": _odd_labels,
-    "empty-sweep": _empty_sweep,
 }
 
 
@@ -275,27 +266,22 @@ class TestRenderJsonOracle:
         assert render_json(rep) == want.encode()
 
     @pytest.mark.parametrize("name", ["grid", "p_values"])
-    def test_non_finite_series_rejected(self, report, name, tmp_path):
-        """A non-finite sweep float is a ValueError in render_json and in
-        render_plots, which write the one formatted text of each series;
-        render_plots raises before it writes any file."""
-        pa = report.pairs[-1]
-        values = getattr(pa.curve, name).copy()
+    def test_non_finite_series_rejected(self, report, name):
+        """A sweep curve with a non-finite float cannot be built, so
+        render_json and render_plots never meet one."""
+        curve = report.pairs[-1].curve
+        values = getattr(curve, name).copy()
         values[len(values) // 2] = math.nan if name == "p_values" else math.inf
-        bad_pair = replace(pa, curve=replace(pa.curve, **{name: values}))
-        bad = replace(report, pairs=report.pairs[:-1] + (bad_pair,))
-        with pytest.raises(ValueError, match=f"{name}: a float is not finite"):
-            render_json(bad)
-        with pytest.raises(ValueError, match=f"{name}: a float is not finite"):
-            render_plots(bad, tmp_path / "plots")
-        assert not (tmp_path / "plots").exists()
+        with pytest.raises(ParameterError, match=f"{name}: a float is not finite"):
+            replace(curve, **{name: values})
 
-    def test_empty_sweep_csv_is_its_header(self, tmp_path):
-        # the p-curve CSV render_plots writes; its SVG needs a non-empty
-        # sweep, which every audited pair has
-        csvs = list(_pcurve_csvs(_empty_sweep(tmp_path)))
-        assert csvs[0] == "threshold,p_value\n"
-        assert all(text.count("\n") > 1 for text in csvs[1:])
+    def test_placeholder_label_refused(self, report):
+        """A group name that is the sweep placeholder would shift the
+        spliced series; render_json refuses it."""
+        pa = report.pairs[0]
+        named = replace(pa, mann_whitney=replace(pa.mann_whitney, direction="\x01"))
+        with pytest.raises(ValueError, match="which render_json reserves"):
+            render_json(replace(report, pairs=(named,) + report.pairs[1:]))
 
 
 class TestReportEdgeCases:

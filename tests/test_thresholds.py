@@ -315,6 +315,34 @@ class TestBiasSweep:
         assert not owned.grid.flags.writeable
         assert grid.flags.writeable and not np.shares_memory(grid, owned.grid)
 
+    @pytest.mark.parametrize(
+        "grid, p_values, signs, match",
+        [
+            ([], [], [], "at least one point"),
+            ([1.0, 2.0], [0.5], [0, 0], "one length"),
+            ([1.0, 2.0], [0.5, 0.5], [0], "one length"),
+            ([[1.0, 2.0]], [[0.5, 0.5]], [[0, 0]], "one length"),
+            ([1.0, math.nan], [0.5, 0.5], [0, 0], "grid: a float is not finite"),
+            ([1.0, math.inf], [0.5, 0.5], [0, 0], "grid: a float is not finite"),
+            ([1.0, 2.0], [0.5, math.nan], [0, 0], "p_values: a float is not finite"),
+            ([1.0, 2.0], [-math.inf, 0.5], [0, 0], "p_values: a float is not finite"),
+            ([1.0, 1.0], [0.5, 0.5], [0, 0], "rise strictly"),
+            ([2.0, 1.0], [0.5, 0.5], [0, 0], "rise strictly"),
+        ],
+        ids=[
+            "empty", "short-p", "short-signs", "2-d", "nan-grid", "inf-grid", "nan-p", "inf-p",
+            "flat-grid", "falling-grid",
+        ],
+    )
+    def test_invalid_curve_rejected(self, grid, p_values, signs, match):
+        with pytest.raises(ParameterError, match=match):
+            BiasCurve(GroupPair("a", "b"), grid, p_values, 0.05, signs)
+
+    def test_one_point_curve_accepted(self):
+        curve = BiasCurve(GroupPair("a", "b"), [1.0], [0.01], 0.05, [1])
+        assert curve.grid.tolist() == [1.0]
+        assert significant_regions(curve)[0].worse_group == "a"
+
     def test_single_value_grid_rejected(self):
         with pytest.raises(ParameterError, match="degenerate sweep grid of size 1"):
             bias_sweep([2.0, 2.0], [2.0])
