@@ -144,9 +144,12 @@ def _config_from_args(args: argparse.Namespace) -> AuditConfig:
 
 def _cmd_audit(args) -> int:
     cfg = _config_from_args(args)
-    ds = load_csv(args.data)
-    codes = load_codes_csv(args.codes, k=args.codes_k) if args.codes else None
-    report = run_audit(ds, cfg, codes)
+    # no name holds the inputs, so they are freed before the report renders
+    report = run_audit(
+        load_csv(args.data),
+        cfg,
+        load_codes_csv(args.codes, k=args.codes_k) if args.codes else None,
+    )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

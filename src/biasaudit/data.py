@@ -191,6 +191,7 @@ def load_csv(path: str | Path) -> Dataset:
             raise SchemaError(f"{path}: bad header: {'; '.join(detail)}")
 
         ids, groups, bona_fide, responses = [], [], [], []
+        labels: dict[str, str] = {}  # one str per distinct label, not per row
         for line_no, row in _numbered_rows(reader):  # blank lines tolerated
             if len(row) != 4:
                 raise RowError(line_no, f"expected 4 fields, got {len(row)}")
@@ -215,7 +216,7 @@ def load_csv(path: str | Path) -> Dataset:
                     line_no, f"response must be finite and >= 0, got {resp_text!r}"
                 )
             ids.append(sid)
-            groups.append(group)
+            groups.append(labels.setdefault(group, group))
             bona_fide.append(is_bona)
             responses.append(resp)
 

@@ -235,7 +235,7 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
             encoding="utf-8",
         )
         pcurve_csv = out / f"pcurve_{stem}.csv"
-        pcurve_csv.write_text(_pcurve_csv(pa), encoding="utf-8", newline="")
+        pcurve_csv.write_bytes(_pcurve_csv(pa))
 
         hist_svg = out / f"hist_{stem}.svg"
         hist_svg.write_text(

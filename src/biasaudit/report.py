@@ -130,21 +130,23 @@ class PairAnalysis:
     hist_counts: np.ndarray
 
     @cached_property
-    def _series_text(self) -> tuple[str, str]:
+    def _series_text(self) -> tuple[bytes, bytes]:
         """The sweep's grid and p-values, each as the shortest round-trip
-        reprs of its floats joined by ``_SERIES_SEP``: the items of
-        report.json's lists and the columns of the p-curve CSV, formatted
-        once for both. The curve holds finite floats only."""
-        join = lambda values: _SERIES_SEP.join(map(float.__repr__, values.tolist()))
+        reprs of its floats joined by ``_SERIES_SEP``, in ASCII bytes: the
+        items of report.json's lists and the columns of the p-curve CSV,
+        formatted and held once for both. The curve holds finite floats
+        only."""
+        join = lambda values: _SERIES_SEP.join(map(float.__repr__, values.tolist())).encode()
         return join(self.curve.grid), join(self.curve.p_values)
 
 
-def _pcurve_csv(pa: PairAnalysis) -> str:
-    """The pair's p-curve CSV text: a header and one row per threshold, the
-    reprs report.json holds. A float repr never needs CSV quoting, so one
-    join writes csv.writer's bytes."""
-    grid, p_values = (text.split(_SERIES_SEP) for text in pa._series_text)
-    return "".join(["threshold,p_value\n"] + [f"{t},{p}\n" for t, p in zip(grid, p_values)])
+def _pcurve_csv(pa: PairAnalysis) -> bytes:
+    """The pair's p-curve CSV bytes: a header and one row per threshold, the
+    reprs report.json holds, split out of ``_series_text``. A float repr
+    never needs CSV quoting, so one join writes csv.writer's bytes."""
+    grid, p_values = (text.split(_SERIES_SEP.encode()) for text in pa._series_text)
+    rows = b"\n".join(map(b",".join, zip(grid, p_values)))
+    return b"".join([b"threshold,p_value\n", rows, b"\n"])
 
 
 @dataclass(frozen=True)
@@ -402,12 +404,13 @@ def render_json(report: AuditReport) -> bytes:
     Floats use Python's shortest round-trip repr (up to 17 significant
     digits), so equal reports render to identical bytes. The sweep series
     are each pair's ``_series_text``, written as the bytes ``json.dumps``
-    would give them and spliced into the encoded rest of the report.
+    would give them and spliced into the encoded rest of the report by one
+    join, the only report-sized buffer made here.
     """
     encoded = json.dumps(
         report._dict(lambda _: _SERIES_HOLE), sort_keys=True, indent=2, allow_nan=False
-    )
-    parts = encoded.split(json.dumps(_SERIES_HOLE))
+    ).encode()
+    parts = encoded.split(json.dumps(_SERIES_HOLE).encode())
     if len(parts) != 2 * len(report.pairs) + 1:
         raise ValueError(f"a group label is {_SERIES_HOLE!r}, which render_json reserves")
     pieces = [parts[0]]
@@ -417,6 +420,6 @@ def render_json(report: AuditReport) -> bytes:
         for text in pa._series_text:
             # a list at bias_sweeps.A|B.name: items 8 spaces in, the bracket
             # 6; the text goes in as its own piece, so it is copied once
-            pieces += ["[\n        ", text, "\n      ]", next(holes)]
-    pieces.append("\n")
-    return "".join(pieces).encode("utf-8")
+            pieces += [b"[\n        ", text, b"\n      ]", next(holes)]
+    pieces.append(b"\n")
+    return b"".join(pieces)

@@ -428,6 +428,7 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
             raise SchemaError(f"{path}: code columns must be named c0..c{d - 1}")
 
         ids, groups, rows = [], [], []
+        labels: dict[str, str] = {}  # one str per distinct label, not per row
         for line_no, row in _numbered_rows(reader):
             if len(row) != d + 2:
                 raise RowError(line_no, f"expected {d + 2} fields, got {len(row)}")
@@ -442,7 +443,7 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
             if bad:
                 raise RowError(line_no, f"code indices must be in [0, {k_eff - 1}], got {bad[0]}")
             ids.append(sid)
-            groups.append(group)
+            groups.append(labels.setdefault(group, group))
             rows.append(codes)
     if not rows:
         raise SchemaError(f"{path}: no code rows")

@@ -64,8 +64,9 @@ class BiasCurve:
     does, 0 on a tie. The signs label regions without recomputing the tables.
 
     A curve holds at least one point, its three columns have one length, its
-    grid and p-values are finite and its grid rises strictly; anything else
-    raises ParameterError.
+    grid and p-values are finite, its grid rises strictly, its p-values lie
+    in [0, 1], its signs in {-1, 0, 1}, a sign is 0 only where p is 1, and
+    0 < alpha < 1; anything else raises ParameterError.
     """
 
     pair: GroupPair
@@ -75,7 +76,8 @@ class BiasCurve:
     signs: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("grid", np.float64), ("p_values", np.float64), ("signs", np.int8)):
+        # signs keep their own dtype until checked, so none is cast away
+        for name, dtype in (("grid", np.float64), ("p_values", np.float64), ("signs", None)):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
         shape = self.grid.shape
         if len(shape) != 1 or self.p_values.shape != shape or self.signs.shape != shape:
@@ -87,6 +89,16 @@ class BiasCurve:
                 raise ParameterError(f"bias curve {name}: a float is not finite")
         if not (self.grid[1:] > self.grid[:-1]).all():
             raise ParameterError("bias curve grid must rise strictly")
+        if not ((self.p_values >= 0.0) & (self.p_values <= 1.0)).all():
+            raise ParameterError("bias curve p_values must lie in [0, 1]")
+        if not np.isin(self.signs, (-1, 0, 1)).all():
+            raise ParameterError("bias curve signs must be -1, 0 or 1")
+        object.__setattr__(self, "signs", _read_only(self.signs.astype(np.int8)))
+        if not 0.0 < self.alpha < 1.0:
+            raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
+        # a tie is then never below alpha, so every region has a worse group
+        if ((self.signs == 0) & (self.p_values != 1.0)).any():
+            raise ParameterError("a bias curve sign is 0 only where p is 1")
 
 
 @dataclass(frozen=True)
@@ -193,8 +205,6 @@ def bias_sweep(
     """
     if len(bona_a) == 0 or len(bona_b) == 0:
         raise InsufficientDataError("bias_sweep needs non-empty groups")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
     if pair is None:
         pair = GroupPair("a", "b")
     # stable, so that of equal values (0.0 and -0.0) the grid keeps the one

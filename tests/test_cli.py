@@ -3,11 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import biasaudit
+import biasaudit.cli as cli_module
 import biasaudit.dip as dip_module
 from biasaudit.cli import _config_from_args, build_parser, main
 from biasaudit.report import AuditConfig
@@ -95,6 +97,34 @@ class TestAuditCommand:
         csvs = list(audit_dir.glob("*.csv"))
         assert len(svgs) == 12  # two plots for each of six pairs
         assert len(csvs) == 12
+
+    def test_inputs_freed_before_rendering(self, synth_dir, tmp_path, monkeypatch):
+        """The report keeps no reference to the Dataset or the CodeMatrix,
+        and neither does audit, so both are gone before the report renders."""
+        inputs, alive = [], []
+
+        def keep_ref(load):
+            def loaded(*args, **kwargs):
+                result = load(*args, **kwargs)
+                inputs.append(weakref.ref(result))
+                return result
+
+            return loaded
+
+        def render(report, render_json=cli_module.render_json):
+            alive.extend(ref() is not None for ref in inputs)
+            return render_json(report)
+
+        monkeypatch.setattr(cli_module, "load_csv", keep_ref(cli_module.load_csv))
+        monkeypatch.setattr(cli_module, "load_codes_csv", keep_ref(cli_module.load_codes_csv))
+        monkeypatch.setattr(cli_module, "render_json", render)
+        code = main(
+            ["audit", "--data", str(synth_dir / "responses.csv"), "--codes",
+             str(synth_dir / "codes.csv"), "--out", str(tmp_path)]
+            + AUDIT_FAST
+        )
+        assert code == 0
+        assert alive == [False, False]
 
     def test_report_content(self, audit_dir):
         blob = json.loads((audit_dir / "report.json").read_text())

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,32 @@ class TestLoadCsv:
             ds = load_csv(path)
         assert len(ds) == 2
         assert any("sample_id" in m for m in caplog.messages)
+
+
+@pytest.mark.parametrize("loader", ["responses", "codes"])
+def test_group_labels_interned(loader, tmp_path):
+    """A loader keeps one str per distinct group label, so the length of the
+    labels costs nothing per row."""
+    n = 20_000
+
+    def load_peak(width: int) -> int:
+        groups = [c * width for c in "ab"]
+        if loader == "responses":
+            rows = [f"s{i:05d},{groups[i % 2]},bonafide,{i % 97}.5" for i in range(n)]
+            text, load = "sample_id,group,class,response\n", load_csv
+        else:
+            rows = [f"s{i:05d},{groups[i % 2]},{i % 4}" for i in range(n)]
+            text, load = "#K=4\nsample_id,group,c0\n", load_codes_csv
+        path = tmp_path / f"{loader}-{width}.csv"
+        path.write_text(text + "\n".join(rows) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            load(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(load_peak(60) - load_peak(1)) < 8 * n
 
 
 class TestRoundTrip:

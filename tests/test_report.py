@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -282,6 +283,31 @@ class TestRenderJsonOracle:
         named = replace(pa, mann_whitney=replace(pa.mann_whitney, direction="\x01"))
         with pytest.raises(ValueError, match="which render_json reserves"):
             render_json(replace(report, pairs=(named,) + report.pairs[1:]))
+
+
+class TestRenderJsonMemory:
+    def test_one_report_sized_buffer(self):
+        """With the series formatted, render_json's only large allocation is
+        its result: the series are held once, as bytes, and joined once."""
+        rng = np.random.default_rng(11)
+        n = 3000
+        ds = Dataset(
+            [f"s{i:05d}" for i in range(2 * n)],
+            ["a"] * n + ["b"] * n,
+            [True] * (2 * n),
+            np.concatenate([rng.lognormal(-3, 0.4, n), rng.lognormal(-2.9, 0.4, n)]),
+        )
+        rep = run_audit(ds, AuditConfig(dip_replicas=50))
+        for pa in rep.pairs:
+            pa._series_text
+        tracemalloc.start()
+        try:
+            out = render_json(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 300_000
+        assert peak <= 1.25 * len(out)
 
 
 class TestReportEdgeCases:

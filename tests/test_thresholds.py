@@ -328,20 +328,35 @@ class TestBiasSweep:
             ([1.0, 2.0], [-math.inf, 0.5], [0, 0], "p_values: a float is not finite"),
             ([1.0, 1.0], [0.5, 0.5], [0, 0], "rise strictly"),
             ([2.0, 1.0], [0.5, 0.5], [0, 0], "rise strictly"),
+            ([1.0, 2.0], [1.0, -0.25], [0, 1], r"p_values must lie in \[0, 1\]"),
+            ([1.0, 2.0], [1.5, 0.25], [0, 1], r"p_values must lie in \[0, 1\]"),
+            ([1.0, 2.0], [1.0, 0.25], [0, 2], "signs must be -1, 0 or 1"),
+            ([1.0, 2.0], [1.0, 0.25], [0, 300], "signs must be -1, 0 or 1"),
+            ([1.0, 2.0], [1.0, 0.25], [0, 1.5], "signs must be -1, 0 or 1"),
+            # a tie below alpha would leave its region without a worse group
+            ([1.0], [0.01], [0], "sign is 0 only where p is 1"),
         ],
         ids=[
             "empty", "short-p", "short-signs", "2-d", "nan-grid", "inf-grid", "nan-p", "inf-p",
-            "flat-grid", "falling-grid",
+            "flat-grid", "falling-grid", "negative-p", "p-above-1", "sign-2", "sign-300", "sign-1.5",
+            "tie-below-alpha",
         ],
     )
     def test_invalid_curve_rejected(self, grid, p_values, signs, match):
         with pytest.raises(ParameterError, match=match):
             BiasCurve(GroupPair("a", "b"), grid, p_values, 0.05, signs)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0, math.nan])
+    def test_curve_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ParameterError, match=r"alpha must be in \(0, 1\)"):
+            BiasCurve(GroupPair("a", "b"), [1.0], [1.0], alpha, [0])
+
     def test_one_point_curve_accepted(self):
         curve = BiasCurve(GroupPair("a", "b"), [1.0], [0.01], 0.05, [1])
         assert curve.grid.tolist() == [1.0]
         assert significant_regions(curve)[0].worse_group == "a"
+        # p = 1 with a nonzero sign stays legal: only a tie is pinned to p = 1
+        assert BiasCurve(GroupPair("a", "b"), [1.0], [1.0], 0.05, [-1]).signs.tolist() == [-1]
 
     def test_single_value_grid_rejected(self):
         with pytest.raises(ParameterError, match="degenerate sweep grid of size 1"):
