@@ -13,8 +13,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import bona_fide_responses, load_csv, save_csv
 from .errors import AuditError, ParameterError
@@ -29,8 +27,8 @@ from .report import (
 )
 from .plots import render_plots
 from .stats import MwuMode, chi_squared_one_sided, mann_whitney_u, shapiro_wilk
-from .svm import CodeMatrix, FeatureMode, load_codes_csv, save_codes_csv
-from .synth import demo_dataset, gen_code_vectors
+from .svm import FeatureMode, _pair_rows, load_codes_csv, save_codes_csv
+from .synth import _demo_codes, demo_dataset
 
 
 def _parse_quantiles(text: str) -> tuple[float, ...]:
@@ -269,7 +267,8 @@ def _cmd_svm_sep(args) -> int:
     groups = codes.groups()
     if len(groups) < 2:
         raise ParameterError(f"need at least two groups in {args.codes}")
-    for key, auc in _separability(codes, groups, cfg).items():
+    rows = _pair_rows(codes, groups, cfg.svm_folds)
+    for key, auc in _separability(codes, rows, cfg).items():
         print(f"{key} auc {auc:.6f}")
     return 0
 
@@ -281,34 +280,7 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
         with_attacks=not args.no_attacks,
     )
-    codes = None
-    if not args.no_codes:
-        group_list = ds.groups()
-        # chain pairs (alpha,beta), (delta,gamma) share one generator call each
-        parts = [
-            gen_code_vectors(
-                args.n_per_group,
-                d=args.codes_d,
-                k=args.codes_k,
-                separability=args.codes_separability,
-                seed=args.seed + 500 + idx,
-                groups=(group_list[idx], group_list[idx + 1]),
-            )
-            for idx in range(0, len(group_list) - 1, 2)
-        ]
-        labels = [g for p in parts for g in p.labels()]
-        # each code row takes the id of its group's next bona fide response
-        ids = np.array(ds.sample_ids)
-        bona_ids = {
-            g: iter(ids[ds.bona_fide & (ds.group_codes == c)].tolist())
-            for c, g in enumerate(group_list)
-        }
-        codes = CodeMatrix(
-            np.vstack([p.codes for p in parts]),
-            labels,
-            args.codes_k,
-            [next(bona_ids[g]) for g in labels],
-        )
+    codes = None if args.no_codes else _demo_codes(ds, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data_path = out / "responses.csv"
@@ -317,7 +289,7 @@ def _cmd_synth(args) -> int:
     if codes is not None:
         codes_path = out / "codes.csv"
         save_codes_csv(codes, codes_path)
-        print(f"wrote {codes_path} ({len(codes)} vectors, K={args.codes_k})")
+        print(f"wrote {codes_path} ({len(codes)} vectors, K={codes.k})")
     return 0
 
 
@@ -397,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_DEFAULT.seed)
     p.add_argument("--no-attacks", action="store_true")
     p.add_argument("--no-codes", action="store_true")
-    p.add_argument("--codes-d", type=int, default=16)
-    p.add_argument("--codes-k", type=int, default=64)
-    p.add_argument("--codes-separability", type=float, default=0.3)
     p.set_defaults(func=_cmd_synth)
 
     return parser

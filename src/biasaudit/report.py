@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,7 @@ from .stats import (
     mann_whitney_u,
     summary_stats,
 )
-from .svm import CodeMatrix, FeatureMode, _pair_rows, _pairwise_aucs
+from .svm import CodeMatrix, FeatureMode, _pair_rows, cross_validated_auc
 from .thresholds import (
     BiasCurve,
     BiasRegion,
@@ -278,12 +279,20 @@ def _operating_points(ds: Dataset) -> tuple[OperatingPoint, dict[str, OperatingP
     return eer, per_group_hter
 
 
-def _separability(codes: CodeMatrix, groups: Sequence[str], cfg: AuditConfig) -> dict[str, float]:
-    """Cross-validated SVM AUC of every pair of ``groups`` on ``codes``, with
-    the SVM values of ``cfg``."""
-    return _pairwise_aucs(
-        codes, groups, cfg.feature_mode, cfg.svm_c, cfg.svm_gamma, cfg.svm_folds, cfg.seed
-    )
+def _separability(
+    codes: CodeMatrix, rows: dict[str, np.ndarray], cfg: AuditConfig
+) -> dict[str, float]:
+    """Cross-validated SVM AUC of every pair of ``rows``' groups, in their
+    order, keyed like GroupPair.key, with the SVM values of ``cfg``. Each
+    pair trains on group a's rows of ``codes`` then group b's, as
+    ``_pair_rows`` gives and checks them."""
+    return {
+        GroupPair(a, b).key: cross_validated_auc(
+            codes.take(np.concatenate([rows[a], rows[b]])),
+            cfg.feature_mode, cfg.svm_c, cfg.svm_gamma, cfg.svm_folds, cfg.seed,
+        )
+        for a, b in combinations(rows, 2)
+    }
 
 
 def _dip_tests(
@@ -345,9 +354,8 @@ def run_audit(
                 f"group {g!r} has {len(vals)} bona fide rows; the audit needs >= 4"
             )
         bona[g] = vals
-    if codes is not None:
-        # fail before the dip null, not after
-        _pair_rows(codes, groups, cfg.svm_folds)
+    # checked here so that bad codes fail before the dip null, not after
+    rows = None if codes is None else _pair_rows(codes, groups, cfg.svm_folds)
     pooled_bona = bona_fide_responses(ds)
     pooled_attack = attack_responses(ds)
 
@@ -374,7 +382,7 @@ def run_audit(
         _analyze_pair(p, bona, anchors, cfg.alpha, cfg.dip_bins) for p in pairs
     )
 
-    svm_auc = None if codes is None else _separability(codes, groups, cfg)
+    svm_auc = None if codes is None else _separability(codes, rows, cfg)
 
     return AuditReport(
         version=__version__,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import GroupPair, _encode_groups, _numbered_rows, _read_only
+from .data import _encode_groups, _numbered_rows, _read_only
 from .errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -369,28 +369,6 @@ def _pair_rows(m: CodeMatrix, groups: Sequence[str], folds: int) -> dict[str, np
     return rows
 
 
-def _pairwise_aucs(
-    m: CodeMatrix,
-    groups: Sequence[str],
-    mode: FeatureMode,
-    c: float,
-    gamma: float | None,
-    folds: int,
-    seed: int,
-) -> dict[str, float]:
-    """cross_validated_auc for every pair of ``groups`` (ascending), keyed
-    like GroupPair.key, on group a's rows then group b's, each in input
-    order. Rows of other groups are ignored; the inputs are checked by
-    ``_pair_rows``."""
-    rows = _pair_rows(m, groups, folds)
-    return {
-        GroupPair(a, b).key: cross_validated_auc(
-            m.take(np.concatenate([rows[a], rows[b]])), mode, c, gamma, folds, seed
-        )
-        for a, b in combinations(groups, 2)
-    }
-
-
 _CODES_K_PREFIX = "#k="
 
 
@@ -405,24 +383,25 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        line = ",".join(next(reader, []))
+        # the header is checked as csv.reader parsed it, like the rows
+        fields = next(reader, [])
+        line = ",".join(fields)
         file_k: int | None = None
         if line.lower().startswith(_CODES_K_PREFIX):
             try:
                 file_k = int(line[len(_CODES_K_PREFIX):].strip())
             except ValueError:
                 raise SchemaError(f"{path}: bad #K= line: {line.strip()!r}") from None
-            line = ",".join(next(reader, []))
+            fields = next(reader, [])
         k_eff = k if k is not None else file_k
         if k_eff is None:
             raise SchemaError(f"{path}: codebook size not given (no #K= line and no k argument)")
         if k_eff < 2:
             raise SchemaError(f"{path}: codebook size must be >= 2, got {k_eff}")
-        header = [h.strip().lower() for h in line.split(",")]
+        header = [h.strip().lower() for h in fields]
         if len(header) < 3 or header[:2] != ["sample_id", "group"]:
-            raise SchemaError(
-                f"{path}: bad header: expected sample_id,group,c0,...  got {line.strip()!r}"
-            )
+            got = ",".join(fields).strip()
+            raise SchemaError(f"{path}: bad header: expected sample_id,group,c0,...  got {got!r}")
         d = len(header) - 2
         if header[2:] != [f"c{i}" for i in range(d)]:
             raise SchemaError(f"{path}: code columns must be named c0..c{d - 1}")

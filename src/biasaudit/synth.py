@@ -134,6 +134,11 @@ def gen_code_vectors(
 # that every mechanism is visible at n=200 per group.
 _DEMO_MU = -3.6
 _DEMO_SIGMA = 0.45
+# The demo's latent codes: vectors of length 16 over a codebook of 64, each
+# index drawn from its group's private half with probability 0.3.
+_DEMO_D = 16
+_DEMO_K = 64
+_DEMO_SEPARABILITY = 0.3
 
 
 def demo_dataset(
@@ -170,3 +175,27 @@ def demo_dataset(
             att = gen_lognormal(_DEMO_MU + 1.8, 0.35, n_per_group, seed + 100 + offset)
             add(group, False, att, "att")
     return Dataset(ids, groups, bona_fide, np.concatenate(responses))
+
+
+def _demo_codes(ds: Dataset, seed: int) -> CodeMatrix:
+    """Code vectors for ``demo_dataset(n, seed)``: one generator call per
+    pair of its groups in sorted order, (alpha, beta) and (delta, gamma),
+    each seeded with ``seed + 500 + idx``. Each code row takes the
+    ``sample_id`` of one of its group's bona fide rows, in ``ds`` order."""
+    names = ds.groups()
+    bona = np.flatnonzero(ds.bona_fide)
+    n = len(bona) // len(names)
+    parts = [
+        gen_code_vectors(
+            n, _DEMO_D, _DEMO_K, _DEMO_SEPARABILITY, seed + 500 + idx, (names[idx], names[idx + 1])
+        )
+        for idx in range(0, len(names) - 1, 2)
+    ]
+    # the parts hold the groups in sorted order, n rows each, as this stable sort does
+    by_group = bona[np.argsort(ds.group_codes[bona], kind="stable")]
+    return CodeMatrix(
+        np.vstack([p.codes for p in parts]),
+        [g for p in parts for g in p.labels()],
+        _DEMO_K,
+        [ds.sample_ids[i] for i in by_group.tolist()],
+    )

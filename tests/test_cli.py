@@ -13,7 +13,8 @@ import biasaudit.cli as cli_module
 import biasaudit.dip as dip_module
 from biasaudit.cli import _config_from_args, build_parser, main
 from biasaudit.report import AuditConfig
-from biasaudit.svm import FeatureMode
+from biasaudit.svm import FeatureMode, load_codes_csv
+from biasaudit.synth import gen_code_vectors
 
 AUDIT_FAST = ["--dip-replicas", "200"]
 
@@ -53,13 +54,15 @@ class TestSynthCommand:
         assert (again / "codes.csv").read_bytes() == (synth_dir / "codes.csv").read_bytes()
 
     def test_code_ids_are_the_bona_fide_ids(self, synth_dir):
+        # in group order, each group's ids in the order of its bona fide rows
+        # (the ids are "<group>-bf-<index>", so that order is sorted order)
         def ids(name, keep):
             rows = (synth_dir / name).read_text().splitlines()
-            return sorted(ln.split(",")[0] for ln in rows if keep(ln))
+            return [ln.split(",")[0] for ln in rows if keep(ln)]
 
         codes = ids("codes.csv", lambda ln: not ln.startswith(("#", "sample_id")))
         bona = ids("responses.csv", lambda ln: ",bonafide," in ln)
-        assert codes == bona and len(codes) == 4 * 40
+        assert codes == sorted(bona) and len(codes) == 4 * 40
 
     def test_no_attacks_no_codes(self, tmp_path, capsys):
         out = tmp_path / "lean"
@@ -79,12 +82,21 @@ class TestSynthCommand:
         text = (out / "responses.csv").read_text()
         assert ",attack," not in text
 
-    @pytest.mark.parametrize(
-        "bad", [["--codes-k", "1"], ["--codes-separability", "1.5"]], ids=["k", "separability"]
-    )
-    def test_bad_code_options_write_nothing(self, tmp_path, capsys, bad):
-        # the codes are built before responses.csv is written, so nothing is left half done
-        code = main(["synth", "--out", str(tmp_path / "out"), "--n-per-group", "10"] + bad)
+    def test_codes_are_two_seeded_pairs(self, synth_dir):
+        # synth --n-per-group 40 --seed 3: (alpha, beta) seeded 503, then
+        # (delta, gamma) seeded 505
+        codes = load_codes_csv(synth_dir / "codes.csv")
+        parts = [
+            gen_code_vectors(40, 16, 64, 0.3, 503, ("alpha", "beta")),
+            gen_code_vectors(40, 16, 64, 0.3, 505, ("delta", "gamma")),
+        ]
+        assert codes.k == 64
+        assert codes.codes.tolist() == [row for p in parts for row in p.codes.tolist()]
+        assert codes.labels() == [g for p in parts for g in p.labels()]
+
+    def test_bad_option_writes_nothing(self, tmp_path, capsys):
+        # both tables are built before either is written, so nothing is left half done
+        code = main(["synth", "--out", str(tmp_path / "out"), "--n-per-group", "3"])
         assert code == 1
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []

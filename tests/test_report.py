@@ -8,6 +8,7 @@ import pytest
 
 import biasaudit.dip as dip_module
 import biasaudit.report as report_module
+import biasaudit.svm as svm_module
 from biasaudit.cli import main
 from biasaudit.data import Dataset, load_csv
 from biasaudit.errors import InsufficientDataError, ParameterError
@@ -389,6 +390,19 @@ class TestSvmSection:
         oversized = CodeMatrix(np.zeros((len(groups), 1), dtype=np.int64), groups, 64)
         with pytest.raises(ParameterError, match="8194 training rows"):
             run_audit(demo, AuditConfig(**FAST), codes=oversized)
+
+    def test_pair_rows_run_once(self, demo, demo_codes, monkeypatch):
+        # the early check's rows are the ones cross-validated, not re-derived
+        calls = []
+
+        def counted(*args, pair_rows=svm_module._pair_rows):
+            calls.append(args)
+            return pair_rows(*args)
+
+        monkeypatch.setattr(report_module, "_pair_rows", counted)
+        monkeypatch.setattr(svm_module, "_pair_rows", counted)
+        run_audit(demo, AuditConfig(**FAST), codes=demo_codes)
+        assert len(calls) == 1
 
     def test_undersized_code_group_rejected(self, demo, demo_codes):
         labels = np.array(demo_codes.labels())

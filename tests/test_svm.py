@@ -12,11 +12,11 @@ from biasaudit.errors import (
     RowError,
     SchemaError,
 )
+from biasaudit.report import AuditConfig, _separability
 from biasaudit.svm import (
     CodeMatrix,
     FeatureMode,
     _pair_rows,
-    _pairwise_aucs,
     auc_from_scores,
     cross_validated_auc,
     decision_score,
@@ -449,7 +449,7 @@ class TestCrossValidatedAuc:
         rows = {g: np.flatnonzero(np.array(labels) == g) for g in "ab"}
         in_order = m.take(np.sort(np.concatenate([rows["a"], rows["b"]])))
         a_then_b = m.take(np.concatenate([rows["a"], rows["b"]]))
-        aucs = _pairwise_aucs(m, ["a", "b"], FeatureMode.SCALED_INDICES, 1.0, None, 5, 0)
+        aucs = _separability(m, _pair_rows(m, ["a", "b"], 5), AuditConfig(seed=0))
         assert aucs == {"a|b": cross_validated_auc(a_then_b)}
         assert aucs["a|b"] != cross_validated_auc(in_order)
 
@@ -532,6 +532,13 @@ class TestCodesCsv:
             load_codes_csv(path)
         path.write_text("#K=8\nsample_id,group,c0,c2\ns1,a,3,4\n")
         with pytest.raises(SchemaError):
+            load_codes_csv(path)
+
+    def test_header_read_by_the_row_rules(self, tmp_path):
+        # a quoted header field holding a comma is one column, as in a row
+        path = tmp_path / "codes.csv"
+        path.write_text('#K=8\nsample_id,group,"c0,c1"\ns1,a,1,2\ns2,b,3,4\n')
+        with pytest.raises(SchemaError, match=r"code columns must be named c0\.\.c0$"):
             load_codes_csv(path)
 
     def test_row_errors_carry_line_numbers(self, tmp_path):
