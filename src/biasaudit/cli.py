@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .data import bona_fide_responses, load_csv, save_csv
+from .data import bona_fide_responses, load_codes_csv, load_csv, save_codes_csv, save_csv
 from .errors import AuditError, ParameterError
 from .report import (
     AuditConfig,
@@ -27,7 +26,7 @@ from .report import (
 )
 from .plots import render_plots
 from .stats import MwuMode, chi_squared_one_sided, mann_whitney_u, shapiro_wilk
-from .svm import FeatureMode, _pair_rows, load_codes_csv, save_codes_csv
+from .svm import FeatureMode, _pair_rows
 from .synth import _demo_codes, demo_dataset
 
 
@@ -63,56 +62,51 @@ def _parse_enum(enum_cls, what: str):
 
 _DEFAULT = AuditConfig()
 
+# Each AuditConfig field, in field order, to the type and help of its flag
+# --field-name; the same type reads the field's value in a --config file.
+_FLAGS = {
+    "alpha": dict(type=float, help="significance level"),
+    "quantiles": dict(
+        type=_parse_quantiles,
+        help="comma-separated bona fide rejection quantiles for anchor thresholds",
+    ),
+    "dip_bins": dict(type=int, help="histogram bins for the dip"),
+    "dip_replicas": dict(type=int, help="cap on the null replicas drawn for dip critical values"),
+    "seed": dict(type=int, help="master RNG seed"),
+    "svm_c": dict(type=float, help="SVM soft-margin C"),
+    "svm_gamma": dict(type=_parse_gamma, help="RBF gamma, or 'auto'"),
+    "svm_folds": dict(type=int, help="cross-validation folds"),
+    "feature_mode": dict(
+        type=_parse_enum(FeatureMode, "feature mode"),
+        help="code featurization: scaled-indices or code-histogram",
+    ),
+}
+# svm-sep takes these flags; audit takes every flag
+_SVM_FLAGS = ("seed", "svm_c", "svm_gamma", "svm_folds", "feature_mode")
+
+
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
+    """The flags of ``names``. Each defaults to SUPPRESS: a flag not given
+    is absent from the namespace, so _config_from_args can tell it from a
+    given one, also one that parses to None (``--svm-gamma auto``)."""
+    for name in names:
+        p.add_argument(f"--{name.replace('_', '-')}", default=argparse.SUPPRESS, **_FLAGS[name])
+
 
 def _add_audit_options(p: argparse.ArgumentParser) -> None:
-    """The AuditConfig flags. Each defaults to SUPPRESS: a flag not given is
-    absent from the namespace, so _config_from_args can tell it from a given
-    one, also one that parses to None (``--svm-gamma auto``)."""
-    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS, help="significance level")
-    p.add_argument(
-        "--quantiles",
-        type=_parse_quantiles,
-        default=argparse.SUPPRESS,
-        help="comma-separated bona fide rejection quantiles for anchor thresholds",
-    )
-    p.add_argument(
-        "--dip-bins", type=int, default=argparse.SUPPRESS, help="histogram bins for the dip"
-    )
-    p.add_argument(
-        "--dip-replicas",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="cap on the null replicas drawn for dip critical values",
-    )
+    _add_flags(p, [name for name in _FLAGS if name not in _SVM_FLAGS])
     _add_svm_options(p)
 
 
 def _add_svm_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--codes-k", type=int, help="codebook size when the CSV has no #K line")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master RNG seed")
-    p.add_argument("--svm-c", type=float, default=argparse.SUPPRESS, help="SVM soft-margin C")
-    p.add_argument(
-        "--svm-gamma", type=_parse_gamma, default=argparse.SUPPRESS, help="RBF gamma, or 'auto'"
-    )
-    p.add_argument(
-        "--svm-folds", type=int, default=argparse.SUPPRESS, help="cross-validation folds"
-    )
-    p.add_argument(
-        "--feature-mode",
-        type=_parse_enum(FeatureMode, "feature mode"),
-        default=argparse.SUPPRESS,
-        help="code featurization: scaled-indices or code-histogram",
-    )
+    _add_flags(p, _SVM_FLAGS)
 
 
 def _read_config_file(path: str) -> dict:
     """Parse key=value lines; '#' starts a comment. The keys are AuditConfig's
     field names (dashes read as underscores), each value converted with the
-    type of its audit flag."""
-    flags = argparse.ArgumentParser()
-    _add_audit_options(flags)
-    types = {a.dest: a.type for a in flags._actions}
-    keys = {f.name for f in fields(AuditConfig)}
+    type of its flag in _FLAGS."""
     out = {}
     for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -122,10 +116,10 @@ def _read_config_file(path: str) -> dict:
             raise ParameterError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in keys:
+        if key not in _FLAGS:
             raise ParameterError(f"{path}:{ln}: unknown config key {key!r}")
         try:
-            out[key] = types[key](value)
+            out[key] = _FLAGS[key]["type"](value)
         except (ValueError, ParameterError) as exc:
             why = exc if isinstance(exc, ParameterError) else repr(value)
             raise ParameterError(f"{path}:{ln}: bad value for {key}: {why}") from None
@@ -136,7 +130,7 @@ def _config_from_args(args: argparse.Namespace) -> AuditConfig:
     """Each AuditConfig field from its flag if given, else from the --config
     file, else the field's default."""
     values = _read_config_file(args.config) if args.config else {}
-    values.update((f.name, getattr(args, f.name)) for f in fields(AuditConfig) if f.name in args)
+    values.update((name, getattr(args, name)) for name in _FLAGS if name in args)
     return AuditConfig(**values)
 
 

@@ -1,10 +1,14 @@
-"""Response dataset schema, CSV ingestion, and group partitioning.
+"""The audit's two input tables, their CSV files, and group partitioning.
 
 A dataset is a table of classifier responses, one row per presented
 sample: who was presented (``sample_id``), which demographic group the
 sample belongs to, whether it was a bona fide presentation or an attack,
 and the classifier's scalar response. Responses are non-negative; lower
 means more likely to be accepted (accept iff response <= threshold).
+
+A code matrix holds the classifier's discrete latent codes, one row per
+sample: ``sample_id``, group and d indices into a codebook of size k. Both
+tables are read, checked and held here; ``svm`` probes the codes.
 """
 from __future__ import annotations
 
@@ -32,9 +36,12 @@ from .errors import (
 __all__ = [
     "EXPECTED_HEADER",
     "Dataset",
+    "CodeMatrix",
     "GroupPair",
     "load_csv",
     "save_csv",
+    "load_codes_csv",
+    "save_codes_csv",
     "bona_fide_responses",
     "attack_responses",
     "group_pairs",
@@ -162,6 +169,65 @@ class Dataset:
         return len(self.sample_ids)
 
 
+class CodeMatrix:
+    """Immutable discrete latent codes, one row per sample: a read-only int64
+    ``codes`` array of shape (n, d) holding indices into a codebook of size
+    ``k``, ``group_codes`` (indices into the sorted ``groups()``, built from
+    group labels) and ``sample_ids`` (``code-00000``, ``code-00001``, ...
+    when none are given)."""
+
+    def __init__(
+        self,
+        codes: np.ndarray | Sequence[Sequence[int]],
+        groups: Sequence[str],
+        k: int,
+        sample_ids: Sequence[str] | None = None,
+    ):
+        if k < 2:
+            raise ParameterError(f"codebook size must be >= 2, got {k}")
+        labels = list(groups)
+        try:
+            arr = np.array(codes)
+        except ValueError:
+            raise ParameterError("code vectors must all have the same length") from None
+        if arr.ndim != 2 or arr.size == 0 or len(arr) != len(labels):
+            raise ParameterError(
+                f"codes must be a non-empty (n, d) matrix with n group labels, "
+                f"got shape {arr.shape} and {len(labels)} labels"
+            )
+        if sample_ids is None:
+            sample_ids = [f"code-{i:05d}" for i in range(len(labels))]
+        ids = tuple(sample_ids)
+        if len(ids) != len(labels) or not all(ids):
+            raise ParameterError(f"need {len(labels)} non-empty sample ids, got {len(ids)}")
+        self._groups, self.group_codes = _encode_groups(labels)
+        if arr.dtype.kind not in "iu":
+            raise ParameterError(f"code indices must be ints, got {arr.dtype}")
+        bad = arr[(arr < 0) | (arr >= k)]
+        if bad.size:
+            raise ParameterError(f"code indices must be ints in [0, {k - 1}], got {bad[0]}")
+        self.codes = _read_only(arr.astype(np.int64, copy=False))
+        self.k = k
+        self.sample_ids = ids
+
+    def groups(self) -> list[str]:
+        return list(self._groups)
+
+    def labels(self) -> list[str]:
+        """Each row's group label."""
+        return [self._groups[c] for c in self.group_codes.tolist()]
+
+    def take(self, rows: Sequence[int]) -> "CodeMatrix":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        labels = [self._groups[c] for c in self.group_codes[rows].tolist()]
+        ids = [self.sample_ids[i] for i in rows.tolist()]
+        return CodeMatrix(self.codes[rows], labels, self.k, ids)
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+
 def load_csv(path: str | Path) -> Dataset:
     """Load a response dataset from CSV.
 
@@ -240,6 +306,78 @@ def save_csv(ds: Dataset, path: str | Path) -> None:
             ds.responses.tolist(),
         ):
             writer.writerow([sid, groups[code], class_text[is_bona], repr(resp)])
+
+
+_CODES_K_PREFIX = "#k="
+
+
+def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
+    """Load code vectors from CSV: ``sample_id,group,c0,...,c{d-1}``.
+
+    The codebook size comes from a ``#K=<int>`` comment line above the
+    header, or from the ``k`` argument (the argument wins if both given).
+    UTF-8 with or without a byte-order mark; row errors name the physical
+    line where the record starts.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        # the header is checked as csv.reader parsed it, like the rows
+        fields = next(reader, [])
+        line = ",".join(fields)
+        file_k: int | None = None
+        if line.lower().startswith(_CODES_K_PREFIX):
+            try:
+                file_k = int(line[len(_CODES_K_PREFIX):].strip())
+            except ValueError:
+                raise SchemaError(f"{path}: bad #K= line: {line.strip()!r}") from None
+            fields = next(reader, [])
+        k_eff = k if k is not None else file_k
+        if k_eff is None:
+            raise SchemaError(f"{path}: codebook size not given (no #K= line and no k argument)")
+        if k_eff < 2:
+            raise SchemaError(f"{path}: codebook size must be >= 2, got {k_eff}")
+        header = [h.strip().lower() for h in fields]
+        if len(header) < 3 or header[:2] != ["sample_id", "group"]:
+            got = ",".join(fields).strip()
+            raise SchemaError(f"{path}: bad header: expected sample_id,group,c0,...  got {got!r}")
+        d = len(header) - 2
+        if header[2:] != [f"c{i}" for i in range(d)]:
+            raise SchemaError(f"{path}: code columns must be named c0..c{d - 1}")
+
+        ids, groups, rows = [], [], []
+        labels: dict[str, str] = {}  # one str per distinct label, not per row
+        for line_no, row in _numbered_rows(reader):
+            if len(row) != d + 2:
+                raise RowError(line_no, f"expected {d + 2} fields, got {len(row)}")
+            sid, group = row[0].strip(), row[1].strip()
+            if not sid or not group:
+                raise RowError(line_no, "empty sample_id or group")
+            try:
+                codes = [int(v) for v in row[2:]]
+            except ValueError:
+                raise RowError(line_no, "code entries must be integers") from None
+            bad = [v for v in codes if not 0 <= v < k_eff]
+            if bad:
+                raise RowError(line_no, f"code indices must be in [0, {k_eff - 1}], got {bad[0]}")
+            ids.append(sid)
+            groups.append(labels.setdefault(group, group))
+            rows.append(codes)
+    if not rows:
+        raise SchemaError(f"{path}: no code rows")
+    return CodeMatrix(rows, groups, k_eff, ids)
+
+
+def save_codes_csv(m: CodeMatrix, path: str | Path) -> None:
+    """Write code vectors with a ``#K=`` size line; inverse of load_codes_csv,
+    so a file this writes loads and saves back to the same bytes."""
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(f"#K={m.k}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_id", "group"] + [f"c{i}" for i in range(m.codes.shape[1])])
+        for sid, group, codes in zip(m.sample_ids, m.labels(), m.codes.tolist()):
+            writer.writerow([sid, group, *codes])
 
 
 def _responses(ds: Dataset, bona_fide: bool, group: str | None) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    CodeMatrix,
     Dataset,
     GroupPair,
     _read_only,
@@ -37,7 +38,7 @@ from .stats import (
     mann_whitney_u,
     summary_stats,
 )
-from .svm import CodeMatrix, FeatureMode, _pair_rows, cross_validated_auc
+from .svm import FeatureMode, _pair_rows, cross_validated_auc
 from .thresholds import (
     BiasCurve,
     BiasRegion,
@@ -85,6 +86,10 @@ class AuditConfig:
         labels = [_anchor_label(q) for q in self.quantiles]
         if len(set(labels)) < len(labels):
             raise ParameterError(f"duplicate anchor labels: {', '.join(labels)}")
+        for name in ("dip_bins", "dip_replicas", "seed", "svm_folds"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ParameterError(f"{name} must be an int, got {v!r}")
         if self.dip_bins < 2:
             raise ParameterError(f"dip_bins must be >= 2, got {self.dip_bins}")
         if self.dip_replicas < 1:
@@ -109,6 +114,9 @@ class AuditConfig:
         return d
 
 
+# the bins of each pair's plot histogram; dip_bins sizes the dip alone
+_HIST_BINS = 50
+
 # the separator of report.json's sweep list items, 8 spaces in; no float
 # repr holds it, so splitting a series text gives back its reprs
 _SERIES_SEP = ",\n        "
@@ -119,8 +127,9 @@ class PairAnalysis:
     """Everything computed for one group pair. ``chi_squared`` maps each
     anchor label to its four counts and the rate test on them; every
     ``direction`` names a group, not "a" or "b". ``hist_edges``
-    (bins + 1 floats) and ``hist_counts`` (rows a and b, bins ints each) hold
-    the overlaid bona fide histogram behind the pair's plot; not serialized."""
+    (51 floats) and ``hist_counts`` (shape (2, 50): rows a and b) hold the
+    overlaid bona fide histogram behind the pair's plot, 50 equal bins
+    whatever ``dip_bins`` is; not serialized."""
 
     pair: GroupPair
     chi_squared: dict[str, tuple[tuple[int, int, int, int], TestResult]]
@@ -239,7 +248,6 @@ def _analyze_pair(
     bona: dict[str, np.ndarray],
     anchors: Sequence[dict],
     alpha: float,
-    bins: int,
 ) -> PairAnalysis:
     a_s, b_s = bona[pair.a], bona[pair.b]
     chi2 = {}
@@ -251,7 +259,7 @@ def _analyze_pair(
     curve = bias_sweep(a_s, b_s, alpha=alpha, pair=pair)
     regions = tuple(significant_regions(curve))
     lo, hi = min(a_s[0], b_s[0]), max(a_s[-1], b_s[-1])
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, _HIST_BINS + 1)
     counts = np.stack([np.histogram(a_s, edges)[0], np.histogram(b_s, edges)[0]])
     return PairAnalysis(
         pair=pair,
@@ -378,9 +386,7 @@ def run_audit(
         eer, per_group_hter = _operating_points(ds)
         anchors.append({"label": "eer", "kind": "eer", "threshold": eer.threshold})
 
-    analyses = tuple(
-        _analyze_pair(p, bona, anchors, cfg.alpha, cfg.dip_bins) for p in pairs
-    )
+    analyses = tuple(_analyze_pair(p, bona, anchors, cfg.alpha) for p in pairs)
 
     svm_auc = None if codes is None else _separability(codes, rows, cfg)
 

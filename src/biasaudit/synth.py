@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import CodeMatrix, Dataset
 from .errors import ParameterError
-from .svm import CodeMatrix
 
 __all__ = [
     "gen_lognormal",

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,9 @@ import biasaudit
 import biasaudit.cli as cli_module
 import biasaudit.dip as dip_module
 from biasaudit.cli import _config_from_args, build_parser, main
+from biasaudit.data import load_codes_csv
 from biasaudit.report import AuditConfig
-from biasaudit.svm import FeatureMode, load_codes_csv
+from biasaudit.svm import FeatureMode
 from biasaudit.synth import gen_code_vectors
 
 AUDIT_FAST = ["--dip-replicas", "200"]
@@ -220,6 +222,16 @@ class TestAuditCommand:
             "beta|gamma": "0.470125",
             "delta|gamma": "0.896875",
         }
+
+    def test_pair_histograms_keep_fifty_bins_whatever_dip_bins_is(self, synth_dir, tmp_path):
+        # --dip-bins sizes the dip alone; the plots' histograms do not follow it
+        out = tmp_path / "audit"
+        argv = ["audit", "--data", str(synth_dir / "responses.csv"), "--out", str(out)]
+        assert main(argv + ["--dip-bins", "100000", "--dip-replicas", "20"]) == 0
+        hists = sorted(out.glob("hist_*.csv"))
+        assert len(hists) == 6
+        for p in hists:
+            assert len(p.read_text().splitlines()) == 51  # header and 50 bins
 
     def test_summary_lines(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "log"
@@ -761,6 +773,31 @@ class TestArgparseBehavior:
         assert _config_from_args(args) == AuditConfig()
         args = build_parser().parse_args(["svm-sep", "--codes", "c"])
         assert _config_from_args(args) == AuditConfig()
+
+    def test_flag_table_is_the_audit_config_in_field_order(self):
+        assert list(cli_module._FLAGS) == [f.name for f in fields(AuditConfig)]
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            (
+                "audit",
+                "-h --data --codes --out --alpha --quantiles --dip-bins --dip-replicas "
+                "--codes-k --seed --svm-c --svm-gamma --svm-folds --feature-mode",
+            ),
+            (
+                "svm-sep",
+                "-h --codes --codes-k --seed --svm-c --svm-gamma --svm-folds --feature-mode",
+            ),
+        ],
+        ids=["audit", "svm-sep"],
+    )
+    def test_subcommand_options_in_order(self, capsys, command, options):
+        # the usage block of --help lists every option string once, in order
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        assert re.findall(r"(?<![\w-])--?[a-z][\w-]*", usage) == options.split()
 
     def test_package_exports_every_module_name(self):
         names = biasaudit.__all__

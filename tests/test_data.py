@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from biasaudit.data import (
+    CodeMatrix,
     Dataset,
     GroupPair,
     attack_responses,
     bona_fide_responses,
     group_pairs,
+    load_codes_csv,
     load_csv,
     save_csv,
 )
@@ -21,7 +23,6 @@ from biasaudit.errors import (
     SchemaError,
     UnknownGroupError,
 )
-from biasaudit.svm import CodeMatrix, load_codes_csv
 
 
 class TestLoadCsv:

@@ -10,10 +10,10 @@ import biasaudit.dip as dip_module
 import biasaudit.report as report_module
 import biasaudit.svm as svm_module
 from biasaudit.cli import main
-from biasaudit.data import Dataset, load_csv
+from biasaudit.data import CodeMatrix, Dataset, load_codes_csv, load_csv
 from biasaudit.errors import InsufficientDataError, ParameterError
 from biasaudit.report import AuditConfig, render_json, run_audit
-from biasaudit.svm import CodeMatrix, FeatureMode, load_codes_csv
+from biasaudit.svm import FeatureMode
 from biasaudit.synth import demo_dataset, gen_code_vectors
 
 FAST = dict(dip_replicas=200)
@@ -84,6 +84,21 @@ class TestAuditConfig:
             AuditConfig(svm_gamma=math.inf)
         with pytest.raises(ParameterError):
             AuditConfig(svm_folds=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dip_bins", 50.0),
+            ("dip_replicas", 100.5),
+            ("dip_replicas", True),
+            ("seed", True),
+            ("seed", 7.0),
+            ("svm_folds", 2.5),
+        ],
+    )
+    def test_int_fields_refuse_floats_and_bools(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be an int, got {value!r}"):
+            AuditConfig(**{field: value})
 
 
 class TestReportStructure:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from biasaudit.data import CodeMatrix, load_codes_csv, save_codes_csv
 from biasaudit.errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -14,15 +15,12 @@ from biasaudit.errors import (
 )
 from biasaudit.report import AuditConfig, _separability
 from biasaudit.svm import (
-    CodeMatrix,
     FeatureMode,
     _pair_rows,
     auc_from_scores,
     cross_validated_auc,
     decision_score,
     featurize,
-    load_codes_csv,
-    save_codes_csv,
     train_svm_smo,
 )
 
