@@ -70,7 +70,6 @@ _FLAGS = {
         type=_parse_quantiles,
         help="comma-separated bona fide rejection quantiles for anchor thresholds",
     ),
-    "dip_bins": dict(type=int, help="histogram bins for the dip"),
     "dip_replicas": dict(type=int, help="cap on the null replicas drawn for dip critical values"),
     "seed": dict(type=int, help="master RNG seed"),
     "svm_c": dict(type=float, help="SVM soft-margin C"),
@@ -213,7 +212,6 @@ def _cmd_mwu(args) -> int:
 def _cmd_dip(args) -> int:
     ds = load_csv(args.data)
     vals = bona_fide_responses(ds, args.group)
-    bins = None if args.bins == 0 else args.bins
     # the audit draws one null for all groups of a size, until every one of
     # their dips is settled; so the same groups decide here when it stops
     peers = {args.group: vals}
@@ -221,7 +219,7 @@ def _cmd_dip(args) -> int:
         other = bona_fide_responses(ds, g)
         if g != args.group and len(other) == len(vals):
             peers[g] = other
-    res = _dip_tests(peers, args.alpha, args.replicas, args.seed, bins)[args.group]
+    res = _dip_tests(peers, args.alpha, args.replicas, args.seed)[args.group]
     verdict = "unimodal" if res.unimodal else "NOT unimodal"
     print(f"dip {res.dip!r}")
     print(f"critical_value {res.critical_value!r} (n={res.n}, alpha={args.alpha:g})")
@@ -332,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dip", help="dip unimodality test for one group")
     p.add_argument("--data", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--bins", type=int, default=_DEFAULT.dip_bins, help="0 disables binning")
     p.add_argument("--alpha", type=float, default=_DEFAULT.alpha)
     p.add_argument(
         "--replicas",

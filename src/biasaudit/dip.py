@@ -11,20 +11,22 @@ The kernel works on the distinct values and their counts. Of each run of
 tied values it keeps only the first and the last sample index: the points
 in between are never hull knots and never the largest deviation, so the
 result equals the dip of the expanded sample bit for bit, at a cost that
-grows with the number of distinct values rather than with n.
+grows with the number of distinct values rather than with n. The reference
+it must match is the one-point-per-sample kernel in tests/_dip_oracle.py.
+
+Each pass takes the GCM and the LCM of the kept points in the modal
+interval. A hull knot lies strictly below (GCM) or above (LCM) every chord
+of two other points on either side of it, so numpy steps drop, all at once,
+each point that fails that test against its two neighbours, until few points
+are left, and a stack scan finishes. The knots of a wider pass that lie in
+the narrower interval are knots of its hulls too, so a pass rebuilds only
+the piece of each hull past the last of them.
 
 Null critical values are not tabulated; they are simulated from the uniform
 null (any unimodal null gives the same dip distribution in the limit, and the
 uniform is the conventional reference), seeded so that results are
-reproducible bit for bit regardless of scheduling:
-
-- unbinned, each replica draws n uniforms from its own RNG stream keyed by
-  (seed, replica index);
-- binned into k bins between the sample's own min and max, a null sample is
-  exactly one point in the first bin, one in the last and
-  Multinomial(n - 2, 1/k) over all k bins. Count rows are drawn in chunks of
-  1024 replicas, one RNG stream per chunk keyed by (seed, chunk index), so a
-  replica costs O(k) whatever n is and the draws held at once stay O(1024 k).
+reproducible bit for bit regardless of scheduling: each replica draws n
+uniforms from its own RNG stream keyed by (seed, replica index).
 
 One driver draws every null. It is sequential (Besag & Clifford 1991; Gandy
 2009) and ``replicas`` is a cap: replicas are drawn from the same streams in
@@ -42,9 +44,10 @@ is the settled verdict; a dip that never settles gets the fixed-cap verdict.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,21 +55,24 @@ from .errors import InsufficientDataError, ParameterError
 
 __all__ = ["CriticalValue", "DipResult", "dip_statistic", "dip_critical_value"]
 
-_CHUNK = 1024  # binned null replicas per RNG stream
 _LOOK = 64  # replicas per look of the sequential null
 _EPSILON = 1e-3  # bound on the chance that a stopped test flips a verdict
+_STACK = 32  # a hull's numpy steps stop at this many points; a stack scan ends it
+_MIRROR = np.array([[-1.0], [-1.0], [1.0]])  # turns an LCM into a GCM
 
 # dip_critical_value refuses a null whose working set exceeds this: 8 bytes
 # per float64 replica dip (sorted in place, not copied), 16 per replica for
 # the two float arrays in which a look builds its binomial tails, 32 KiB for
 # one look's draws, the driver's small objects and what numpy allocates on
 # its first calls (tracemalloc reads 2-19 KiB on a cold call, 1.6 KiB once
-# numpy's caches are warm) and, when binned, 16 bytes per entry of one
-# min(_CHUNK, replicas) x bins chunk of counts (8 in the int64 array, 8 for
-# the entry's slot in its tolist() copy) plus 48 per bin for the arrays built
-# once: 32 for the bin-edge float list, 8 for the probability vector and 8 of
-# headroom for the kernel's lists (tracemalloc reads 40-44 in all)
+# numpy's caches are warm), and _POINT_BYTES per sample point for the
+# kernel's arrays: the sample's three rows and, at the first pass, the
+# mirrored LCM copy, a hull step's differences and products and the
+# deviation scan's per-point terms (tracemalloc reads at most 139 B per
+# point over 400 replicas at n = 200, 130 at n = 2,000 and 113 over 100
+# at n = 20,000, the sample's rows included)
 _MAX_NULL_BYTES = 1 << 30
+_POINT_BYTES = 160
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,6 @@ class DipResult:
 
     dip: float
     n: int
-    bins: int | None
     critical_value: float
     alpha: float
     unimodal: bool
@@ -95,9 +100,8 @@ class CriticalValue(float):
     """A simulated null quantile that also carries ``se``, its Monte Carlo
     standard error: half the gap between the null order statistics at ranks
     R q -/+ sqrt(R q (1 - q)) (rounded outwards, clipped to [1, R]), with
-    q = 1 - alpha and R replicas. It is 0 when those order statistics
-    coincide, as they can where the binned null has atoms. ``replicas`` is R,
-    the number of null replicas drawn."""
+    q = 1 - alpha and R replicas; 0 when those order statistics coincide.
+    ``replicas`` is R, the number of null replicas drawn."""
 
     se: float
     replicas: int
@@ -109,216 +113,213 @@ class CriticalValue(float):
         return self
 
 
-def _segment_ends(x: list[float], pos: list[int], order: range, end: int) -> list[int]:
-    """For each kept point j, the far end of its segment of the hull built
-    point by point in ``order`` from ``end``: the GCM for ``range(1, m)`` from
-    0, the LCM for ``range(m - 2, -1, -1)`` from m - 1.
-
-    rise[k] and run[k] are the value and index steps of k's own segment, kept
-    for the hull test. Within a run of equal values every point links to the
-    run's point nearest ``end``, so a zero rise marks a point that the test
-    would pop at once: it is skipped in one hop."""
-    m = len(x)
-    link = [end] * m
-    rise = [0.0] * m
-    run = [0] * m
-    step = order.step
-    for j in order:
-        xj = x[j]
-        pj = pos[j]
-        k = j - step
-        if rise[k] == 0.0:
-            k = link[k]
-        if x[k] != xj:
-            while k != end and (xj - x[k]) * run[k] >= rise[k] * (pj - pos[k]):
-                k = link[k]
-        link[j] = k
-        rise[j] = xj - x[k]
-        run[j] = pj - pos[k]
-    return link
+def _drop_above(pts: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """``pts`` without each inner point b that lies on or above the chord
+    ac, given the steps (x_b - x_a, p_b - p_a) in ``before`` and
+    (x_c - x_b, p_c - p_b) in ``after``, one column per inner point."""
+    keep = np.empty(pts.shape[1], dtype=bool)
+    keep[0] = keep[-1] = True
+    np.less(after[0] * before[1], before[0] * after[1], out=keep[1:-1])
+    return pts[:, keep]
 
 
-def _deviation(x: list[float], pos: list[int], segments: Iterable, s: float) -> float:
-    """Largest deviation, in units of 1/(2n), of the empirical CDF below
-    (``s`` = 1.0) or above (``s`` = -1.0) the hull segments (jb, je), jb < je,
-    peaking within a run at its last point below and first above. A float s
-    keeps the loop off mixed int-float operations, which cost more."""
-    dev = 0.0
-    for jb, je in segments:
-        max_t = 1.0
-        pb = pos[jb]
-        if pos[je] - pb > 1 and x[je] != x[jb]:
-            xb = x[jb]
-            c = (pos[je] - pb) / (x[je] - xb)
-            for jj in range(jb, je + 1):
-                t = s * ((pos[jj] - pb + s) - (x[jj] - xb) * c)
-                if max_t < t:
-                    max_t = t
-        if dev < max_t:
-            dev = max_t
-    return dev
+def _gcm(pts: np.ndarray) -> list[int]:
+    """The index row's values at the knots of the GCM of ``pts``, ascending.
+
+    ``pts`` holds a point per column: its value x (non-decreasing), its
+    sample index p (rising) and its index. A point b between a and c is
+    dropped when (x_c - x_b)(p_b - p_a) >= (x_b - x_a)(p_c - p_b): it lies on
+    or above the chord ac, which a knot never does. Within a run of equal
+    values that drops every point but the first, and the last one only if it
+    ends ``pts``. The first step tests each point against the chord of the
+    two ends, which drops a concave stretch at once; the others against its
+    neighbours. The stack scan runs from the left, as the reference kernel's
+    prefix hulls do."""
+    if pts.shape[1] > _STACK:
+        inner = pts[:2, 1:-1]
+        pts = _drop_above(pts, inner - pts[:2, :1], pts[:2, -1:] - inner)
+    while pts.shape[1] > _STACK:
+        m = pts.shape[1]
+        d = pts[:2, 1:] - pts[:2, :-1]
+        pts = _drop_above(pts, d[:, :-1], d[:, 1:])
+        if pts.shape[1] == m:
+            break
+    xs, ps, ids = pts.tolist()
+    knots = [0]
+    for c in range(1, len(xs)):
+        xc, pc = xs[c], ps[c]
+        b = knots[-1]
+        while b:
+            a = knots[-2]
+            if (xc - xs[b]) * (ps[b] - ps[a]) < (xs[b] - xs[a]) * (pc - ps[b]):
+                break
+            knots.pop()
+            b = a
+        knots.append(c)
+    return [int(ids[k]) for k in knots]
 
 
-def _dip_sorted(values: Sequence[float], counts: Sequence[int]) -> float:
-    """Dip of a sample given as ascending values and their counts.
+def _hull(pts: np.ndarray, low: int, high: int, upper: bool) -> list[int]:
+    """Ascending knots of the GCM, or with ``upper`` the LCM, of the kept
+    points low..high. The LCM is the GCM of the points mirrored through the
+    origin, taken from high down, as the reference kernel's suffix hulls
+    are; negation is exact, so its tests give the same bits."""
+    span = pts[:, low : high + 1]
+    if upper:
+        return _gcm(span[:, ::-1] * _MIRROR)[::-1]
+    return _gcm(span)
 
-    Equal neighbours are allowed and zero counts are skipped. Equals the dip
-    of the expanded sorted sample bit for bit. Constant samples and n < 4 sit
-    at the exact lower bound 1/(2n): every empirical CDF on at most three
-    support points can be matched by a unimodal CDF to within 1/(2n) (direct
-    construction), and no sample can do better. The GCM and the LCM come from
-    one builder, ``_segment_ends``, run from either end, and the deviations
-    below the GCM and above the LCM from one scan, ``_deviation``, given the
-    side's sign.
-    """
-    # x[j] is a kept point's value and pos[j] its index in the expanded
-    # sample: the first index of each run and, for runs longer than one, the
-    # last. Every hull formula uses pos[j] where the expanded form uses j.
-    x: list[float] = []
-    pos: list[int] = []
-    n = 0
-    for v, c in zip(values, counts):
-        if c:
-            x.append(v)
-            pos.append(n)
-            if c > 1:
-                x.append(v)
-                pos.append(n + c - 1)
-            n += c
-    m = len(x)
-    if n < 4 or x[0] == x[m - 1]:
+
+def _deviation(pts: np.ndarray, jb: list[int], je: list[int], s: list[float]) -> float:
+    """Largest deviation, in units of 1/(2n), of the empirical CDF below the
+    GCM segment (jb[k], je[k]) where s[k] is 1.0, or above the LCM segment
+    where it is -1.0: at least 1.0, or 0.0 with no segment. A segment over
+    fewer than three sample indices or over one value adds nothing. Each
+    point after a segment's start (where t is exactly 1) gets
+    t = s ((p - p_b + s) - (x - x_b) c), c = (p_e - p_b) / (x_e - x_b):
+    the float operations of the reference kernel's loop, in its order."""
+    if not jb:
+        return 0.0
+    jb, je = np.array(jb), np.array(je)
+    xb, pb = pts[:2, jb]
+    xe, pe = pts[:2, je]
+    ok = (pe - pb > 1) & (xe != xb)
+    if not ok.any():
+        return 1.0
+    lens = (je - jb)[ok]
+    first = np.cumsum(lens) - lens  # each segment's first slot among the points
+    seg = np.repeat(np.arange(len(lens)), lens)  # each point's segment
+    idx = np.arange(len(seg)) + (jb[ok] + 1 - first)[seg]
+    terms = np.stack((xb[ok], pb[ok], (pe - pb)[ok] / (xe - xb)[ok], np.array(s)[ok]))
+    xb, pb, c, s = terms[:, seg]
+    x, p = pts[:2, idx]
+    t = s * ((p - pb + s) - (x - xb) * c)
+    return max(1.0, float(t.max()))
+
+
+def _dip_points(pts: np.ndarray) -> float:
+    """Dip of a sample given as its kept points: a column each, with rows
+    value (non-decreasing), sample index (rising, from 0 to n - 1) and column
+    index. Constant samples and n < 4 sit at the exact lower bound 1/(2n):
+    every empirical CDF on at most three support points can be matched by a
+    unimodal CDF to within 1/(2n) (direct construction), and no sample can
+    do better."""
+    m = pts.shape[1]
+    n = int(pts[1, m - 1]) + 1
+    if n < 4 or pts[0, 0] == pts[0, m - 1]:
         return 1.0 / (2 * n)
 
-    # mn[j]: start of the GCM segment ending at j; mj[k]: end of the LCM
-    # segment starting at k.
-    mn = _segment_ends(x, pos, range(1, m), 0)
-    mj = _segment_ends(x, pos, range(m - 2, -1, -1), m - 1)
-
     low, high = 0, m - 1
+    gcm = _hull(pts, low, high, False)
+    lcm = _hull(pts, low, high, True)
     dip2n = 0.0  # dip in units of 2n * sup-deviation
     for _ in range(m + 2):  # the interval shrinks; m + 2 passes is a safe cap
-        # Collect GCM touch points from high down to low, LCM from low up.
-        gcm = [high]
-        while gcm[-1] > low:
-            gcm.append(mn[gcm[-1]])
-        lcm = [low]
-        while lcm[-1] < high:
-            lcm.append(mj[lcm[-1]])
-        ig = l_gcm = len(gcm) - 1
-        ih = l_lcm = len(lcm) - 1
-        ix = l_gcm - 1
-        iv = 1
+        gx, gp = pts[:2, gcm].tolist()
+        lx, lp = pts[:2, lcm].tolist()
+        top_g = len(gcm) - 1
+        top_l = len(lcm) - 1
+        ig, ih = 0, top_l
+        ix = iv = 1
 
         # Largest deviation between the two hulls inside [low, high].
         d = 0.0
-        if l_gcm != 1 or l_lcm != 1:
+        if top_g != 1 or top_l != 1:
             while True:
-                gcmix = gcm[ix]
-                lcmiv = lcm[iv]
-                if gcmix > lcmiv:
+                if gcm[ix] > lcm[iv]:
                     # LCM knot inside a GCM segment
-                    gcmil = gcm[ix + 1]
-                    dx = (pos[lcmiv] - pos[gcmil] + 1) - (x[lcmiv] - x[gcmil]) * (
-                        pos[gcmix] - pos[gcmil]
-                    ) / (x[gcmix] - x[gcmil])
+                    a = ix - 1
+                    dx = (lp[iv] - gp[a] + 1) - (lx[iv] - gx[a]) * (gp[ix] - gp[a]) / (
+                        gx[ix] - gx[a]
+                    )
                     iv += 1
                     if dx >= d:
                         d = dx
-                        ig = ix + 1
+                        ig = ix - 1
                         ih = iv - 1
                 else:
                     # GCM knot inside an LCM segment
-                    lcmivl = lcm[iv - 1]
-                    dx = (x[gcmix] - x[lcmivl]) * (pos[lcmiv] - pos[lcmivl]) / (
-                        x[lcmiv] - x[lcmivl]
-                    ) - (pos[gcmix] - pos[lcmivl] - 1)
-                    ix -= 1
+                    a = iv - 1
+                    dx = (gx[ix] - lx[a]) * (lp[iv] - lp[a]) / (lx[iv] - lx[a]) - (
+                        gp[ix] - lp[a] - 1
+                    )
+                    ix += 1
                     if dx >= d:
                         d = dx
-                        ig = ix + 1
+                        ig = ix - 1
                         ih = iv
-                if ix < 0:
-                    ix = 0
-                if iv > l_lcm:
-                    iv = l_lcm
+                if ix > top_g:
+                    ix = top_g
+                if iv > top_l:
+                    iv = top_l
                 if gcm[ix] == lcm[iv]:
                     break
 
         if d < dip2n:
             break
 
-        # Max deviation of the empirical CDF below the GCM on [gcm[ig], low]
-        # and above the LCM on [high, lcm[ih]].
-        dip2n = max(dip2n, _deviation(x, pos, zip(gcm[ig + 1 :], gcm[ig:]), 1.0))
-        dip2n = max(dip2n, _deviation(x, pos, zip(lcm[ih:], lcm[ih + 1 :]), -1.0))
+        # Max deviation of the empirical CDF below the GCM on [low, gcm[ig]]
+        # and above the LCM on [lcm[ih], high].
+        below, above = gcm[: ig + 1], lcm[ih:]
+        signs = [1.0] * ig + [-1.0] * (top_l - ih)
+        dip2n = max(dip2n, _deviation(pts, below[:-1] + above[:-1], below[1:] + above[1:], signs))
         if low == gcm[ig] and high == lcm[ih]:
             break
-        low = gcm[ig]
-        high = lcm[ih]
+        low, high = gcm[ig], lcm[ih]
+        gcm = gcm[ig : bisect_right(gcm, high)]
+        if gcm[-1] < high:
+            gcm = gcm[:-1] + _hull(pts, gcm[-1], high, False)
+        lcm = lcm[bisect_left(lcm, low) : ih + 1]
+        if lcm[0] > low:
+            lcm = _hull(pts, low, lcm[0], True) + lcm[1:]
     else:  # pragma: no cover - loop cap is unreachable for valid input
         raise RuntimeError("dip search failed to stabilize")
 
     return max(dip2n, 1.0) / (2 * n)
 
 
-def _bin_to_right_edges(values: np.ndarray, bins: int) -> np.ndarray:
-    """Map each value of an ascending, non-constant sample to the right edge
-    of its equal-width bin between the sample's min and max, on the grid
-    1..bins that the binned null uses.
+def _dip_sorted(values: Sequence[float], counts: Sequence[int]) -> float:
+    """Dip of a sample given as ascending values and their counts.
 
-    The dip is affine invariant, so this is the dip of the binned step CDF
-    with all bin mass at the right edge, without the rounding that edges in
-    data units would bring.
+    Equal neighbours are allowed and zero counts are skipped. Equals the dip
+    of the expanded sorted sample bit for bit.
     """
-    lo = values[0]
-    idx = np.floor((values - lo) / (values[-1] - lo) * bins).astype(np.int64)
-    np.clip(idx, 0, bins - 1, out=idx)
-    return (idx + 1).astype(float)
+    values = np.asarray(values, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
+    values, counts = values[counts > 0], counts[counts > 0]
+    runs = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    counts = np.add.reduceat(counts, runs)
+    ends = np.cumsum(counts)
+    tied = counts > 1
+    kept = 1 + tied  # a run's first sample index and, if tied, its last
+    pts = np.empty((3, int(kept.sum())))
+    pts[0] = np.repeat(values[runs], kept)
+    pts[1] = np.repeat(ends - counts, kept)
+    pts[1, np.cumsum(kept)[tied] - 1] = ends[tied] - 1
+    pts[2] = np.arange(pts.shape[1])
+    return _dip_points(pts)
 
 
-def dip_statistic(a: Sequence[float], bins: int | None = None) -> float:
-    """Dip statistic of a sample; ``bins=None`` uses the raw values.
-
-    With ``bins=k`` the sample is first discretized onto k equal-width bins
-    spanning [min, max] (mass at each bin's right edge, on the same grid
-    1..k as the binned null), which is the form used for screening
-    histogrammed response distributions.
-    """
+def dip_statistic(a: Sequence[float]) -> float:
+    """Dip statistic of a sample."""
     n = len(a)
     if n < 4:
         raise InsufficientDataError(f"dip statistic needs at least 4 values, got {n}")
-    values = np.asarray(a, dtype=float)
-    values = np.sort(values)
-    if bins is not None:
-        if bins < 2:
-            raise ParameterError(f"bins must be >= 2, got {bins}")
-        if values[0] != values[-1]:
-            values = _bin_to_right_edges(values, bins)
-    distinct, counts = np.unique(values, return_counts=True)
-    return _dip_sorted(distinct.tolist(), counts.tolist())
+    distinct, counts = np.unique(np.asarray(a, dtype=float), return_counts=True)
+    return _dip_sorted(distinct, counts)
 
 
-def _null_stream(n: int, replicas: int, seed: int, bins: int | None) -> Iterator[float]:
-    """Dips of up to ``replicas`` uniform null samples of size n, binned like
-    the statistic under test, in replica order, drawn as they are consumed.
-    Replica i is the same for every ``replicas`` > i."""
-    if bins is None:
-        ones = [1] * n
-        for i in range(replicas):
-            sample = np.random.default_rng([seed, i]).random(n)
-            sample.sort()
-            yield _dip_sorted(sample.tolist(), ones)
-    else:
-        # bin k's right edge is k + 1, as in _bin_to_right_edges
-        grid = [float(k) for k in range(1, bins + 1)]
-        p = np.full(bins, 1.0 / bins)
-        for start in range(0, replicas, _CHUNK):
-            rng = np.random.default_rng([seed, start // _CHUNK])
-            rows = rng.multinomial(n - 2, p, size=min(_CHUNK, replicas - start))
-            rows[:, 0] += 1  # the sample minimum
-            rows[:, -1] += 1  # the sample maximum
-            for row in rows.tolist():
-                yield _dip_sorted(grid, row)
+def _null_stream(n: int, replicas: int, seed: int) -> Iterator[float]:
+    """Dips of up to ``replicas`` uniform null samples of size n, in replica
+    order, drawn as they are consumed. Replica i is the same for every
+    ``replicas`` > i. Every uniform is a kept point: where two tie, the
+    kernel gives the same bits as with the run compressed, since a run's
+    inner points are never knots nor its largest deviation."""
+    pts = np.empty((3, n))
+    pts[1] = pts[2] = np.arange(n)
+    for i in range(replicas):
+        np.random.default_rng([seed, i]).random(out=pts[0])
+        pts[0].sort()
+        yield _dip_points(pts)
 
 
 def _binomial_tails(r: int, alpha: float, level: float) -> tuple[int, int]:
@@ -346,16 +347,14 @@ def _binomial_tails(r: int, alpha: float, level: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _sequential_null(
-    n: int, alpha: float, cap: int, seed: int, bins: int | None, observed: np.ndarray
-) -> np.ndarray:
-    """The dips of ``_null_stream(n, cap, seed, bins)`` drawn up to the first
+def _sequential_null(n: int, alpha: float, cap: int, seed: int, observed: np.ndarray) -> np.ndarray:
+    """The dips of ``_null_stream(n, cap, seed)`` drawn up to the first
     look at which every observed dip is settled (see the module docstring),
     or all ``cap`` of them, sorted ascending; with no observed dips nothing
     settles."""
     looks = range(_LOOK, cap + _LOOK, _LOOK)  # the last look is capped at cap
     level = _EPSILON / (2 * len(looks))
-    stream = _null_stream(n, cap, seed, bins)
+    stream = _null_stream(n, cap, seed)
     dips = np.empty(cap)
     exceed = np.zeros(len(observed), dtype=np.int64)  # null dips > each observed
     r = 0
@@ -394,15 +393,13 @@ def dip_critical_value(
     alpha: float,
     replicas: int,
     seed: int,
-    bins: int | None = None,
     observed: Sequence[float] = (),
 ) -> CriticalValue:
     """Empirical (1 - alpha) null quantile of the dip for sample size n.
 
     Simulates ``replicas`` uniform samples of size n with seeded RNG streams
     (see the module docstring), so the value is bit-identical for a given
-    seed no matter how replicas are scheduled. ``bins`` should match the
-    binning used for the statistic under test. The result is a float; its
+    seed no matter how replicas are scheduled. The result is a float; its
     ``se`` attribute is the Monte Carlo standard error of the quantile and
     ``replicas`` the number of replicas drawn. Given the ``observed`` dips of
     samples of size n, ``replicas`` is a cap: drawing stops, in looks of 64,
@@ -418,15 +415,11 @@ def dip_critical_value(
         raise ParameterError(f"replicas must be >= 1, got {replicas}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
-    if bins is not None and bins < 2:
-        raise ParameterError(f"bins must be >= 2, got {bins}")
-    need = 24 * replicas + 32768
-    if bins is not None:
-        need += (16 * min(_CHUNK, replicas) + 48) * bins
+    need = 24 * replicas + 32768 + _POINT_BYTES * n
     if need > _MAX_NULL_BYTES:
         raise ParameterError(
-            f"a dip null of {replicas} replicas with bins={bins} needs "
+            f"a dip null of {replicas} replicas of n={n} needs "
             f"{need / 2**30:.2f} GiB; the limit is 1 GiB"
         )
-    dips = _sequential_null(n, alpha, replicas, seed, bins, np.asarray(observed, dtype=float))
+    dips = _sequential_null(n, alpha, replicas, seed, np.asarray(observed, dtype=float))
     return _null_quantile(dips, alpha)

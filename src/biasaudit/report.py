@@ -55,6 +55,11 @@ from .thresholds import (
 __all__ = ["AuditConfig", "AuditReport", "run_audit", "render_json"]
 
 
+def _is_real(v) -> bool:
+    """An int or a float, numpy's float64 included, but not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _anchor_label(q: float) -> str:
     """The anchor's key in ``chi_squared``, so it must be unique."""
     return f"q={q:g}"
@@ -67,7 +72,6 @@ class AuditConfig:
 
     alpha: float = 0.05
     quantiles: tuple[float, ...] = (0.01, 0.02, 0.05, 0.10, 0.20)
-    dip_bins: int = 50
     dip_replicas: int = 10000
     seed: int = 12345
     svm_c: float = 1.0
@@ -76,6 +80,14 @@ class AuditConfig:
     feature_mode: FeatureMode = FeatureMode.SCALED_INDICES
 
     def __post_init__(self):
+        for name in ("alpha", "svm_c", "svm_gamma"):
+            v = getattr(self, name)
+            if not _is_real(v) and not (name == "svm_gamma" and v is None):
+                raise ParameterError(f"{name} must be a float, got {v!r}")
+        if not isinstance(self.quantiles, tuple) or not all(map(_is_real, self.quantiles)):
+            raise ParameterError(f"quantiles must be a tuple of floats, got {self.quantiles!r}")
+        if not isinstance(self.feature_mode, FeatureMode):
+            raise ParameterError(f"feature_mode must be a FeatureMode, got {self.feature_mode!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.quantiles:
@@ -86,12 +98,10 @@ class AuditConfig:
         labels = [_anchor_label(q) for q in self.quantiles]
         if len(set(labels)) < len(labels):
             raise ParameterError(f"duplicate anchor labels: {', '.join(labels)}")
-        for name in ("dip_bins", "dip_replicas", "seed", "svm_folds"):
+        for name in ("dip_replicas", "seed", "svm_folds"):
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ParameterError(f"{name} must be an int, got {v!r}")
-        if self.dip_bins < 2:
-            raise ParameterError(f"dip_bins must be >= 2, got {self.dip_bins}")
         if self.dip_replicas < 1:
             raise ParameterError(f"dip_replicas must be >= 1, got {self.dip_replicas}")
         if self.seed < 0:
@@ -114,8 +124,7 @@ class AuditConfig:
         return d
 
 
-# the bins of each pair's plot histogram; dip_bins sizes the dip alone
-_HIST_BINS = 50
+_HIST_BINS = 50  # the bins of each pair's plot histogram
 
 # the separator of report.json's sweep list items, 8 spaces in; no float
 # repr holds it, so splitting a series text gives back its reprs
@@ -128,8 +137,7 @@ class PairAnalysis:
     anchor label to its four counts and the rate test on them; every
     ``direction`` names a group, not "a" or "b". ``hist_edges``
     (51 floats) and ``hist_counts`` (shape (2, 50): rows a and b) hold the
-    overlaid bona fide histogram behind the pair's plot, 50 equal bins
-    whatever ``dip_bins`` is; not serialized."""
+    overlaid bona fide histogram behind the pair's plot; not serialized."""
 
     pair: GroupPair
     chi_squared: dict[str, tuple[tuple[int, int, int, int], TestResult]]
@@ -304,29 +312,22 @@ def _separability(
 
 
 def _dip_tests(
-    samples: dict[str, np.ndarray],
-    alpha: float,
-    replicas: int,
-    seed: int,
-    bins: int | None,
+    samples: dict[str, np.ndarray], alpha: float, replicas: int, seed: int
 ) -> dict[str, DipResult]:
     """The dip test of each sample. The null depends only on the sample
     size, so the samples of one size share one sequential null, drawn until
     every one of their dips is settled (at most ``replicas``)."""
-    dips = {g: dip_statistic(v, bins=bins) for g, v in samples.items()}
+    dips = {g: dip_statistic(v) for g, v in samples.items()}
     by_n: dict[int, list[str]] = {}
     for g, v in samples.items():
         by_n.setdefault(len(v), []).append(g)
     out = {}
     for n, names in by_n.items():
-        cv = dip_critical_value(
-            n, alpha, replicas, seed, bins=bins, observed=[dips[g] for g in names]
-        )
+        cv = dip_critical_value(n, alpha, replicas, seed, observed=[dips[g] for g in names])
         for g in names:
             out[g] = DipResult(
                 dip=dips[g],
                 n=n,
-                bins=bins,
                 critical_value=float(cv),
                 alpha=alpha,
                 unimodal=dips[g] < cv,
@@ -368,7 +369,7 @@ def run_audit(
     pooled_attack = attack_responses(ds)
 
     per_group_summary = {g: summary_stats(bona[g]) for g in groups}
-    per_group_dip = _dip_tests(bona, cfg.alpha, cfg.dip_replicas, cfg.seed, cfg.dip_bins)
+    per_group_dip = _dip_tests(bona, cfg.alpha, cfg.dip_replicas, cfg.seed)
 
     # Anchor thresholds: pooled bona fide error quantiles, plus the pooled
     # EER threshold when attack rows exist.

@@ -44,6 +44,8 @@ class FeatureMode(enum.Enum):
 def featurize(m: CodeMatrix, mode: FeatureMode = FeatureMode.SCALED_INDICES) -> np.ndarray:
     """Real-valued features, one row per code vector: (n, d) scaled indices
     or (n, k) code histograms."""
+    if not isinstance(mode, FeatureMode):
+        raise ParameterError(f"mode must be a FeatureMode, got {mode!r}")
     if mode is FeatureMode.SCALED_INDICES:
         return m.codes / (m.k - 1)
     n, d = m.codes.shape

@@ -230,12 +230,12 @@ def test_criterion_6_mechanism_detection():
     assert mwu_disp.p_value > 0.05
     assert len(regions_disp) >= 2
 
-    # (c) bimodality: the binned dip rejects unimodality, sweep agrees
+    # (c) bimodality: the dip rejects unimodality, sweep agrees
     a = list(gen_lognormal(-3.6, 0.25, 200, seed=301))
     mix = ((0.5, -4.3, 0.25), (0.5, -2.9, 0.25))
     b = list(gen_mixture(mix, n=200, seed=302))
-    dip = dip_statistic(b, bins=50)
-    cv = dip_critical_value(200, 0.05, 10000, seed=12345, bins=50)
+    dip = dip_statistic(b)
+    cv = dip_critical_value(200, 0.05, 10000, seed=12345)
     regions_mix = significant_regions(bias_sweep(a, b))
     assert dip > cv
     assert len(regions_mix) >= 2

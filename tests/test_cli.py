@@ -223,16 +223,6 @@ class TestAuditCommand:
             "delta|gamma": "0.896875",
         }
 
-    def test_pair_histograms_keep_fifty_bins_whatever_dip_bins_is(self, synth_dir, tmp_path):
-        # --dip-bins sizes the dip alone; the plots' histograms do not follow it
-        out = tmp_path / "audit"
-        argv = ["audit", "--data", str(synth_dir / "responses.csv"), "--out", str(out)]
-        assert main(argv + ["--dip-bins", "100000", "--dip-replicas", "20"]) == 0
-        hists = sorted(out.glob("hist_*.csv"))
-        assert len(hists) == 6
-        for p in hists:
-            assert len(p.read_text().splitlines()) == 51  # header and 50 bins
-
     def test_summary_lines(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "log"
         main(["audit", "--data", str(synth_dir / "responses.csv"), "--out", str(out)] + AUDIT_FAST)
@@ -530,7 +520,6 @@ class TestStatSubcommands:
                 "dip",
                 "--data", str(synth_dir / "responses.csv"),
                 "--group", "delta",
-                "--bins", "0",
                 "--replicas", "300",
             ]
         )
@@ -561,22 +550,7 @@ class TestStatSubcommands:
             )
             assert t["replicas"] < 10000
             verdicts[g] = t["unimodal"]
-        assert verdicts == {"alpha": True, "beta": True, "delta": False, "gamma": False}
-
-    @pytest.mark.parametrize("bins", ["1", "-3"])
-    def test_dip_bins_below_two_rejected(self, synth_dir, capsys, bins):
-        # only --bins 0 means unbinned
-        code = main(
-            [
-                "dip",
-                "--data", str(synth_dir / "responses.csv"),
-                "--group", "delta",
-                "--bins", bins,
-                "--replicas", "50",
-            ]
-        )
-        assert code == 1
-        assert f"bins must be >= 2, got {bins}" in capsys.readouterr().err
+        assert verdicts == {"alpha": True, "beta": True, "delta": False, "gamma": True}
 
     def test_dip_null_over_one_gib_is_validation_error(
         self, synth_dir, tmp_path, monkeypatch, capsys
@@ -592,9 +566,7 @@ class TestStatSubcommands:
         audit = ["audit", "--data", str(synth_dir / "responses.csv"), "--out", str(tmp_path / "o")]
         for argv in (
             dip + ["--replicas", huge],
-            dip + ["--bins", huge],
             audit + ["--dip-replicas", huge],
-            audit + ["--dip-bins", huge],
         ):
             assert main(argv) == 1, argv
             assert "GiB; the limit is 1 GiB" in capsys.readouterr().err
@@ -782,7 +754,7 @@ class TestArgparseBehavior:
         [
             (
                 "audit",
-                "-h --data --codes --out --alpha --quantiles --dip-bins --dip-replicas "
+                "-h --data --codes --out --alpha --quantiles --dip-replicas "
                 "--codes-k --seed --svm-c --svm-gamma --svm-folds --feature-mode",
             ),
             (

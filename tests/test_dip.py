@@ -13,7 +13,6 @@ from _dip_oracle import _dip_sorted as oracle_dip
 from biasaudit.data import bona_fide_responses
 from biasaudit.dip import (
     _binomial_tails,
-    _bin_to_right_edges,
     _dip_sorted,
     _null_quantile,
     _null_stream,
@@ -21,6 +20,7 @@ from biasaudit.dip import (
     dip_statistic,
 )
 from biasaudit.errors import InsufficientDataError, ParameterError
+from biasaudit.report import _dip_tests
 from biasaudit.synth import demo_dataset
 
 SIZES = st.integers(4, 400)
@@ -34,16 +34,6 @@ TIED = st.tuples(SIZES, st.integers(1, 6)).flatmap(
     lambda nk: hnp.arrays(np.int64, nk[0], elements=st.integers(0, nk[1]))
 )
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
-def _seed_binned_null(n, replicas, seed, bins):
-    """The null as simulated before the multinomial draws: n uniforms per
-    replica from stream (seed, i), binned between their own min and max."""
-    dips = np.empty(replicas)
-    for i in range(replicas):
-        sample = np.sort(np.random.default_rng([seed, i]).random(n))
-        dips[i] = oracle_dip(_bin_to_right_edges(sample, bins).tolist())
-    return dips
 
 
 class TestDipExactValues:
@@ -96,11 +86,15 @@ class TestRunKernelMatchesOracle:
 
     @PROPERTY
     @given(CONTINUOUS, st.integers(2, 59))
-    def test_binned(self, x, bins):
-        values = np.sort(np.asarray(x))
-        if values[0] != values[-1]:
-            values = _bin_to_right_edges(values, bins)
-        assert dip_statistic(x, bins=bins) == oracle_dip(values.tolist())
+    def test_binned(self, x, k):
+        # the sample binned onto k + 1 equal-width levels over its range:
+        # long tie runs at every level, where the hull's drop rule meets runs
+        # of equal values
+        x = np.asarray(x)
+        lo, hi = x.min(), x.max()
+        if lo != hi:
+            x = np.floor((x - lo) / (hi - lo) * k)
+        assert dip_statistic(x) == oracle_dip(sorted(x.tolist()))
 
     @PROPERTY
     @given(st.lists(st.integers(0, 9), min_size=2, max_size=30))
@@ -154,39 +148,22 @@ class TestDipProperties:
         assert dip_statistic(list(x + 1000.0)) == pytest.approx(base, rel=1e-6)
         assert dip_statistic(list(-x)) == pytest.approx(base, rel=1e-12)
 
-    def test_binned_two_atoms_keep_upper_bound(self):
-        x = [0.0] * 100 + [1.0] * 100
-        assert dip_statistic(x, bins=5) == pytest.approx(0.25, abs=1e-12)
-
-    def test_binning_can_change_the_value(self):
-        # a spread-out bimodal sample: coarse binning concentrates each mode
-        rng = np.random.default_rng(88)
-        x = list(np.concatenate([rng.normal(0, 1, 150), rng.normal(8, 1, 150)]))
-        assert dip_statistic(x, bins=4) != dip_statistic(x)
-
-    def test_binned_statistic_uses_the_null_grid(self):
-        # a sample whose bin counts equal a binned-null row has exactly the
-        # dip the null computes for that row
-        bins, lo, hi = 20, 0.1, 0.7
-        width = (hi - lo) / bins
-        grid = [float(k) for k in range(1, bins + 1)]
+    def test_multinomial_grid_rows_match_oracle(self):
+        # 200 seeded rows of counts on a 20-level grid, each level one tie
+        # run and the first and last levels never empty
+        levels, lo, hi = 20, 0.1, 0.7
+        grid = lo + (np.arange(levels) + 0.5) * (hi - lo) / levels
         rng = np.random.default_rng(61)
         for _ in range(200):
-            row = rng.multinomial(int(rng.integers(2, 300)), np.full(bins, 1 / bins))
-            row[0] += 1  # the sample minimum, at lo
-            row[-1] += 1  # the sample maximum, at hi
-            x = [lo, hi] + [
-                lo + (k + 0.5) * width
-                for k, c in enumerate(row.tolist())
-                for _ in range(c - (k == 0) - (k == bins - 1))
-            ]
-            assert dip_statistic(x, bins=bins) == _dip_sorted(grid, row.tolist())
+            row = rng.multinomial(int(rng.integers(2, 300)), np.full(levels, 1 / levels))
+            row[0] += 1
+            row[-1] += 1
+            x = np.repeat(grid, row)
+            assert dip_statistic(x) == _dip_sorted(grid, row) == oracle_dip(x.tolist())
 
     def test_parameter_validation(self):
         with pytest.raises(InsufficientDataError):
             dip_statistic([1.0, 2.0, 3.0])
-        with pytest.raises(ParameterError):
-            dip_statistic([1.0, 2.0, 3.0, 4.0], bins=1)
 
 
 class TestDipCriticalValue:
@@ -220,29 +197,16 @@ class TestDipCriticalValue:
         assert d > cv
 
     def test_unbinned_null_matches_oracle(self):
-        # the unbinned null keeps its per-replica uniform streams
-        for i, got in enumerate(_null_stream(60, 50, 11, None)):
+        # the null keeps its per-replica uniform streams
+        for i, got in enumerate(_null_stream(60, 50, 11)):
             sample = np.sort(np.random.default_rng([11, i]).random(60))
             assert got == oracle_dip(sample.tolist())
 
     def test_chunked_draws_are_prefix_stable(self):
-        # replica i does not depend on how many replicas were asked for,
-        # inside the first chunk and across the chunk boundary
-        full = list(_null_stream(120, 1500, 5, 20))
-        assert list(_null_stream(120, 300, 5, 20)) == full[:300]
-        assert list(_null_stream(120, 1100, 5, 20)) == full[:1100]
-
-    @pytest.mark.parametrize("n, bins", [(200, 50), (30, 10)])
-    def test_binned_null_matches_uniform_then_bin(self, n, bins):
-        # multinomial bin counts against binning n uniforms: same distribution
-        new = list(_null_stream(n, 2000, 21, bins))
-        old = _seed_binned_null(n, 2000, 22, bins)
-        assert sps.ks_2samp(new, old).pvalue > 0.01
-
-    def test_binned_reference_value(self):
-        # 0.042045... is the value of uniform-then-bin draws from the same seed
-        cv = dip_critical_value(200, 0.05, 10000, seed=12345, bins=50)
-        assert cv == pytest.approx(0.042045, abs=0.002)
+        # replica i does not depend on how many replicas were asked for
+        full = list(_null_stream(120, 300, 5))
+        assert list(_null_stream(120, 70, 5)) == full[:70]
+        assert list(_null_stream(120, 1, 5)) == full[:1]
 
     def test_standard_error_order_statistics(self):
         # q = 0.95, R = 100: cv at rank 95; SE from ranks
@@ -254,8 +218,8 @@ class TestDipCriticalValue:
         assert (one, one.se) == (0.3, 0.0)
 
     def test_standard_error_shrinks_with_replicas(self):
-        few = dip_critical_value(100, 0.05, 400, seed=4, bins=20)
-        many = dip_critical_value(100, 0.05, 6400, seed=4, bins=20)
+        few = dip_critical_value(100, 0.05, 400, seed=4)
+        many = dip_critical_value(100, 0.05, 6400, seed=4)
         assert 0 < many.se < few.se
 
     def test_parameter_validation(self):
@@ -269,72 +233,74 @@ class TestDipCriticalValue:
             dip_critical_value(50, 0.05, 0, seed=0)
         with pytest.raises(ParameterError):
             dip_critical_value(50, 0.05, 100, seed=-1)
-        with pytest.raises(ParameterError):
-            dip_critical_value(50, 0.05, 100, seed=0, bins=1)
 
     def test_null_over_one_gib_refused_before_it_runs(self, monkeypatch):
         # a stub stands in for the null, so nothing here allocates: values the
         # guard lets through reach the stub, values it refuses never do
         reached = []
 
-        def stub(n, alpha, cap, seed, bins, observed):
-            reached.append((cap, bins))
+        def stub(n, alpha, cap, seed, observed):
+            reached.append((n, cap))
             return np.zeros(1)
 
         monkeypatch.setattr(dip_module, "_sequential_null", stub)
         limit = 1 << 30
-        # unbinned: 8 bytes per replica dip and 16 for the binomial tails,
-        # plus 32 KiB for one look
-        replicas = (limit - 32768) // 24
+        # 8 bytes per replica dip and 16 for the binomial tails, 32 KiB for
+        # one look, and 160 bytes per sample point for the kernel
+        replicas = (limit - 32768 - 160 * 50) // 24
         dip_critical_value(50, 0.05, replicas, seed=0)
         with pytest.raises(ParameterError, match="the limit is 1 GiB"):
             dip_critical_value(50, 0.05, replicas + 1, seed=0)
-        # binned: plus 16 bytes per entry of one 1024-replica chunk of counts
-        # and 48 per bin for the bin edges and probabilities
-        bins = (limit - 24 * 2048 - 32768) // (16 * 1024 + 48)
-        dip_critical_value(50, 0.05, 2048, seed=0, bins=bins)
+        n = (limit - 24 * 2048 - 32768) // 160
+        dip_critical_value(n, 0.05, 2048, seed=0)
         with pytest.raises(ParameterError, match="the limit is 1 GiB"):
-            dip_critical_value(50, 0.05, 2048, seed=0, bins=bins + 1)
-        for huge_replicas, huge_bins in ((10**12, None), (10**12, 50), (1, 10**12)):
+            dip_critical_value(n + 1, 0.05, 2048, seed=0)
+        for huge_n, huge_replicas in ((200, 10**12), (10**12, 1)):
             with pytest.raises(ParameterError, match="the limit is 1 GiB"):
-                dip_critical_value(200, 0.05, huge_replicas, seed=0, bins=huge_bins)
-        assert reached == [(replicas, None), (2048, bins)]
+                dip_critical_value(huge_n, 0.05, huge_replicas, seed=0)
+        assert reached == [(50, replicas), (n, 2048)]
+
+    def test_huge_sample_refused_before_it_runs(self):
+        # no stub: a null of 10**12 points fails cleanly, not with MemoryError
+        with pytest.raises(ParameterError, match="replicas of n=1000000000000 needs"):
+            dip_critical_value(10**12, 0.05, 1, 0)
 
     @pytest.mark.parametrize(
-        "n, replicas, bins, observed",
+        "n, replicas, observed",
         [
-            pytest.param(200, 1, 200_000, (), id="1-200000"),
-            pytest.param(200, 64, 20_000, (), id="64-20000"),
-            pytest.param(50, 20_000, None, (0.5,), id="20000-unsettled"),
+            pytest.param(200_000, 1, (), id="1-200000"),
+            pytest.param(20_000, 64, (), id="64-20000"),
+            pytest.param(50, 20_000, (0.5,), id="20000-unsettled"),
         ],
     )
-    def test_counted_bytes_bound_the_traced_peak(self, n, replicas, bins, observed, monkeypatch):
-        # the per-bin arrays dominate at one replica; a look of 64 adds rows.
-        # The unbinned case keeps one observed dip unsettled to the last look
-        # (a stub stream puts exceedances at alpha * r), so every look builds
-        # its binomial tails; its 20,000 real replicas would take seconds.
-        # With its limit just under the traced peak, the guard must refuse
-        # the same null: its count is at least what the null holds. Nothing
-        # warms numpy's caches first, so what its first calls allocate counts.
-        if bins is None:
-            stream = lambda n, replicas, seed, bins: itertools.cycle([1.0] + [0.0] * 19)
+    def test_counted_bytes_bound_the_traced_peak(self, n, replicas, observed, monkeypatch):
+        # the kernel's arrays dominate at one replica of 200,000 points and
+        # at 64 of 20,000. The 20,000-replica case keeps one observed dip unsettled to the
+        # last look (a stub stream puts exceedances at alpha * r), so every
+        # look builds its binomial tails; its real replicas would take
+        # seconds. With its limit just under the traced peak, the guard must
+        # refuse the same null: its count is at least what the null holds.
+        # Nothing warms numpy's caches first, so what its first calls
+        # allocate counts.
+        if observed:
+            stream = lambda n, replicas, seed: itertools.cycle([1.0] + [0.0] * 19)
             monkeypatch.setattr(dip_module, "_null_stream", stream)
         tracemalloc.start()
         try:
-            cv = dip_critical_value(n, 0.05, replicas, 0, bins=bins, observed=observed)
+            cv = dip_critical_value(n, 0.05, replicas, 0, observed=observed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert cv.replicas == replicas
         monkeypatch.setattr(dip_module, "_MAX_NULL_BYTES", peak - 1)
         with pytest.raises(ParameterError, match="the limit is 1 GiB"):
-            dip_critical_value(n, 0.05, replicas, 0, bins=bins, observed=observed)
+            dip_critical_value(n, 0.05, replicas, 0, observed=observed)
 
     def test_unbinned_null_holds_one_float_per_replica(self, monkeypatch):
-        # the guard counts 8 bytes per unbinned replica: the drawn dips are
+        # the guard counts 8 bytes per replica: the drawn dips are
         # sorted where they lie, not copied. A constant stream stands in for
         # the kernel, whose 20,000 real replicas take seconds under tracemalloc
-        stream = lambda n, replicas, seed, bins: itertools.repeat(0.5)
+        stream = lambda n, replicas, seed: itertools.repeat(0.5)
         monkeypatch.setattr(dip_module, "_null_stream", stream)
         replicas = 20_000
         dip_critical_value(50, 0.05, replicas, 0)  # first-call allocations
@@ -350,32 +316,32 @@ class TestDipCriticalValue:
 
 
 # the audit's default null at the README demo's group size
-NULL_N, NULL_SEED, NULL_BINS, NULL_CAP = 200, 12345, 50, 10000
+NULL_N, NULL_SEED, NULL_CAP = 200, 12345, 10000
 
 
 @pytest.fixture(scope="module")
 def full_null():
-    return np.fromiter(_null_stream(NULL_N, NULL_CAP, NULL_SEED, NULL_BINS), float)
+    return np.fromiter(_null_stream(NULL_N, NULL_CAP, NULL_SEED), float)
 
 
 @pytest.fixture
 def cached_stream(monkeypatch, full_null):
-    """_null_stream served from the one full null for its size, seed and
-    bins: streams are prefix stable, so every call sees the replicas it would
+    """_null_stream served from the one full null for its size and seed:
+    streams are prefix stable, so every call sees the replicas it would
     draw, without drawing them again."""
     real = dip_module._null_stream
 
-    def stream(n, replicas, seed, bins):
-        if (n, seed, bins) == (NULL_N, NULL_SEED, NULL_BINS):
+    def stream(n, replicas, seed):
+        if (n, seed) == (NULL_N, NULL_SEED):
             return iter(full_null[:replicas].tolist())
-        return real(n, replicas, seed, bins)
+        return real(n, replicas, seed)
 
     monkeypatch.setattr(dip_module, "_null_stream", stream)
 
 
 def _demo_dips(seed):
     ds = demo_dataset(NULL_N, seed=seed)
-    return [dip_statistic(bona_fide_responses(ds, g), bins=NULL_BINS) for g in ds.groups()]
+    return [dip_statistic(bona_fide_responses(ds, g)) for g in ds.groups()]
 
 
 # the README demo (seed 7) and ten demo datasets at seeds far enough apart
@@ -399,20 +365,18 @@ class TestSequentialNull:
         full_cv = _null_quantile(np.sort(full_null), 0.05)
         for seed in DEMO_SEEDS:
             dips = _demo_dips(seed)
-            cv = dip_critical_value(
-                NULL_N, 0.05, NULL_CAP, NULL_SEED, NULL_BINS, observed=dips
-            )
+            cv = dip_critical_value(NULL_N, 0.05, NULL_CAP, NULL_SEED, observed=dips)
             assert cv.replicas % 64 == 0 or cv.replicas == NULL_CAP
             assert [d < cv for d in dips] == [d < full_cv for d in dips], seed
 
     def test_stopped_value_is_the_fixed_value_at_its_replicas(self):
         # real streams, no cache: the README demo stops after a few looks
         dips = _demo_dips(7)
-        cv = dip_critical_value(NULL_N, 0.05, NULL_CAP, NULL_SEED, NULL_BINS, observed=dips)
+        cv = dip_critical_value(NULL_N, 0.05, NULL_CAP, NULL_SEED, observed=dips)
         assert 64 <= cv.replicas < NULL_CAP and cv.replicas % 64 == 0
-        fixed = dip_critical_value(NULL_N, 0.05, cv.replicas, NULL_SEED, NULL_BINS)
+        fixed = dip_critical_value(NULL_N, 0.05, cv.replicas, NULL_SEED)
         assert (float(cv), cv.se, cv.replicas) == (float(fixed), fixed.se, fixed.replicas)
-        # unbinned, with one clearly bimodal and one clearly unimodal sample
+        # one clearly bimodal and one clearly unimodal sample
         rng = np.random.default_rng(8)
         two = np.concatenate([rng.normal(0, 0.2, 30), rng.normal(5, 0.2, 30)])
         dips = [dip_statistic(two), dip_statistic(rng.normal(size=60))]
@@ -425,27 +389,40 @@ class TestSequentialNull:
     def test_cap_below_one_look_draws_as_the_fixed_null(self):
         dips = _demo_dips(7)
         for cap in (20, 64):
-            cv = dip_critical_value(NULL_N, 0.05, cap, NULL_SEED, NULL_BINS, observed=dips)
-            fixed = dip_critical_value(NULL_N, 0.05, cap, NULL_SEED, NULL_BINS)
+            cv = dip_critical_value(NULL_N, 0.05, cap, NULL_SEED, observed=dips)
+            fixed = dip_critical_value(NULL_N, 0.05, cap, NULL_SEED)
             assert (float(cv), cv.se, cv.replicas) == (float(fixed), fixed.se, cap)
 
     def test_unsettled_dip_runs_to_the_cap(self):
         # a dip at the null's own 95% point stays near p = alpha at every look
-        cv = dip_critical_value(60, 0.05, 300, 3, bins=20, observed=[0.0])
+        cv = dip_critical_value(60, 0.05, 300, 3, observed=[0.0])
         assert cv.replicas < 300  # p = 1 settles at once
-        edge = float(dip_critical_value(60, 0.05, 300, 3, bins=20))
-        cv = dip_critical_value(60, 0.05, 300, 3, bins=20, observed=[edge, 0.0])
+        edge = float(dip_critical_value(60, 0.05, 300, 3))
+        cv = dip_critical_value(60, 0.05, 300, 3, observed=[edge, 0.0])
         assert cv.replicas == 300
 
     def test_rejection_rate_under_the_null(self, cached_stream):
-        # binned uniform samples are draws from the null itself, so the
+        # uniform samples are draws from the null itself, so the
         # sequential test rejects at most alpha plus Monte Carlo error
         rng = np.random.default_rng(99)
         trials = 400
         rejected = 0
         for _ in range(trials):
-            d = dip_statistic(rng.random(NULL_N), bins=NULL_BINS)
-            cv = dip_critical_value(NULL_N, 0.05, NULL_CAP, NULL_SEED, NULL_BINS, observed=[d])
+            d = dip_statistic(rng.random(NULL_N))
+            cv = dip_critical_value(NULL_N, 0.05, NULL_CAP, NULL_SEED, observed=[d])
             rejected += not d < cv
+        se = np.sqrt(0.05 * 0.95 / trials)
+        assert rejected / trials <= 0.05 + 3 * se
+
+    def test_skewed_unimodal_groups_read_unimodal(self, cached_stream):
+        # lognormal groups at twice the demo's log-scale spread, through the
+        # audit's own dip tests: unimodal, so rejected at most alpha plus
+        # Monte Carlo error of the time
+        rng = np.random.default_rng(909)
+        trials = 400
+        rejected = 0
+        for _ in range(trials):
+            x = np.sort(rng.lognormal(-3.6, 0.9, NULL_N))
+            rejected += not _dip_tests({"g": x}, 0.05, NULL_CAP, NULL_SEED)["g"].unimodal
         se = np.sqrt(0.05 * 0.95 / trials)
         assert rejected / trials <= 0.05 + 3 * se

@@ -49,7 +49,6 @@ class TestAuditConfig:
     def test_defaults_valid(self):
         cfg = AuditConfig()
         assert cfg.alpha == 0.05
-        assert cfg.dip_bins == 50
 
     def test_gamma_echoed_as_auto(self):
         assert AuditConfig().to_dict()["svm_gamma"] == "auto"
@@ -69,8 +68,6 @@ class TestAuditConfig:
         with pytest.raises(ParameterError):
             AuditConfig(quantiles=(0.1, 0.10, 0.2))  # two "q=0.1" anchors
         with pytest.raises(ParameterError):
-            AuditConfig(dip_bins=1)
-        with pytest.raises(ParameterError):
             AuditConfig(dip_replicas=0)
         with pytest.raises(ParameterError):
             AuditConfig(seed=-1)
@@ -88,7 +85,6 @@ class TestAuditConfig:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("dip_bins", 50.0),
             ("dip_replicas", 100.5),
             ("dip_replicas", True),
             ("seed", True),
@@ -98,6 +94,27 @@ class TestAuditConfig:
     )
     def test_int_fields_refuse_floats_and_bools(self, field, value):
         with pytest.raises(ParameterError, match=f"{field} must be an int, got {value!r}"):
+            AuditConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("svm_c", True, "svm_c must be a float, got True"),
+            ("svm_gamma", True, "svm_gamma must be a float, got True"),
+            ("alpha", "0.05", "alpha must be a float, got '0.05'"),
+            ("quantiles", (True,), r"quantiles must be a tuple of floats, got \(True,\)"),
+            ("quantiles", 0.1, "quantiles must be a tuple of floats, got 0.1"),
+            (
+                "feature_mode",
+                "scaled-indices",
+                "feature_mode must be a FeatureMode, got 'scaled-indices'",
+            ),
+        ],
+    )
+    def test_other_fields_refuse_wrong_types(self, field, value, message):
+        # report.json echoes the config, so a value of the wrong type is
+        # refused before it could be written there
+        with pytest.raises(ParameterError, match=message):
             AuditConfig(**{field: value})
 
 
@@ -139,7 +156,6 @@ class TestReportStructure:
         for g, entry in per_group.items():
             assert entry["summary"]["n"] == 60
             dip = entry["dip_test"]
-            assert dip["bins"] == 50
             assert dip["unimodal"] == (dip["dip"] < dip["critical_value"])
             # the null stops once every verdict is settled: at a look of 64
             # replicas, or at the cap
@@ -194,14 +210,21 @@ class TestReportDeterminism:
         assert replicas < AuditConfig().dip_replicas
         assert render_json(run_audit(readme_demo)) == render_json(first)
 
+    def test_readme_demo_reads_only_the_mixture_bimodal(self):
+        # gamma is a unimodal lognormal with twice the log-scale spread and
+        # delta a two-component mixture; the dip tests the raw responses
+        report = run_audit(demo_dataset(n_per_group=200, seed=7))
+        verdicts = {g: r.unimodal for g, r in report.per_group_dip.items()}
+        assert verdicts == {"alpha": True, "beta": True, "delta": False, "gamma": True}
+
     def test_groups_of_one_size_share_one_null(self, monkeypatch):
         # a stub around the null stream records each draw
         streams, calls = [], []
         real_stream, real_cv = dip_module._null_stream, report_module.dip_critical_value
 
-        def stream(n, replicas, seed, bins):
+        def stream(n, replicas, seed):
             streams.append(n)
-            return real_stream(n, replicas, seed, bins)
+            return real_stream(n, replicas, seed)
 
         def critical_value(n, *args, observed=(), **kwargs):
             cv = real_cv(n, *args, observed=observed, **kwargs)

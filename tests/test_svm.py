@@ -176,6 +176,12 @@ class TestFeaturize:
         np.testing.assert_array_equal(h, [[0.5, 0.25, 0.0, 0.25]])
         assert h.sum() == 1.0
 
+    def test_mode_must_be_a_feature_mode(self):
+        # the enum's value as a string once gave histograms silently
+        m = CodeMatrix([(0, 7, 3)], ["g"], k=8)
+        with pytest.raises(ParameterError, match="mode must be a FeatureMode, got 'scaled-indices'"):
+            featurize(m, "scaled-indices")
+
     def test_histogram_length_is_codebook_size(self):
         m = CodeMatrix([(2, 2, 2)], ["g"], k=16)
         assert featurize(m, FeatureMode.CODE_HISTOGRAM).shape == (1, 16)
