@@ -7,12 +7,12 @@ LCM of the empirical CDF over a shrinking modal interval, take the larger of
 the one-sided deviations, and stop when the interval is stable. The result
 lives in [1/(2n), 0.25].
 
-The kernel works on the distinct values and their counts. Of each run of
-tied values it keeps only the first and the last sample index: the points
-in between are never hull knots and never the largest deviation, so the
-result equals the dip of the expanded sample bit for bit, at a cost that
-grows with the number of distinct values rather than with n. The reference
-it must match is the one-point-per-sample kernel in tests/_dip_oracle.py.
+The kernel works on the kept points of the sorted sample: the first and
+the last sample index of each run of tied values. The points in between are
+never hull knots nor the largest deviation, so the result equals the dip of
+every sample point bit for bit, at a cost that grows with the number of
+distinct values rather than with n. The reference it must match is the
+one-point-per-sample kernel in tests/_dip_oracle.py.
 
 Each pass takes the GCM and the LCM of the kept points in the modal
 interval. A hull knot lies strictly below (GCM) or above (LCM) every chord
@@ -52,6 +52,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
+from .stats import _sample
 
 __all__ = ["CriticalValue", "DipResult", "dip_statistic", "dip_critical_value"]
 
@@ -277,35 +278,13 @@ def _dip_points(pts: np.ndarray) -> float:
     return max(dip2n, 1.0) / (2 * n)
 
 
-def _dip_sorted(values: Sequence[float], counts: Sequence[int]) -> float:
-    """Dip of a sample given as ascending values and their counts.
-
-    Equal neighbours are allowed and zero counts are skipped. Equals the dip
-    of the expanded sorted sample bit for bit.
-    """
-    values = np.asarray(values, dtype=float)
-    counts = np.asarray(counts, dtype=np.int64)
-    values, counts = values[counts > 0], counts[counts > 0]
-    runs = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    counts = np.add.reduceat(counts, runs)
-    ends = np.cumsum(counts)
-    tied = counts > 1
-    kept = 1 + tied  # a run's first sample index and, if tied, its last
-    pts = np.empty((3, int(kept.sum())))
-    pts[0] = np.repeat(values[runs], kept)
-    pts[1] = np.repeat(ends - counts, kept)
-    pts[1, np.cumsum(kept)[tied] - 1] = ends[tied] - 1
-    pts[2] = np.arange(pts.shape[1])
-    return _dip_points(pts)
-
-
 def dip_statistic(a: Sequence[float]) -> float:
-    """Dip statistic of a sample."""
-    n = len(a)
-    if n < 4:
-        raise InsufficientDataError(f"dip statistic needs at least 4 values, got {n}")
-    distinct, counts = np.unique(np.asarray(a, dtype=float), return_counts=True)
-    return _dip_sorted(distinct, counts)
+    """Dip statistic of a sample of at least 4 values."""
+    x = _sample(a, 4, "dip_statistic")
+    # a run's first and last sample index: the value differs before or after
+    new = x[1:] != x[:-1]
+    kept = np.flatnonzero(np.r_[True, new] | np.r_[new, True])
+    return _dip_points(np.stack((x[kept], kept, np.arange(len(kept)))))
 
 
 def _null_stream(n: int, replicas: int, seed: int) -> Iterator[float]:

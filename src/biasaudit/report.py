@@ -61,8 +61,9 @@ def _is_real(v) -> bool:
 
 
 def _anchor_label(q: float) -> str:
-    """The anchor's key in ``chi_squared``, so it must be unique."""
-    return f"q={q:g}"
+    """The anchor's key in ``chi_squared``, so it must be unique; -0.0 reads
+    as 0, so a zero given with both signs is refused as a duplicate."""
+    return f"q={q + 0.0:g}"
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ Conventions fixed across the toolkit:
   distribution (feasible up to 20 combined observations); the approximate
   mode is the tie-corrected normal with continuity correction.
 * Shapiro-Wilk follows Royston's algorithm for 3 <= n <= 5000.
+* Every statistic of a sample, here and in ``thresholds``, ``svm`` and
+  ``dip``, reads it through ``_sample``: a 1-D sequence of finite numbers in
+  any order, of at least the statistic's minimum size, handed on sorted.
 """
 from __future__ import annotations
 
@@ -41,6 +44,25 @@ __all__ = [
 ]
 
 _NORMAL = NormalDist()
+
+
+def _sample(values: Sequence[float], at_least: int, what: str) -> np.ndarray:
+    """``values``, a 1-D sample of at least ``at_least`` finite numbers, as
+    a float64 array sorted stably: of 0.0 and -0.0 the one given first stays
+    first. Else ParameterError or InsufficientDataError, naming ``what``."""
+    try:
+        x = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} needs a 1-D sequence of numbers") from None
+    if x.ndim != 1:
+        raise ParameterError(f"{what} needs a 1-D sample, got shape {x.shape}")
+    if len(x) < at_least:
+        raise InsufficientDataError(f"{what} needs at least {at_least} values, got {len(x)}")
+    x = np.sort(x, kind="stable")
+    # sorted, an infinity or a NaN (numpy sorts NaN last) is at an end
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise ParameterError(f"{what} needs finite values")
+    return x
 
 
 class Sidedness(enum.Enum):
@@ -131,14 +153,14 @@ class MwuMode(enum.Enum):
 MWU_EXACT_LIMIT = 20
 
 
-def _midranks(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _midranks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Doubled midranks of the pooled sample, ``a`` first then ``b``, and the
     size of each tie run.
 
     A midrank is the average of the 1-based sorted positions of a tie run;
     doubling keeps it an exact integer (first + last position).
     """
-    pooled = np.concatenate([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
+    pooled = np.concatenate([a, b])
     _, inverse, ties = np.unique(pooled, return_inverse=True, return_counts=True)
     last = np.cumsum(ties)
     return (2 * last - ties + 1)[inverse], ties
@@ -176,9 +198,8 @@ def mann_whitney_u(
     ``direction`` names the stochastically larger sample ("a" or "b") when
     the statistic is off-center.
     """
+    a, b = (_sample(s, 1, "mann_whitney_u") for s in (a, b))
     n_a, n_b = len(a), len(b)
-    if n_a == 0 or n_b == 0:
-        raise InsufficientDataError("both samples must be non-empty")
     n = n_a + n_b
 
     doubled, ties = _midranks(a, b)
@@ -239,12 +260,10 @@ def shapiro_wilk(a: Sequence[float]) -> TestResult:
     Returns W as the statistic and the upper-tail p for non-normality.
     Constant samples are degenerate and rejected.
     """
-    n = len(a)
-    if n < 3:
-        raise InsufficientDataError(f"Shapiro-Wilk needs n >= 3, got {n}")
+    x = _sample(a, 3, "shapiro_wilk").tolist()
+    n = len(x)
     if n > 5000:
         raise ParameterError(f"Shapiro-Wilk supports n <= 5000, got {n}")
-    x = sorted(float(v) for v in a)
     if x[0] == x[-1]:
         raise DegenerateDataError("sample is constant")
 
@@ -320,8 +339,7 @@ def _sum_of_squares(vals: list[float]) -> tuple[float, float]:
 
 def summary_stats(a: Sequence[float]) -> SummaryStats:
     """Mean and sample standard deviation (n - 1); exact sums, so order-free."""
-    n = len(a)
-    if n < 2:
-        raise InsufficientDataError(f"summary needs at least 2 values, got {n}")
-    mean, ssq = _sum_of_squares(np.asarray(a, dtype=float).tolist())
+    vals = _sample(a, 2, "summary_stats").tolist()
+    n = len(vals)
+    mean, ssq = _sum_of_squares(vals)
     return SummaryStats(n=n, mean=mean, std_dev=math.sqrt(ssq / (n - 1)))

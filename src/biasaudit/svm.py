@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import CodeMatrix
 from .errors import DegenerateDataError, InsufficientDataError, ParameterError
-from .stats import _midranks
+from .stats import _midranks, _sample
 
 __all__ = [
     "FeatureMode",
@@ -227,9 +227,8 @@ def auc_from_scores(pos: Sequence[float], neg: Sequence[float]) -> float:
     Computed from midranks; exactly equals the pairwise count
     (#{p > n} + 0.5 #{p == n}) / (|pos| * |neg|).
     """
+    pos, neg = (_sample(s, 1, "auc_from_scores") for s in (pos, neg))
     n_p, n_n = len(pos), len(neg)
-    if n_p == 0 or n_n == 0:
-        raise InsufficientDataError("auc needs non-empty score sets")
     doubled, _ = _midranks(pos, neg)
     du = int(doubled[:n_p].sum()) - n_p * (n_p + 1)  # 2 * U
     return du / (2 * n_p * n_n)

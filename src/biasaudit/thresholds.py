@@ -10,15 +10,14 @@ so every distinct empirical operating point appears exactly once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .data import GroupPair, _read_only
-from .errors import InsufficientDataError, ParameterError
-from .stats import _chi2_tail
+from .errors import ParameterError
+from .stats import _chi2_tail, _sample
 
 __all__ = [
     "RocCurve",
@@ -115,16 +114,14 @@ class BiasRegion:
     worse_group: str
 
 
-def outcomes_at(responses_sorted: Sequence[float], threshold: float) -> tuple[int, int]:
-    """(accepted, rejected) counts at a threshold; boundary value accepted.
-
-    The input must be sorted ascending (as returned by bona_fide_responses).
-    """
-    n = len(responses_sorted)
-    if n == 0:
-        raise InsufficientDataError("no responses")
-    accepted = bisect_right(responses_sorted, threshold)
-    return accepted, n - accepted
+def outcomes_at(responses: Sequence[float], threshold: float) -> tuple[int, int]:
+    """(accepted, rejected) counts at a finite threshold; boundary value
+    accepted."""
+    if not math.isfinite(threshold):
+        raise ParameterError(f"threshold must be finite, got {threshold}")
+    x = _sample(responses, 1, "outcomes_at")
+    accepted = int(np.searchsorted(x, threshold, side="right"))
+    return accepted, len(x) - accepted
 
 
 def _below(v: float) -> float:
@@ -137,10 +134,7 @@ def _above(v: float) -> float:
 
 def roc_curve(bona: Sequence[float], attack: Sequence[float]) -> RocCurve:
     """Empirical ROC over all distinct pooled response values."""
-    if len(bona) == 0 or len(attack) == 0:
-        raise InsufficientDataError("roc_curve needs non-empty bona fide and attack samples")
-    bona_s = np.sort(np.asarray(bona, dtype=float))
-    att_s = np.sort(np.asarray(attack, dtype=float))
+    bona_s, att_s = (_sample(s, 1, "roc_curve") for s in (bona, attack))
     pooled = np.unique(np.concatenate([bona_s, att_s]))
     grid = np.concatenate([[_below(pooled[0])], pooled, [_above(pooled[-1])]])
     n_b, n_a = len(bona_s), len(att_s)
@@ -165,11 +159,10 @@ def eer_operating_point(roc: RocCurve) -> OperatingPoint:
 def hter_at(
     bona: Sequence[float], attack: Sequence[float], threshold: float
 ) -> OperatingPoint:
-    """FAR/FRR/HTER at a fixed threshold."""
-    if len(bona) == 0 or len(attack) == 0:
-        raise InsufficientDataError("hter_at needs non-empty bona fide and attack samples")
-    far = int(np.count_nonzero(np.asarray(attack, dtype=float) <= threshold)) / len(attack)
-    frr = int(np.count_nonzero(np.asarray(bona, dtype=float) > threshold)) / len(bona)
+    """FAR/FRR/HTER at a fixed finite threshold."""
+    bona, attack = (_sample(s, 1, "hter_at") for s in (bona, attack))
+    far = outcomes_at(attack, threshold)[0] / len(attack)
+    frr = outcomes_at(bona, threshold)[1] / len(bona)
     return OperatingPoint(float(threshold), far, frr, (far + frr) / 2)
 
 
@@ -181,10 +174,8 @@ def threshold_for_bonafide_error(bona: Sequence[float], q: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"q must be in [0, 1], got {q}")
-    n = len(bona)
-    if n == 0:
-        raise InsufficientDataError("no bona fide responses")
-    s = np.sort(np.asarray(bona, dtype=float), kind="stable")
+    s = _sample(bona, 1, "threshold_for_bonafide_error")
+    n = len(s)
     # float-tolerant floor: q arriving as 0.1 + eps must still reject floor(q*n)
     m = int(math.floor(q * n + 1e-9))
     if m >= n:
@@ -203,14 +194,9 @@ def bias_sweep(
     The grid is the sorted distinct pooled responses of both groups; a
     single-point grid (every response equal) is degenerate and rejected.
     """
-    if len(bona_a) == 0 or len(bona_b) == 0:
-        raise InsufficientDataError("bias_sweep needs non-empty groups")
     if pair is None:
         pair = GroupPair("a", "b")
-    # stable, so that of equal values (0.0 and -0.0) the grid keeps the one
-    # that comes first in the input
-    a_s = np.sort(np.asarray(bona_a, dtype=float), kind="stable")
-    b_s = np.sort(np.asarray(bona_b, dtype=float), kind="stable")
+    a_s, b_s = (_sample(s, 1, "bias_sweep") for s in (bona_a, bona_b))
     grid_arr = np.unique(np.concatenate([a_s, b_s]))
     if len(grid_arr) < 2:
         raise ParameterError(f"degenerate sweep grid of size {len(grid_arr)}")

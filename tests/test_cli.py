@@ -673,11 +673,25 @@ class TestInputErrors:
         [
             (["--quantiles", "0.1,,0.2"], "bad quantile list: '0.1,,0.2'"),
             (["--svm-gamma", "abc"], "gamma must be a number or 'auto', got 'abc'"),
+            (["--alpha", "abc"], "expected float, got 'abc'"),
+            (["--dip-replicas", "1.5"], "expected int, got '1.5'"),
+            (
+                ["sweep", "--data", "nope.csv", "--group-a", "a", "--group-b", "b", "--alpha", "abc"],
+                "expected float, got 'abc'",
+            ),
+            (
+                ["chi2", "--accepted-a", "1", "--rejected-a", "x", "--accepted-b", "1",
+                 "--rejected-b", "1"],
+                "expected int, got 'x'",
+            ),
         ],
     )
     def test_bad_flag_value(self, tmp_path, capsys, flag, message):
-        # the flag is parsed before the (missing) data file is read
-        code = main(["audit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)] + flag)
+        # a flag alone goes to audit; either way the flag is parsed before
+        # the (missing) data file is read
+        if flag[0].startswith("--"):
+            flag = ["audit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)] + flag
+        code = main(flag)
         assert code == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -67,6 +67,8 @@ class TestAuditConfig:
             AuditConfig(quantiles=(0.1, 1.5))
         with pytest.raises(ParameterError):
             AuditConfig(quantiles=(0.1, 0.10, 0.2))  # two "q=0.1" anchors
+        with pytest.raises(ParameterError, match="duplicate anchor labels: q=0, q=0"):
+            AuditConfig(quantiles=(0.0, -0.0))  # one anchor, given with both signs
         with pytest.raises(ParameterError):
             AuditConfig(dip_replicas=0)
         with pytest.raises(ParameterError):

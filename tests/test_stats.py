@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -5,8 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biasaudit.dip import dip_statistic
 from biasaudit.errors import (
+    AuditError,
     DegenerateDataError,
     InsufficientDataError,
     ParameterError,
@@ -20,6 +25,14 @@ from biasaudit.stats import (
     mann_whitney_u,
     shapiro_wilk,
     summary_stats,
+)
+from biasaudit.svm import auc_from_scores
+from biasaudit.thresholds import (
+    bias_sweep,
+    hter_at,
+    outcomes_at,
+    roc_curve,
+    threshold_for_bonafide_error,
 )
 
 
@@ -403,3 +416,77 @@ class TestSummaryStats:
     def test_overflow_rejected(self, values):
         with pytest.raises(ParameterError, match="overflows float64"):
             summary_stats(values)
+
+
+# Every statistic of a sample, given the sample x and a second valid one y:
+# (x's minimum size, the call). A two-sample statistic is listed once with x
+# on each side.
+SAMPLE_CALLERS = {
+    "summary_stats": (2, lambda x, y: summary_stats(x)),
+    "shapiro_wilk": (3, lambda x, y: shapiro_wilk(x)),
+    "mann_whitney_u-a": (1, lambda x, y: mann_whitney_u(x, y)),
+    "mann_whitney_u-b": (1, lambda x, y: mann_whitney_u(y, x)),
+    "dip_statistic": (4, lambda x, y: dip_statistic(x)),
+    "outcomes_at": (1, lambda x, y: outcomes_at(x, sorted(y)[len(y) // 2])),
+    "roc_curve-bona": (1, lambda x, y: roc_curve(x, y)),
+    "roc_curve-attack": (1, lambda x, y: roc_curve(y, x)),
+    "hter_at-bona": (1, lambda x, y: hter_at(x, y, sorted(y)[len(y) // 2])),
+    "hter_at-attack": (1, lambda x, y: hter_at(y, x, sorted(y)[len(y) // 2])),
+    "threshold_for_bonafide_error": (1, lambda x, y: threshold_for_bonafide_error(x, 0.25)),
+    "bias_sweep-a": (1, lambda x, y: bias_sweep(x, y)),
+    "bias_sweep-b": (1, lambda x, y: bias_sweep(y, x)),
+    "auc_from_scores-pos": (1, lambda x, y: auc_from_scores(x, y)),
+    "auc_from_scores-neg": (1, lambda x, y: auc_from_scores(y, x)),
+}
+_VALID = [0.3, 1.1, 2.5, 0.7, 4.2]
+# finite, with ties, and -0.0 read as 0.0: of two equal zeros bias_sweep's
+# grid keeps the first given, so their order is not free
+SAMPLES = st.lists(
+    st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6, allow_nan=False)),
+    min_size=4,
+    max_size=25,
+).map(lambda xs: [v + 0.0 for v in xs])
+
+
+def _outcome(call, x, y) -> str:
+    """repr of what ``call`` returns, arrays as lists so that each float
+    shows every bit, or the type and message of the AuditError it raises."""
+
+    def text(v):
+        if dataclasses.is_dataclass(v):
+            return repr([(f.name, text(getattr(v, f.name))) for f in dataclasses.fields(v)])
+        return repr(v.tolist() if isinstance(v, np.ndarray) else v)
+
+    try:
+        return text(call(x, y))
+    except AuditError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestSampleContract:
+    """One contract for every sample a statistic reads: a 1-D sequence of
+    finite numbers, in any order, of at least the statistic's minimum size."""
+
+    @pytest.mark.parametrize("name", SAMPLE_CALLERS)
+    @pytest.mark.parametrize("case", ["nan", "inf", "2-d", "ragged", "one-short"])
+    def test_bad_sample_refused(self, name, case):
+        at_least, call = SAMPLE_CALLERS[name]
+        x, error = {
+            "nan": (_VALID[:-1] + [math.nan], ParameterError),
+            "inf": (_VALID[:-1] + [math.inf], ParameterError),
+            "2-d": (np.reshape(_VALID[:4], (2, 2)), ParameterError),
+            "ragged": ([_VALID[:2], *_VALID[2:]], ParameterError),
+            "one-short": (_VALID[: at_least - 1], InsufficientDataError),
+        }[case]
+        with pytest.raises(error, match=name.split("-")[0]):
+            call(x, [0.5, 1.5, 2.5])
+
+    @pytest.mark.parametrize("name", SAMPLE_CALLERS)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(SAMPLES, SAMPLES, st.randoms(use_true_random=False))
+    def test_order_free(self, name, x, y, rnd):
+        call = SAMPLE_CALLERS[name][1]
+        want = _outcome(call, x, y)
+        rnd.shuffle(x)
+        rnd.shuffle(y)
+        assert _outcome(call, x, y) == want

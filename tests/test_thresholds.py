@@ -32,6 +32,18 @@ class TestOutcomesAt:
         with pytest.raises(InsufficientDataError):
             outcomes_at([], 1.0)
 
+    def test_unsorted_input(self):
+        assert outcomes_at([3.0, 1.0, 2.0], 1.5) == (1, 2)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # no audit threshold is infinite, and a NaN one would accept nothing
+        # and reject nothing
+        with pytest.raises(ParameterError, match="threshold must be finite"):
+            outcomes_at([1.0, 2.0], threshold)
+        with pytest.raises(ParameterError, match="threshold must be finite"):
+            hter_at([1.0, 2.0], [3.0, 4.0], threshold)
+
     def test_matches_direct_count(self):
         rng = np.random.default_rng(5150)
         for _ in range(50):
