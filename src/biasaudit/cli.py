@@ -30,15 +30,16 @@ from .svm import FeatureMode, _pair_rows
 from .synth import _demo_codes, demo_dataset
 
 
-def _number(kind):
-    """An argparse type: the text as a ``kind``, int or float. It raises
-    ParameterError, not ValueError, so a bad value exits 1."""
+def _number(kind, what: str):
+    """An argparse type: the text as a ``kind``, int or float, for the flag
+    ``what``. It raises ParameterError, not ValueError, so a bad value exits
+    1, with a message that names the flag."""
 
     def parse(text: str):
         try:
             return kind(text)
         except ValueError:
-            raise ParameterError(f"expected {kind.__name__}, got {text!r}") from None
+            raise ParameterError(f"{what}: expected {kind.__name__}, got {text!r}") from None
 
     return parse
 
@@ -78,16 +79,16 @@ _DEFAULT = AuditConfig()
 # Each AuditConfig field, in field order, to the type and help of its flag
 # --field-name; the same type reads the field's value in a --config file.
 _FLAGS = {
-    "alpha": dict(type=_number(float), help="significance level"),
+    "alpha": dict(type=_number(float, "--alpha"), help="significance level"),
     "quantiles": dict(
         type=_parse_quantiles,
         help="comma-separated bona fide rejection quantiles for anchor thresholds",
     ),
-    "dip_replicas": dict(type=_number(int), help="cap on the null replicas drawn for dip critical values"),
-    "seed": dict(type=_number(int), help="master RNG seed"),
-    "svm_c": dict(type=_number(float), help="SVM soft-margin C"),
+    "dip_replicas": dict(type=_number(int, "--dip-replicas"), help="cap on the null replicas drawn for dip critical values"),
+    "seed": dict(type=_number(int, "--seed"), help="master RNG seed"),
+    "svm_c": dict(type=_number(float, "--svm-c"), help="SVM soft-margin C"),
     "svm_gamma": dict(type=_parse_gamma, help="RBF gamma, or 'auto'"),
-    "svm_folds": dict(type=_number(int), help="cross-validation folds"),
+    "svm_folds": dict(type=_number(int, "--svm-folds"), help="cross-validation folds"),
     "feature_mode": dict(
         type=_parse_enum(FeatureMode, "feature mode"),
         help="code featurization: scaled-indices or code-histogram",
@@ -111,7 +112,7 @@ def _add_audit_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_svm_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--codes-k", type=_number(int), help="codebook size when the CSV has no #K line")
+    p.add_argument("--codes-k", type=_number(int, "--codes-k"), help="codebook size when the CSV has no #K line")
     _add_flags(p, _SVM_FLAGS)
 
 
@@ -321,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
-    p.add_argument("--alpha", type=_number(float), default=_DEFAULT.alpha)
+    p.add_argument("--alpha", type=_number(float, "--alpha"), default=_DEFAULT.alpha)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("chi2", help="one-sided rate test on explicit 2x2 counts")
     for name in ("accepted-a", "rejected-a", "accepted-b", "rejected-b"):
-        p.add_argument(f"--{name}", type=_number(int), required=True)
+        p.add_argument(f"--{name}", type=_number(int, f"--{name}"), required=True)
     p.set_defaults(func=_cmd_chi2)
 
     p = sub.add_parser("mwu", help="Mann-Whitney U between two groups' bona fide responses")
@@ -340,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dip", help="dip unimodality test for one group")
     p.add_argument("--data", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--alpha", type=_number(float), default=_DEFAULT.alpha)
+    p.add_argument("--alpha", type=_number(float, "--alpha"), default=_DEFAULT.alpha)
     p.add_argument(
         "--replicas",
-        type=_number(int),
+        type=_number(int, "--replicas"),
         default=_DEFAULT.dip_replicas,
         help="cap on the null replicas drawn; drawing stops once the verdict is settled",
     )
-    p.add_argument("--seed", type=_number(int), default=_DEFAULT.seed)
+    p.add_argument("--seed", type=_number(int, "--seed"), default=_DEFAULT.seed)
     p.set_defaults(func=_cmd_dip)
 
     p = sub.add_parser("sw", help="Shapiro-Wilk normality test for one group")
@@ -366,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a seeded synthetic dataset (and codes)")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-per-group", type=_number(int), default=200)
-    p.add_argument("--seed", type=_number(int), default=_DEFAULT.seed)
+    p.add_argument("--n-per-group", type=_number(int, "--n-per-group"), default=200)
+    p.add_argument("--seed", type=_number(int, "--seed"), default=_DEFAULT.seed)
     p.add_argument("--no-attacks", action="store_true")
     p.add_argument("--no-codes", action="store_true")
     p.set_defaults(func=_cmd_synth)

@@ -17,8 +17,9 @@ import logging
 import math
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -99,7 +100,32 @@ def _encode_groups(labels: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
         if _CONTROL.search(g):  # no SVG title may hold one
             raise ParameterError(f"group {g!r} contains a control character")
     code_of = {g: i for i, g in enumerate(groups)}
-    return groups, _read_only(np.array([code_of[g] for g in labels], dtype=np.int64))
+    codes = np.fromiter(map(code_of.__getitem__, labels), np.int64, len(labels))
+    return groups, _read_only(codes)
+
+
+@contextmanager
+def _csv_reader(path: Path):
+    """A csv.reader over the UTF-8 text of ``path``, a leading byte-order
+    mark skipped. A byte that is not UTF-8, or a csv error such as a field
+    over csv's size limit, raises RowError at its physical line."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise RowError(reader.line_num, str(exc)) from None
+        except UnicodeDecodeError:
+            # the reader decodes ahead of the row it is on, so find the
+            # first bad byte in the file itself; the BOM is valid UTF-8
+            raw = path.read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                before = raw[: exc.start].decode("utf-8")
+                line = len(re.split("\r\n|\r|\n", before))
+                raise RowError(line, f"not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
+            raise
 
 
 def _numbered_rows(reader):
@@ -154,8 +180,9 @@ class Dataset:
                 rows = in_cls & (self.group_codes == code)
                 self._sorted[g, cls] = _read_only(np.sort(resp[rows], kind="stable"))
 
-        dupes = {sid: c for sid, c in Counter(ids).items() if c > 1}
-        if dupes:
+        counts = Counter(ids)
+        if len(counts) < n:  # only then look for the repeated ids
+            dupes = {sid: c for sid, c in counts.items() if c > 1}
             log.warning(
                 "dataset contains %d duplicated sample_id value(s), e.g. %r",
                 len(dupes),
@@ -235,10 +262,88 @@ def load_csv(path: str | Path) -> Dataset:
     or without a byte-order mark, ``.`` decimal separator, LF or CRLF).
     Class values are case-insensitive. Raises SchemaError / RowError /
     EmptyDatasetError accordingly.
+
+    A plain file, one with no ``"``, CR or NUL, is read block by block; any
+    other file, and any file the block reader finds a fault in, is read by
+    ``csv.reader`` row by row, the one reader that raises. Both give the
+    same columns.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    return Dataset(*(_plain_columns(path) or _reader_columns(path)))
+
+
+# characters of a plain response CSV read at a time
+_BLOCK = 1 << 15
+
+
+def _plain_columns(path: Path) -> tuple[list, list, list, list] | None:
+    """The four Dataset columns of a plain response CSV: every row four
+    fields, none quoted, valid as ``_reader_columns`` checks it. Each block
+    of whole lines is split once into fields, and each column is converted
+    with C-level maps, through a table of its distinct values where there
+    are few. None for any other file, and for a file holding a fault, so
+    that ``_reader_columns`` reads it and names the fault; nothing here
+    raises on a bad file."""
+    limit = csv.field_size_limit()  # csv.reader refuses a longer field
+    ids: list[str] = []
+    groups: list[str] = []
+    bona_fide: list[bool] = []
+    responses: list[float] = []
+    label_of: dict[str, str] = {}  # raw group field -> its label
+    is_bona: dict[str, bool] = {}  # raw class field -> bona fide or attack
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            header = fh.readline()
+            if header.rstrip("\n").lower().split(",") != list(EXPECTED_HEADER):
+                return None  # spaces around a name, a quote, a CR: csv.reader's
+            rest = ""
+            while True:
+                block = fh.read(_BLOCK)
+                text = rest + block
+                if block:  # keep the last, maybe partial, line for the next block
+                    cut = text.rfind("\n") + 1
+                    text, rest = text[:cut], text[cut:]
+                if '"' in text or "\r" in text or "\x00" in text:
+                    return None
+                lines = list(filter(None, text.split("\n")))  # blank lines tolerated
+                if lines:
+                    if max(map(len, lines)) > limit:
+                        return None
+                    if set(map(str.count, lines, repeat(","))) != {3}:
+                        return None
+                    fields = ",".join(lines).split(",")
+                    for raw in set(fields[1::4]) - label_of.keys():
+                        label_of[raw] = raw.strip()
+                    for raw in set(fields[2::4]) - is_bona.keys():
+                        name = raw.strip().lower()
+                        if name not in _BONA_FIDE_NAMES | _ATTACK_NAMES:
+                            return None
+                        is_bona[raw] = name in _BONA_FIDE_NAMES
+                    ids += map(str.strip, fields[0::4])
+                    groups += map(label_of.__getitem__, fields[1::4])
+                    bona_fide += map(is_bona.__getitem__, fields[2::4])
+                    responses += map(float, map(str.strip, fields[3::4]))
+                if not block:
+                    break
+    except ValueError:  # a byte that is not UTF-8, or a response not a float
+        return None
+    if not (ids and all(ids) and all(label_of.values())):
+        return None
+    values = np.array(responses)
+    if not (np.isfinite(values) & (values >= 0.0)).all():
+        return None
+    # each id was split out between three fields that are freed; scattered
+    # ids pin that memory and slow later allocations, so make them anew,
+    # side by side
+    ids = "\n".join(ids).split("\n")
+    return ids, groups, bona_fide, values
+
+
+def _reader_columns(path: Path) -> tuple[list, list, list, list]:
+    """The four Dataset columns of any response CSV, read row by row by
+    csv.reader; a bad header, row or file raises, naming the fault and,
+    for a row, its physical line."""
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -288,7 +393,7 @@ def load_csv(path: str | Path) -> Dataset:
 
     if not ids:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return Dataset(ids, groups, bona_fide, responses)
+    return ids, groups, bona_fide, responses
 
 
 def save_csv(ds: Dataset, path: str | Path) -> None:
@@ -320,8 +425,7 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
     line where the record starts.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         # the header is checked as csv.reader parsed it, like the rows
         fields = next(reader, [])
         line = ",".join(fields)

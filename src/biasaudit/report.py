@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,9 +61,10 @@ def _is_real(v) -> bool:
 
 
 def _anchor_label(q: float) -> str:
-    """The anchor's key in ``chi_squared``, so it must be unique; -0.0 reads
-    as 0, so a zero given with both signs is refused as a duplicate."""
-    return f"q={q + 0.0:g}"
+    """The anchor's key in ``chi_squared``, so it must be unique. AuditConfig
+    stores a quantile of -0.0 as 0.0, so a zero given with both signs is
+    refused as a duplicate."""
+    return f"q={q:g}"
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ class AuditConfig:
                 raise ParameterError(f"{name} must be a float, got {v!r}")
         if not isinstance(self.quantiles, tuple) or not all(map(_is_real, self.quantiles)):
             raise ParameterError(f"quantiles must be a tuple of floats, got {self.quantiles!r}")
+        # -0.0 + 0 is 0.0, and every other value, an int too, stays itself
+        object.__setattr__(self, "quantiles", tuple(q + 0 for q in self.quantiles))
         if not isinstance(self.feature_mode, FeatureMode):
             raise ParameterError(f"feature_mode must be a FeatureMode, got {self.feature_mode!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -154,9 +157,41 @@ class PairAnalysis:
         reprs of its floats joined by ``_SERIES_SEP``, in ASCII bytes: the
         items of report.json's lists and the columns of the p-curve CSV,
         formatted and held once for both. The curve holds finite floats
-        only."""
-        join = lambda values: _SERIES_SEP.join(map(float.__repr__, values.tolist())).encode()
-        return join(self.curve.grid), join(self.curve.p_values)
+        only. ``render_json`` gives each pair its text first, through
+        ``_format_series``."""
+        grid, p_values = self.curve.grid.tolist(), self.curve.p_values.tolist()
+        return _series_join(map(float.__repr__, grid)), _series_join(map(float.__repr__, p_values))
+
+
+def _series_join(reprs: Iterable[str]) -> bytes:
+    return _SERIES_SEP.join(reprs).encode()
+
+
+def _grid_texts(grids: list[np.ndarray]) -> list[bytes]:
+    """Each grid's series text, formatting each distinct threshold among
+    them once: a group's responses are in the grid of each of its pairs."""
+    values = np.unique(np.concatenate(grids))
+    reprs = list(map(float.__repr__, values.tolist()))
+    texts = []
+    for grid in grids:
+        items = list(map(reprs.__getitem__, np.searchsorted(values, grid).tolist()))
+        # 0.0 and -0.0 share one entry of the table; each grid writes its own
+        for i in np.flatnonzero(grid == 0.0).tolist():
+            items[i] = repr(float(grid[i]))
+        texts.append(_series_join(items))
+    return texts
+
+
+def _format_series(pairs: Sequence[PairAnalysis]) -> None:
+    """Give each pair that has none its ``_series_text``, the grids through
+    ``_grid_texts``, whose table is freed before the p-values are formatted."""
+    todo = [pa for pa in pairs if "_series_text" not in vars(pa)]
+    if not todo:
+        return
+    for pa, grid in zip(todo, _grid_texts([pa.curve.grid for pa in todo])):
+        p_values = _series_join(map(float.__repr__, pa.curve.p_values.tolist()))
+        # stored where cached_property stores it; the dataclass is frozen
+        object.__setattr__(pa, "_series_text", (grid, p_values))
 
 
 def _pcurve_csv(pa: PairAnalysis) -> bytes:
@@ -419,10 +454,12 @@ def render_json(report: AuditReport) -> bytes:
 
     Floats use Python's shortest round-trip repr (up to 17 significant
     digits), so equal reports render to identical bytes. The sweep series
-    are each pair's ``_series_text``, written as the bytes ``json.dumps``
-    would give them and spliced into the encoded rest of the report by one
-    join, the only report-sized buffer made here.
+    are each pair's ``_series_text``, with each distinct threshold of the
+    report formatted once, written as the bytes ``json.dumps`` would give
+    them and spliced into the encoded rest of the report by one join, the
+    only report-sized buffer made here.
     """
+    _format_series(report.pairs)
     encoded = json.dumps(
         report._dict(lambda _: _SERIES_HOLE), sort_keys=True, indent=2, allow_nan=False
     ).encode()

@@ -101,13 +101,16 @@ def chi2_survival(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
-def _chi2_tail(n: int, det: int, rows: int, margins: int) -> tuple[float, float]:
-    """(statistic, one-sided p) of the rate test on one untied 2x2 table, from
-    Python ints: its total ``n``, ``det`` = acc_a * rej_b - acc_b * rej_a, the
-    product of its row totals and the product of its column totals. The
-    statistic is formed in exact integer arithmetic and rounded once."""
-    stat = n * det * det / (rows * margins)
-    return stat, chi2_survival(stat) / 2.0
+def _chi2_p(n: int, dets: Sequence[int], rows: int, margins: Sequence[int]) -> list[float]:
+    """The rate test's one-sided p on each untied 2x2 table of one total
+    ``n`` and one product of row totals ``rows``, given each table's ``det``
+    = acc_a * rej_b - acc_b * rej_a and product of column totals as Python
+    ints. One expression per table: the statistic n * det**2 / (rows *
+    margins), formed in exact integer arithmetic and rounded once, then
+    chi2_survival(statistic) / 2, inlined, as a finite statistic >= 0 needs
+    none of its checks."""
+    erfc, sqrt = math.erfc, math.sqrt
+    return [erfc(sqrt(n * d * d / (rows * m) / 2.0)) / 2.0 for d, m in zip(dets, margins)]
 
 
 # chi_squared_one_sided's counts, in order; report.json's "table" keys
@@ -139,7 +142,9 @@ def chi_squared_one_sided(
         return TestResult(0.0, 1.0, Sidedness.ONE_SIDED, None)
     # Unequal rates imply every margin is positive, so the denominator is too.
     margins = (accepted_a + accepted_b) * (rejected_a + rejected_b)
-    stat, p_one = _chi2_tail(row_a + row_b, det, row_a * row_b, margins)
+    n, rows = row_a + row_b, row_a * row_b
+    [p_one] = _chi2_p(n, [det], rows, [margins])
+    stat = n * det * det / (rows * margins)  # as _chi2_p forms it
     return TestResult(stat, p_one, Sidedness.ONE_SIDED, "b" if det > 0 else "a")
 
 

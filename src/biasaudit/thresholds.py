@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import GroupPair, _read_only
 from .errors import ParameterError
-from .stats import _chi2_tail, _sample
+from .stats import _chi2_p, _sample
 
 __all__ = [
     "RocCurve",
@@ -203,8 +203,8 @@ def bias_sweep(
 
     # The tables of the whole grid as int64 columns: |det| <= n_a * n_b and
     # margins <= (n_a + n_b)**2 / 4, far inside int64 for any sample that
-    # fits in memory. Each untied point's statistic is then formed from
-    # Python ints, exactly, as chi_squared_one_sided forms it.
+    # fits in memory. Each untied point's p is then formed from Python ints,
+    # exactly, as chi_squared_one_sided forms it.
     n_a, n_b = len(a_s), len(b_s)
     acc_a = np.searchsorted(a_s, grid_arr, side="right").astype(np.int64)
     acc_b = np.searchsorted(b_s, grid_arr, side="right").astype(np.int64)
@@ -214,10 +214,7 @@ def bias_sweep(
     untied = det != 0
     n, rows = n_a + n_b, n_a * n_b
     p_values = np.ones(len(grid_arr))
-    p_values[untied] = [
-        _chi2_tail(n, d, rows, m)[1]
-        for d, m in zip(det[untied].tolist(), margins[untied].tolist())
-    ]
+    p_values[untied] = _chi2_p(n, det[untied].tolist(), rows, margins[untied].tolist())
     return BiasCurve(pair, grid_arr, p_values, alpha, -np.sign(det))
 
 

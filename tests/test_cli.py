@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -673,16 +674,16 @@ class TestInputErrors:
         [
             (["--quantiles", "0.1,,0.2"], "bad quantile list: '0.1,,0.2'"),
             (["--svm-gamma", "abc"], "gamma must be a number or 'auto', got 'abc'"),
-            (["--alpha", "abc"], "expected float, got 'abc'"),
-            (["--dip-replicas", "1.5"], "expected int, got '1.5'"),
+            (["--alpha", "abc"], "--alpha: expected float, got 'abc'"),
+            (["--dip-replicas", "1.5"], "--dip-replicas: expected int, got '1.5'"),
             (
                 ["sweep", "--data", "nope.csv", "--group-a", "a", "--group-b", "b", "--alpha", "abc"],
-                "expected float, got 'abc'",
+                "--alpha: expected float, got 'abc'",
             ),
             (
                 ["chi2", "--accepted-a", "1", "--rejected-a", "x", "--accepted-b", "1",
                  "--rejected-b", "1"],
-                "expected int, got 'x'",
+                "--rejected-a: expected int, got 'x'",
             ),
         ],
     )
@@ -712,6 +713,19 @@ class TestInputErrors:
         path.write_text(text)
         assert main(["eer", "--data", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+    def test_unreadable_files(self, tmp_path, capsys):
+        # not UTF-8, or a field over csv's size limit: one error line, exit 1
+        data, codes = tmp_path / "responses.csv", tmp_path / "codes.csv"
+        data.write_bytes(b"sample_id,group,class,response\ns\xff1,a,bonafide,0.5\n")
+        assert main(["eer", "--data", str(data)]) == 1
+        assert capsys.readouterr() == ("", "error: line 2: not UTF-8 text (byte 0xff)\n")
+        codes.write_text("#K=4\nsample_id,group,c0\n" + "s" * 200_000 + ",a,1\n")
+        assert main(["svm-sep", "--codes", str(codes)]) == 1
+        limit = csv.field_size_limit()
+        assert capsys.readouterr() == (
+            "", f"error: line 3: field larger than field limit ({limit})\n"
+        )
 
     @pytest.mark.parametrize(
         "size_line, message",

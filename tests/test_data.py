@@ -1,9 +1,15 @@
+import csv
 import re
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biasaudit import data
 from biasaudit.data import (
     CodeMatrix,
     Dataset,
@@ -189,6 +195,175 @@ def test_group_labels_interned(loader, tmp_path):
             tracemalloc.stop()
 
     assert abs(load_peak(60) - load_peak(1)) < 8 * n
+
+
+def _columns(ds: Dataset) -> tuple:
+    """A dataset's columns, its responses as their bits, so that -0.0 and
+    0.0 differ."""
+    return (
+        ds.sample_ids,
+        ds.groups(),
+        ds.group_codes.tolist(),
+        ds.bona_fide.tolist(),
+        ds.responses.view(np.int64).tolist(),
+    )
+
+
+# every accepted class spelling, each letter in either case, maybe padded
+_CLASS_TEXT = st.tuples(
+    st.sampled_from(["", " "]),
+    st.sampled_from(sorted(data._BONA_FIDE_NAMES | data._ATTACK_NAMES)).flatmap(
+        lambda name: st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in name))
+    ),
+    st.sampled_from(["", " "]),
+).map(lambda t: t[0] + "".join(t[1]) + t[2])
+_RESPONSE_TEXT = st.one_of(
+    st.floats(0.0, 1e6).map(repr),  # -0.0 among them
+    st.floats(0.0, 1e6).map(lambda v: f"{v:e}"),
+    st.sampled_from(["1e-3", "+0.5", "-0", "0", "0.", ".5", "1E3", " 0.25 ", "\x1c1_0.5", "+.5e+1"]),
+)
+_PLAIN_ROW = st.tuples(
+    st.text("sS0189 _-.", min_size=1, max_size=6).filter(str.strip),
+    st.sampled_from(["A", "A ", " A", "b", "Zoë", "x y"]),
+    _CLASS_TEXT,
+    _RESPONSE_TEXT,
+).map(",".join)
+
+
+@st.composite
+def _plain_tables(draw) -> str:
+    """A valid response CSV with no quote, CR or NUL."""
+    lines = ["sample_id,group,class,response"]
+    for row in draw(st.lists(_PLAIN_ROW, min_size=1, max_size=40)):
+        lines += [""] * draw(st.integers(0, 2)) + [row]  # blank lines tolerated
+    bom = "﻿" if draw(st.booleans()) else ""
+    end = "\n" * draw(st.integers(0, 2))  # no final newline, one, or a blank line
+    return bom + "\n".join(lines) + end
+
+
+_HEADER = "sample_id,group,class,response\n"
+_NUL_ERROR = (
+    "line 3: bad response '0.5\\x00'"
+    if sys.version_info >= (3, 11)
+    else "line 3: line contains NUL"  # csv.reader refuses NUL before 3.11
+)
+
+
+class TestBlockReader:
+    """load_csv reads a plain file block by block, and any other file, or a
+    plain file with a fault, row by row with csv.reader, the one reader that
+    raises; both give the same columns."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_plain_tables(), st.integers(1, 64))
+    def test_blocks_give_the_row_readers_columns(self, tmp_path_factory, text, block):
+        path = tmp_path_factory.mktemp("plain") / "responses.csv"
+        path.write_text(text, encoding="utf-8")
+        # blocks of a few characters put a block edge in every kind of field
+        with mock.patch.object(data, "_BLOCK", block):
+            plain = data._plain_columns(path)
+            assert plain is not None
+            assert _columns(load_csv(path)) == _columns(Dataset(*plain))
+        assert _columns(Dataset(*plain)) == _columns(Dataset(*data._reader_columns(path)))
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ('"s\n1",A,bonafide,0.1\ns2,A,bonafide,-1\n', RowError,
+             "line 4: response must be finite and >= 0, got '-1'"),
+            ('"s1","A",bonafide,0.1\ns2,A,"imposter",0.1\n', RowError,
+             "line 3: unknown class 'imposter'"),
+            ("s1,A,bonafide,0.5\r\ns2,A,imposter,0.1\r\n", RowError,
+             "line 3: unknown class 'imposter'"),
+            ("s1,A,bonafide,0.5\r\n\r\ns2,A,bonafide\r\n", RowError,
+             "line 4: expected 4 fields, got 3"),
+            ("s1,A,bonafide,0.5\ns2,A,bonafide,0.5\x00\n", RowError, _NUL_ERROR),
+            ("s1,A,bonafide,0.5\ns2,A,bonafide\n", RowError, "line 3: expected 4 fields, got 3"),
+            ("s1,A,bonafide,0.5\ns2,A,bonafide,0.5,x\n", RowError,
+             "line 3: expected 4 fields, got 5"),
+            # three fields, then five: eight in all, still refused at line 2
+            ("s1,A,bonafide\n0.5,s2,A,bonafide,0.5\n", RowError,
+             "line 2: expected 4 fields, got 3"),
+            ("s1,A,bonafide,0.5\n ,A,bonafide,0.5\n", RowError, "line 3: empty sample_id"),
+            ("s1, ,bonafide,0.5\n", RowError, "line 2: empty group"),
+            ("s1,A,bona fide,0.5\ns2,A,Imposter,0.5\n", RowError,
+             "line 3: unknown class 'Imposter'"),
+            ("s1,A,bonafide,zero\n", RowError, "line 2: bad response 'zero'"),
+            ("s1,A,bonafide,nan\n", RowError,
+             "line 2: response must be finite and >= 0, got 'nan'"),
+            ("s1,A,bonafide,1e999\n", RowError,
+             "line 2: response must be finite and >= 0, got '1e999'"),
+            ("s1,A,bonafide,-0.5\n", RowError,
+             "line 2: response must be finite and >= 0, got '-0.5'"),
+            (" \n", RowError, "line 2: expected 4 fields, got 1"),
+            ("\n\n", EmptyDatasetError, "{path}: no data rows"),
+        ],
+        ids=[
+            "quoted-multiline", "quoted", "crlf-class", "crlf-short-row", "nul",
+            "short-row", "long-row", "balanced-miscount", "empty-sample-id", "empty-group",
+            "unknown-class", "bad-response", "nan", "overflow", "negative",
+            "blank-space-line", "blank-lines-only",
+        ],
+    )
+    def test_fault_named_as_the_row_reader_names_it(self, tmp_path, text, error, message):
+        path = tmp_path / "responses.csv"
+        path.write_text(_HEADER + text, encoding="utf-8", newline="")
+        assert data._plain_columns(path) is None
+        with pytest.raises(error) as exc:
+            load_csv(path)
+        assert type(exc.value) is error
+        assert str(exc.value) == message.format(path=path)
+
+    def test_quoted_and_crlf_files_read_like_plain_ones(self, tmp_path):
+        rows = ["s1,A,bonafide,0.5", "s2,B,Attack,-0.0", "s3,A,bona fide,1e-3"]
+        plain = tmp_path / "plain.csv"
+        plain.write_text(_HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(
+            "\r\n".join(",".join(f'"{f}"' for f in r.split(",")) for r in [_HEADER[:-1], *rows])
+            + "\r\n",
+            encoding="utf-8",
+            newline="",
+        )
+        assert data._plain_columns(quoted) is None
+        assert _columns(load_csv(quoted)) == _columns(load_csv(plain))
+
+
+_TABLES = {
+    "responses": (load_csv, _HEADER, "s{i},A,bonafide,0.5\n"),
+    "codes": (load_codes_csv, "#K=4\nsample_id,group,c0\n", "s{i},A,{i}\n"),
+}
+
+
+@pytest.mark.parametrize("loader", _TABLES)
+class TestUnreadableFile:
+    """A file that is not UTF-8, or holds a field over csv's size limit,
+    raises RowError at the line that holds the fault."""
+
+    def test_not_utf8(self, tmp_path, loader):
+        load, header, row = _TABLES[loader]
+        rows = "".join(row.format(i=i) for i in range(3)).encode()
+        path = tmp_path / "table.csv"
+        # Latin-1 'é' in the last row; CRLF line ends count as one line each
+        path.write_bytes(header.encode().replace(b"\n", b"\r\n") + rows + b"s\xe9,A,")
+        line = header.count("\n") + 4
+        with pytest.raises(RowError, match=rf"^line {line}: not UTF-8 text \(byte 0xe9\)$"):
+            load(path)
+
+    def test_field_over_the_csv_limit(self, tmp_path, loader):
+        load, header, row = _TABLES[loader]
+        limit = csv.field_size_limit()
+        path = tmp_path / "table.csv"
+        fits = row.format(i=0).replace("s0", "s" * limit, 1)
+        path.write_text(header + fits, encoding="utf-8")
+        assert len(load(path)) == 1
+        too_long = row.format(i=1).replace("s1", "s" * (limit + 1), 1)
+        path.write_text(header + fits + too_long, encoding="utf-8")
+        line = header.count("\n") + 2
+        with pytest.raises(
+            RowError, match=rf"^line {line}: field larger than field limit \({limit}\)$"
+        ):
+            load(path)
 
 
 class TestRoundTrip:

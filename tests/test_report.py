@@ -12,7 +12,7 @@ import biasaudit.svm as svm_module
 from biasaudit.cli import main
 from biasaudit.data import CodeMatrix, Dataset, load_codes_csv, load_csv
 from biasaudit.errors import InsufficientDataError, ParameterError
-from biasaudit.report import AuditConfig, render_json, run_audit
+from biasaudit.report import _SERIES_SEP, AuditConfig, render_json, run_audit
 from biasaudit.svm import FeatureMode
 from biasaudit.synth import demo_dataset, gen_code_vectors
 
@@ -83,6 +83,16 @@ class TestAuditConfig:
             AuditConfig(svm_gamma=math.inf)
         with pytest.raises(ParameterError):
             AuditConfig(svm_folds=1)
+
+    def test_negative_zero_quantile_stored_as_zero(self, demo):
+        # -0.0 is stored as 0.0, beside its label q=0; any other value stays
+        # as given, an int too
+        cfg = AuditConfig(quantiles=(-0.0, 0.5), **FAST)
+        assert [math.copysign(1.0, q) for q in cfg.quantiles] == [1.0, 1.0]
+        assert [type(q) for q in AuditConfig(quantiles=(0, 1)).quantiles] == [int, int]
+        out = render_json(run_audit(demo, cfg))
+        assert b'"quantiles": [\n      0.0,\n      0.5\n    ]' in out
+        assert b'"quantile": 0.0' in out and b"-0.0" not in out
 
     @pytest.mark.parametrize(
         "field, value",
@@ -297,6 +307,25 @@ REPORTS = {
 }
 
 
+def _tied(_):
+    # four groups on a grid of 0.01: each threshold is in every pair's grid
+    rng = np.random.default_rng(41)
+    labels = [g for g in "abcd" for _ in range(40)]
+    responses = np.round(rng.lognormal(-2, 0.5, len(labels)), 2)
+    return run_audit(Dataset([f"s{i}" for i in range(160)], labels, [True] * 160, responses),
+                     AuditConfig(**FAST))
+
+
+def _signed_zeros(_):
+    # a and b hold -0.0, c and d hold 0.0, so pairs' grids start with either
+    rng = np.random.default_rng(43)
+    labels = [g for g in "abcd" for _ in range(30)]
+    responses = rng.lognormal(-3, 0.4, len(labels))
+    responses[[0, 30]], responses[[60, 90]] = -0.0, 0.0
+    return run_audit(Dataset([f"s{i}" for i in range(120)], labels, [True] * 120, responses),
+                     AuditConfig(**FAST))
+
+
 class TestRenderJsonOracle:
     """render_json splices the sweep series into the encoded rest of the
     report; the bytes stay those of one json.dumps of to_dict()."""
@@ -306,6 +335,24 @@ class TestRenderJsonOracle:
         rep = REPORTS[name](tmp_path)
         want = json.dumps(rep.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
         assert render_json(rep) == want.encode()
+
+    @pytest.mark.parametrize(
+        "make", [_readme_demo, _tied, _signed_zeros], ids=["readme-demo", "tied", "signed-zeros"]
+    )
+    def test_series_text_is_each_floats_repr(self, make, tmp_path):
+        """render_json formats each distinct threshold of the report once;
+        every pair's text is still the reprs of its own floats, and each grid
+        keeps the sign of its own zero."""
+        rep = make(tmp_path)
+        render_json(rep)
+        for pa in rep.pairs:
+            assert "_series_text" in vars(pa)  # given by render_json
+            want = [_SERIES_SEP.join(map(float.__repr__, a.tolist())).encode()
+                    for a in (pa.curve.grid, pa.curve.p_values)]
+            assert list(pa._series_text) == want
+        if make is _signed_zeros:
+            signs = {math.copysign(1.0, pa.curve.grid[0]) for pa in rep.pairs}
+            assert signs == {-1.0, 1.0}
 
     @pytest.mark.parametrize("name", ["grid", "p_values"])
     def test_non_finite_series_rejected(self, report, name):
