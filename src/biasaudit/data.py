@@ -303,6 +303,10 @@ def _plain_columns(path: Path) -> tuple[list, list, list, list] | None:
                 if block:  # keep the last, maybe partial, line for the next block
                     cut = text.rfind("\n") + 1
                     text, rest = text[:cut], text[cut:]
+                    # a line over the limit is csv.reader's to judge; carried
+                    # on, it would be copied again with every block
+                    if len(rest) > limit:
+                        return None
                 if '"' in text or "\r" in text or "\x00" in text:
                     return None
                 lines = list(filter(None, text.split("\n")))  # blank lines tolerated

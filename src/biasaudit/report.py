@@ -157,10 +157,9 @@ class PairAnalysis:
         reprs of its floats joined by ``_SERIES_SEP``, in ASCII bytes: the
         items of report.json's lists and the columns of the p-curve CSV,
         formatted and held once for both. The curve holds finite floats
-        only. ``render_json`` gives each pair its text first, through
+        only. ``render_json`` gives every pair its text at once, through
         ``_format_series``."""
-        grid, p_values = self.curve.grid.tolist(), self.curve.p_values.tolist()
-        return _series_join(map(float.__repr__, grid)), _series_join(map(float.__repr__, p_values))
+        return _series_texts([self])[0]
 
 
 def _series_join(reprs: Iterable[str]) -> bytes:
@@ -182,16 +181,23 @@ def _grid_texts(grids: list[np.ndarray]) -> list[bytes]:
     return texts
 
 
+def _series_texts(pairs: Sequence[PairAnalysis]) -> list[tuple[bytes, bytes]]:
+    """Each pair's ``_series_text``: the grids through ``_grid_texts``, whose
+    table is freed before the p-values are formatted."""
+    grids = _grid_texts([pa.curve.grid for pa in pairs])
+    return [
+        (grid, _series_join(map(float.__repr__, pa.curve.p_values.tolist())))
+        for pa, grid in zip(pairs, grids)
+    ]
+
+
 def _format_series(pairs: Sequence[PairAnalysis]) -> None:
-    """Give each pair that has none its ``_series_text``, the grids through
-    ``_grid_texts``, whose table is freed before the p-values are formatted."""
+    """Give each pair that has none its ``_series_text``, all through one
+    ``_series_texts``, stored where cached_property stores it."""
     todo = [pa for pa in pairs if "_series_text" not in vars(pa)]
-    if not todo:
-        return
-    for pa, grid in zip(todo, _grid_texts([pa.curve.grid for pa in todo])):
-        p_values = _series_join(map(float.__repr__, pa.curve.p_values.tolist()))
-        # stored where cached_property stores it; the dataclass is frozen
-        object.__setattr__(pa, "_series_text", (grid, p_values))
+    if todo:
+        for pa, text in zip(todo, _series_texts(todo)):
+            vars(pa)["_series_text"] = text
 
 
 def _pcurve_csv(pa: PairAnalysis) -> bytes:

@@ -101,16 +101,19 @@ def chi2_survival(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
-def _chi2_p(n: int, dets: Sequence[int], rows: int, margins: Sequence[int]) -> list[float]:
-    """The rate test's one-sided p on each untied 2x2 table of one total
-    ``n`` and one product of row totals ``rows``, given each table's ``det``
-    = acc_a * rej_b - acc_b * rej_a and product of column totals as Python
-    ints. One expression per table: the statistic n * det**2 / (rows *
-    margins), formed in exact integer arithmetic and rounded once, then
+def _chi2_tests(
+    n: int, dets: Sequence[int], rows: int, margins: Sequence[int]
+) -> tuple[list[float], list[float]]:
+    """The statistics and one-sided p-values of the rate test on untied 2x2
+    tables of one total ``n`` and one product of row totals ``rows``, given
+    each table's ``det`` = acc_a * rej_b - acc_b * rej_a and product of
+    column totals as Python ints. The statistic n * det**2 / (rows *
+    margins) is formed in exact integer arithmetic and rounded once; p is
     chi2_survival(statistic) / 2, inlined, as a finite statistic >= 0 needs
     none of its checks."""
+    stats = [n * d * d / (rows * m) for d, m in zip(dets, margins)]
     erfc, sqrt = math.erfc, math.sqrt
-    return [erfc(sqrt(n * d * d / (rows * m) / 2.0)) / 2.0 for d, m in zip(dets, margins)]
+    return stats, [erfc(sqrt(s / 2.0)) / 2.0 for s in stats]
 
 
 # chi_squared_one_sided's counts, in order; report.json's "table" keys
@@ -143,8 +146,7 @@ def chi_squared_one_sided(
     # Unequal rates imply every margin is positive, so the denominator is too.
     margins = (accepted_a + accepted_b) * (rejected_a + rejected_b)
     n, rows = row_a + row_b, row_a * row_b
-    [p_one] = _chi2_p(n, [det], rows, [margins])
-    stat = n * det * det / (rows * margins)  # as _chi2_p forms it
+    [stat], [p_one] = _chi2_tests(n, [det], rows, [margins])
     return TestResult(stat, p_one, Sidedness.ONE_SIDED, "b" if det > 0 else "a")
 
 

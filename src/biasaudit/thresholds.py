@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import GroupPair, _read_only
 from .errors import ParameterError
-from .stats import _chi2_p, _sample
+from .stats import _chi2_tests, _sample
 
 __all__ = [
     "RocCurve",
@@ -214,7 +214,7 @@ def bias_sweep(
     untied = det != 0
     n, rows = n_a + n_b, n_a * n_b
     p_values = np.ones(len(grid_arr))
-    p_values[untied] = _chi2_p(n, det[untied].tolist(), rows, margins[untied].tolist())
+    _, p_values[untied] = _chi2_tests(n, det[untied].tolist(), rows, margins[untied].tolist())
     return BiasCurve(pair, grid_arr, p_values, alpha, -np.sign(det))
 
 

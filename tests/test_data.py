@@ -328,6 +328,23 @@ class TestBlockReader:
         assert data._plain_columns(quoted) is None
         assert _columns(load_csv(quoted)) == _columns(load_csv(plain))
 
+    def test_line_over_the_limit_handed_on_at_once(self, tmp_path):
+        """A data line longer than csv's field limit, with no newline after
+        it, is handed to csv.reader as soon as the block reader has read past
+        the limit, not carried from block to block to the end of the file."""
+        limit = csv.field_size_limit()
+        path = tmp_path / "responses.csv"
+        path.write_text(_HEADER + "s1,A,bonafide,0.5\n" + "s" * (40 * limit), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert data._plain_columns(path) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * limit  # the line itself is 40 times the limit
+        with pytest.raises(RowError, match=rf"^line 3: field larger than field limit \({limit}\)$"):
+            load_csv(path)
+
 
 _TABLES = {
     "responses": (load_csv, _HEADER, "s{i},A,bonafide,0.5\n"),
