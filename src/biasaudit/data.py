@@ -114,7 +114,7 @@ def _csv_reader(path: Path):
         try:
             yield reader
         except csv.Error as exc:
-            raise RowError(reader.line_num, str(exc)) from None
+            raise RowError(path, reader.line_num, str(exc)) from None
         except UnicodeDecodeError:
             # the reader decodes ahead of the row it is on, so find the
             # first bad byte in the file itself; the BOM is valid UTF-8
@@ -124,7 +124,8 @@ def _csv_reader(path: Path):
             except UnicodeDecodeError as exc:
                 before = raw[: exc.start].decode("utf-8")
                 line = len(re.split("\r\n|\r|\n", before))
-                raise RowError(line, f"not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
+                message = f"not UTF-8 text (byte 0x{raw[exc.start]:02x})"
+                raise RowError(path, line, message) from None
             raise
 
 
@@ -369,26 +370,26 @@ def _reader_columns(path: Path) -> tuple[list, list, list, list]:
         labels: dict[str, str] = {}  # one str per distinct label, not per row
         for line_no, row in _numbered_rows(reader):  # blank lines tolerated
             if len(row) != 4:
-                raise RowError(line_no, f"expected 4 fields, got {len(row)}")
+                raise RowError(path, line_no, f"expected 4 fields, got {len(row)}")
             sid, group, cls_text, resp_text = (f.strip() for f in row)
             if not sid:
-                raise RowError(line_no, "empty sample_id")
+                raise RowError(path, line_no, "empty sample_id")
             if not group:
-                raise RowError(line_no, "empty group")
+                raise RowError(path, line_no, "empty group")
             cls_norm = cls_text.lower()
             if cls_norm in _BONA_FIDE_NAMES:
                 is_bona = True
             elif cls_norm in _ATTACK_NAMES:
                 is_bona = False
             else:
-                raise RowError(line_no, f"unknown class {cls_text!r}")
+                raise RowError(path, line_no, f"unknown class {cls_text!r}")
             try:
                 resp = float(resp_text)
             except ValueError:
-                raise RowError(line_no, f"bad response {resp_text!r}") from None
+                raise RowError(path, line_no, f"bad response {resp_text!r}") from None
             if not math.isfinite(resp) or resp < 0.0:
                 raise RowError(
-                    line_no, f"response must be finite and >= 0, got {resp_text!r}"
+                    path, line_no, f"response must be finite and >= 0, got {resp_text!r}"
                 )
             ids.append(sid)
             groups.append(labels.setdefault(group, group))
@@ -457,17 +458,19 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
         labels: dict[str, str] = {}  # one str per distinct label, not per row
         for line_no, row in _numbered_rows(reader):
             if len(row) != d + 2:
-                raise RowError(line_no, f"expected {d + 2} fields, got {len(row)}")
+                raise RowError(path, line_no, f"expected {d + 2} fields, got {len(row)}")
             sid, group = row[0].strip(), row[1].strip()
             if not sid or not group:
-                raise RowError(line_no, "empty sample_id or group")
+                raise RowError(path, line_no, "empty sample_id or group")
             try:
                 codes = [int(v) for v in row[2:]]
             except ValueError:
-                raise RowError(line_no, "code entries must be integers") from None
+                raise RowError(path, line_no, "code entries must be integers") from None
             bad = [v for v in codes if not 0 <= v < k_eff]
             if bad:
-                raise RowError(line_no, f"code indices must be in [0, {k_eff - 1}], got {bad[0]}")
+                raise RowError(
+                    path, line_no, f"code indices must be in [0, {k_eff - 1}], got {bad[0]}"
+                )
             ids.append(sid)
             groups.append(labels.setdefault(group, group))
             rows.append(codes)

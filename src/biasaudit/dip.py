@@ -17,10 +17,13 @@ one-point-per-sample kernel in tests/_dip_oracle.py.
 Each pass takes the GCM and the LCM of the kept points in the modal
 interval. A hull knot lies strictly below (GCM) or above (LCM) every chord
 of two other points on either side of it, so numpy steps drop, all at once,
-each point that fails that test against its two neighbours, until few points
-are left, and a stack scan finishes. The knots of a wider pass that lie in
-the narrower interval are knots of its hulls too, so a pass rebuilds only
-the piece of each hull past the last of them.
+each point that fails that test: first against the chord of the two ends,
+whose products the first pass's two hulls share, then against its two
+neighbours, until few points are left, and a stack scan finishes. The knots
+of a wider pass that lie in the narrower interval are knots of its hulls
+too, so a pass rebuilds only the piece of each hull past the last of them;
+the knots carry their values and sample indices as lists from pass to
+pass.
 
 Null critical values are not tabulated; they are simulated from the uniform
 null (any unimodal null gives the same dip distribution in the limit, and the
@@ -59,7 +62,8 @@ __all__ = ["CriticalValue", "DipResult", "dip_statistic", "dip_critical_value"]
 _LOOK = 64  # replicas per look of the sequential null
 _EPSILON = 1e-3  # bound on the chance that a stopped test flips a verdict
 _STACK = 32  # a hull's numpy steps stop at this many points; a stack scan ends it
-_MIRROR = np.array([[-1.0], [-1.0], [1.0]])  # turns an LCM into a GCM
+# a hull's knots: their column indices, values and sample indices, ascending
+_Knots = tuple[list[int], list[float], list[float]]
 
 # dip_critical_value refuses a null whose working set exceeds this: 8 bytes
 # per float64 replica dip (sorted in place, not copied), 16 per replica for
@@ -68,10 +72,11 @@ _MIRROR = np.array([[-1.0], [-1.0], [1.0]])  # turns an LCM into a GCM
 # its first calls (tracemalloc reads 2-19 KiB on a cold call, 1.6 KiB once
 # numpy's caches are warm), and _POINT_BYTES per sample point for the
 # kernel's arrays: the sample's three rows and, at the first pass, the
-# mirrored LCM copy, a hull step's differences and products and the
-# deviation scan's per-point terms (tracemalloc reads at most 139 B per
-# point over 400 replicas at n = 200, 130 at n = 2,000 and 113 over 100
-# at n = 20,000, the sample's rows included)
+# chord products both hulls share, the points a hull's step keeps, its
+# differences and products and the deviation scan's per-point terms
+# (tracemalloc reads at most 128 B per point over 400 replicas at n = 200,
+# 114 over 100 at n = 2,000 and 113 over 100 at n = 20,000, the sample's
+# rows included)
 _MAX_NULL_BYTES = 1 << 30
 _POINT_BYTES = 160
 
@@ -114,38 +119,11 @@ class CriticalValue(float):
         return self
 
 
-def _drop_above(pts: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """``pts`` without each inner point b that lies on or above the chord
-    ac, given the steps (x_b - x_a, p_b - p_a) in ``before`` and
-    (x_c - x_b, p_c - p_b) in ``after``, one column per inner point."""
-    keep = np.empty(pts.shape[1], dtype=bool)
-    keep[0] = keep[-1] = True
-    np.less(after[0] * before[1], before[0] * after[1], out=keep[1:-1])
-    return pts[:, keep]
-
-
-def _gcm(pts: np.ndarray) -> list[int]:
-    """The index row's values at the knots of the GCM of ``pts``, ascending.
-
-    ``pts`` holds a point per column: its value x (non-decreasing), its
-    sample index p (rising) and its index. A point b between a and c is
-    dropped when (x_c - x_b)(p_b - p_a) >= (x_b - x_a)(p_c - p_b): it lies on
-    or above the chord ac, which a knot never does. Within a run of equal
-    values that drops every point but the first, and the last one only if it
-    ends ``pts``. The first step tests each point against the chord of the
-    two ends, which drops a concave stretch at once; the others against its
-    neighbours. The stack scan runs from the left, as the reference kernel's
-    prefix hulls do."""
-    if pts.shape[1] > _STACK:
-        inner = pts[:2, 1:-1]
-        pts = _drop_above(pts, inner - pts[:2, :1], pts[:2, -1:] - inner)
-    while pts.shape[1] > _STACK:
-        m = pts.shape[1]
-        d = pts[:2, 1:] - pts[:2, :-1]
-        pts = _drop_above(pts, d[:, :-1], d[:, 1:])
-        if pts.shape[1] == m:
-            break
-    xs, ps, ids = pts.tolist()
+def _scan(xs: list[float], ps: list[float]) -> list[int]:
+    """Positions of the GCM knots of the points (xs[k], ps[k]), ascending. A
+    stack scan from the left, as the reference kernel's prefix hulls are:
+    the top knot b goes when it lies on or above the chord from the knot
+    below it to the next point."""
     knots = [0]
     for c in range(1, len(xs)):
         xc, pc = xs[c], ps[c]
@@ -157,44 +135,93 @@ def _gcm(pts: np.ndarray) -> list[int]:
             knots.pop()
             b = a
         knots.append(c)
-    return [int(ids[k]) for k in knots]
+    return knots
 
 
-def _hull(pts: np.ndarray, low: int, high: int, upper: bool) -> list[int]:
-    """Ascending knots of the GCM, or with ``upper`` the LCM, of the kept
-    points low..high. The LCM is the GCM of the points mirrored through the
-    origin, taken from high down, as the reference kernel's suffix hulls
-    are; negation is exact, so its tests give the same bits."""
-    span = pts[:, low : high + 1]
+def _chord_products(span: np.ndarray) -> np.ndarray:
+    """Each inner point b of ``span`` against the chord of its two ends a
+    and c: rows (x_c - x_b)(p_b - p_a) and (p_c - p_b)(x_b - x_a)."""
+    inner = span[:2, 1:-1]
+    before = inner - span[:2, :1]
+    after = span[:2, -1:] - inner
+    after *= before[::-1]
+    return after
+
+
+def _drop(span: np.ndarray, products: np.ndarray, upper: bool) -> np.ndarray:
+    """``span`` without each inner point b whose ``products`` row 0 is not
+    below row 1, so that b lies on or above the chord ac: no GCM knot does.
+    With ``upper`` the rows swap, which drops each b on or below ac, as the
+    same test does on the points mirrored through the origin."""
+    keep = np.empty(span.shape[1], dtype=bool)
+    keep[0] = keep[-1] = True
+    lower, higher = products[::-1] if upper else products
+    np.less(lower, higher, out=keep[1:-1])
+    return span.compress(keep, axis=1)
+
+
+def _hull(span: np.ndarray, upper: bool, chord: np.ndarray | None = None) -> _Knots:
+    """The knots of the GCM, or with ``upper`` the LCM, of the kept points
+    in ``span``: their indices, values and sample indices, three ascending
+    lists.
+
+    ``span`` holds a point per column: its value x (non-decreasing), its
+    sample index p (rising) and its index. Numpy steps drop, all at once,
+    each point that lies on or above (GCM) or on or below (LCM) the chord of
+    two others, which a knot never does; within a run of equal values that
+    drops every point but the first (GCM) or last (LCM) one, and the other
+    only if it ends ``span``. The first step tests each point against the
+    chord of the two ends (``chord``, when the caller has those products
+    already), which drops a concave stretch at once; the others against its
+    neighbours. Once at most ``_STACK`` points are left, or a step drops
+    none, a stack scan finishes: from the left for the GCM, as the reference
+    kernel's prefix hulls are; for the LCM, from the right on the points
+    mirrored through the origin, as its suffix hulls are, and negation is
+    exact, so its tests give the same bits."""
+    if span.shape[1] > _STACK:
+        span = _drop(span, _chord_products(span) if chord is None else chord, upper)
+    while span.shape[1] > _STACK:
+        m = span.shape[1]
+        d = span[:2, 1:] - span[:2, :-1]
+        span = _drop(span, d[:, 1:] * d[::-1, :-1], upper)
+        if span.shape[1] == m:
+            break
+    xs, ps, ids = span.tolist()
     if upper:
-        return _gcm(span[:, ::-1] * _MIRROR)[::-1]
-    return _gcm(span)
+        last = len(xs) - 1
+        mirrored = _scan([-v for v in reversed(xs)], [-v for v in reversed(ps)])
+        knots = [last - k for k in reversed(mirrored)]
+    else:
+        knots = _scan(xs, ps)
+    return [int(ids[k]) for k in knots], [xs[k] for k in knots], [ps[k] for k in knots]
 
 
-def _deviation(pts: np.ndarray, jb: list[int], je: list[int], s: list[float]) -> float:
+def _deviation(pts: np.ndarray, below: _Knots, above: _Knots) -> float:
     """Largest deviation, in units of 1/(2n), of the empirical CDF below the
-    GCM segment (jb[k], je[k]) where s[k] is 1.0, or above the LCM segment
-    where it is -1.0: at least 1.0, or 0.0 with no segment. A segment over
+    GCM knots ``below`` or above the LCM knots ``above`` (indices, values,
+    sample indices): at least 1.0, or 0.0 with no segment. A segment over
     fewer than three sample indices or over one value adds nothing. Each
-    point after a segment's start (where t is exactly 1) gets
-    t = s ((p - p_b + s) - (x - x_b) c), c = (p_e - p_b) / (x_e - x_b):
-    the float operations of the reference kernel's loop, in its order."""
-    if not jb:
+    point after a segment's start (where t is exactly 1) gets t = s ((p -
+    p_b + s) - (x - x_b) c), c = (p_e - p_b) / (x_e - x_b), with s 1.0 below
+    the GCM and -1.0 above the LCM: the float operations of the reference
+    kernel's loop, in its order (p - p_b + s is formed as p - (p_b - s),
+    which is the same integer). The points of a segment that adds nothing
+    get s = c = 0, so t = 0."""
+    terms, lens, spans = [], [], []
+    for (ids, xs, ps), s in ((below, 1.0), (above, -1.0)):
+        if len(ids) > 1:
+            spans.append(pts[:2, ids[0] + 1 : ids[-1] + 1])
+        for b in range(len(ids) - 1):
+            lens.append(ids[b + 1] - ids[b])
+            dp, dx = ps[b + 1] - ps[b], xs[b + 1] - xs[b]
+            terms.append((xs[b], ps[b] - s, dp / dx, s) if dp > 1 and dx != 0 else (0.0,) * 4)
+    if not lens:
         return 0.0
-    jb, je = np.array(jb), np.array(je)
-    xb, pb = pts[:2, jb]
-    xe, pe = pts[:2, je]
-    ok = (pe - pb > 1) & (xe != xb)
-    if not ok.any():
+    if not any(term[3] for term in terms):
         return 1.0
-    lens = (je - jb)[ok]
-    first = np.cumsum(lens) - lens  # each segment's first slot among the points
-    seg = np.repeat(np.arange(len(lens)), lens)  # each point's segment
-    idx = np.arange(len(seg)) + (jb[ok] + 1 - first)[seg]
-    terms = np.stack((xb[ok], pb[ok], (pe - pb)[ok] / (xe - xb)[ok], np.array(s)[ok]))
-    xb, pb, c, s = terms[:, seg]
-    x, p = pts[:2, idx]
-    t = s * ((p - pb + s) - (x - xb) * c)
+    x, p = spans[0] if len(spans) == 1 else np.concatenate(spans, axis=1)
+    xb, q, c, s = np.repeat(np.array(terms).T, lens, axis=1)
+    t = s * ((p - q) - (x - xb) * c)
     return max(1.0, float(t.max()))
 
 
@@ -211,14 +238,16 @@ def _dip_points(pts: np.ndarray) -> float:
         return 1.0 / (2 * n)
 
     low, high = 0, m - 1
-    gcm = _hull(pts, low, high, False)
-    lcm = _hull(pts, low, high, True)
+    # both hulls of the first pass test each point against the same chord
+    chord = _chord_products(pts) if m > _STACK else None
+    gcm = _hull(pts, False, chord)
+    lcm = _hull(pts, True, chord)
     dip2n = 0.0  # dip in units of 2n * sup-deviation
     for _ in range(m + 2):  # the interval shrinks; m + 2 passes is a safe cap
-        gx, gp = pts[:2, gcm].tolist()
-        lx, lp = pts[:2, lcm].tolist()
-        top_g = len(gcm) - 1
-        top_l = len(lcm) - 1
+        gk, gx, gp = gcm
+        lk, lx, lp = lcm
+        top_g = len(gk) - 1
+        top_l = len(lk) - 1
         ig, ih = 0, top_l
         ix = iv = 1
 
@@ -226,7 +255,7 @@ def _dip_points(pts: np.ndarray) -> float:
         d = 0.0
         if top_g != 1 or top_l != 1:
             while True:
-                if gcm[ix] > lcm[iv]:
+                if gk[ix] > lk[iv]:
                     # LCM knot inside a GCM segment
                     a = ix - 1
                     dx = (lp[iv] - gp[a] + 1) - (lx[iv] - gx[a]) * (gp[ix] - gp[a]) / (
@@ -252,7 +281,7 @@ def _dip_points(pts: np.ndarray) -> float:
                     ix = top_g
                 if iv > top_l:
                     iv = top_l
-                if gcm[ix] == lcm[iv]:
+                if gk[ix] == lk[iv]:
                     break
 
         if d < dip2n:
@@ -260,18 +289,24 @@ def _dip_points(pts: np.ndarray) -> float:
 
         # Max deviation of the empirical CDF below the GCM on [low, gcm[ig]]
         # and above the LCM on [lcm[ih], high].
-        below, above = gcm[: ig + 1], lcm[ih:]
-        signs = [1.0] * ig + [-1.0] * (top_l - ih)
-        dip2n = max(dip2n, _deviation(pts, below[:-1] + above[:-1], below[1:] + above[1:], signs))
-        if low == gcm[ig] and high == lcm[ih]:
+        below = (gk[: ig + 1], gx[: ig + 1], gp[: ig + 1])
+        above = (lk[ih:], lx[ih:], lp[ih:])
+        dip2n = max(dip2n, _deviation(pts, below, above))
+        if low == gk[ig] and high == lk[ih]:
             break
-        low, high = gcm[ig], lcm[ih]
-        gcm = gcm[ig : bisect_right(gcm, high)]
-        if gcm[-1] < high:
-            gcm = gcm[:-1] + _hull(pts, gcm[-1], high, False)
-        lcm = lcm[bisect_left(lcm, low) : ih + 1]
-        if lcm[0] > low:
-            lcm = _hull(pts, low, lcm[0], True) + lcm[1:]
+        low, high = gk[ig], lk[ih]
+        # each hull's knots inside [low, high] are knots of its hull there;
+        # only the piece past the last of them is built anew
+        g = bisect_right(gk, high)
+        gcm = (gk[ig:g], gx[ig:g], gp[ig:g])
+        if gk[g - 1] < high:
+            piece = _hull(pts[:, gk[g - 1] : high + 1], False)
+            gcm = tuple(v[:-1] + w for v, w in zip(gcm, piece))
+        h = bisect_left(lk, low)
+        lcm = (lk[h : ih + 1], lx[h : ih + 1], lp[h : ih + 1])
+        if lk[h] > low:
+            piece = _hull(pts[:, low : lk[h] + 1], True)
+            lcm = tuple(w + v[1:] for v, w in zip(lcm, piece))
     else:  # pragma: no cover - loop cap is unreachable for valid input
         raise RuntimeError("dip search failed to stabilize")
 

@@ -4,6 +4,9 @@ Every error raised on bad user input derives from :class:`AuditError`, so the
 CLI can map the whole family to a single exit code and library callers can
 catch one type.
 """
+from __future__ import annotations
+
+import os
 
 __all__ = [
     "AuditError",
@@ -28,11 +31,13 @@ class SchemaError(AuditError):
 class RowError(AuditError):
     """A CSV data row failed validation.
 
-    Carries the 1-based line number of the offending row.
+    Carries the file's ``path`` and the 1-based ``line`` number of the
+    offending row, and names both: ``{path}: line {line}: {message}``.
     """
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path: str | os.PathLike[str], line: int, message: str):
+        super().__init__(f"{path}: line {line}: {message}")
+        self.path = path
         self.line = line
 
 

@@ -154,54 +154,74 @@ def train_svm_smo(
         raise ParameterError(f"max_passes must be >= 1, got {max_passes}")
     n = x.shape[0]
     _check_kernel_rows(n)
+    c = float(c)
 
     gamma = _resolve_gamma(x, gamma)
     kmat = _rbf_matrix(x, x, gamma)
-    # the signed dual s = y * alpha, each entry in its own box [lo, hi];
-    # lo comes from np.where, not hi - c, which is NaN at c = inf
-    s = np.zeros(n)
-    hi = np.where(y > 0.0, c, 0.0)
-    lo = np.where(y > 0.0, 0.0, -c)
-    # u[i] = kernel part of the decision value at x_i (no bias); the KKT
-    # residual y_i - u_i of every free support vector equals the bias at
-    # the optimum, so the spread of residuals measures convergence
+    diag = kmat.diagonal().tolist()
+    # the signed dual s = y * alpha, each entry in its own box [lo, hi],
+    # held as Python floats since each step changes two entries; lo is
+    # written out, not hi - c, which is NaN at c = inf
+    ys = y.tolist()
+    s = [0.0] * n
+    hi = [c if v > 0.0 else 0.0 for v in ys]
+    lo = [0.0 if v > 0.0 else -c for v in ys]
+    # y_up is y where s can rise and -inf where it cannot, y_dn is y where s
+    # can fall and +inf where it cannot, so y_up - u and y_dn - u are the
+    # KKT residuals y - u bit for bit wherever each is eligible. u[i] is the
+    # kernel part of the decision value at x_i (no bias); the residual of
+    # every free support vector equals the bias at the optimum, so the
+    # spread of residuals measures convergence
+    y_up = y.copy()
+    y_up[y < 0.0] = -np.inf
+    y_dn = y.copy()
+    y_dn[y > 0.0] = np.inf
     u = np.zeros(n)
+    r_up = np.empty(n)
+    r_dn = np.empty(n)
+    du = np.empty(n)
 
-    def residual_extremes() -> tuple[np.ndarray, int, int]:
-        resid = y - u
-        i = int(np.argmax(np.where(s < hi, resid, -np.inf)))
-        j = int(np.argmin(np.where(s > lo, resid, np.inf)))
-        return resid, i, j
+    def residual_extremes() -> tuple[int, int]:
+        np.subtract(y_up, u, out=r_up)
+        np.subtract(y_dn, u, out=r_dn)
+        return int(r_up.argmax()), int(r_dn.argmin())
 
     converged = False
     passes = 0
     while passes < max_passes and not converged:
         passes += 1
         for _ in range(n):
-            resid, i, j = residual_extremes()
-            gap = resid[i] - resid[j]
+            i, j = residual_extremes()
+            gap = r_up.item(i) - r_dn.item(j)
             if gap <= tol:
                 converged = True
                 break
             # curvature along the feasible direction; indices ordered so the
             # value is identical however the pair roles were assigned
             p, q = (i, j) if i < j else (j, i)
-            eta = kmat[p, p] + kmat[q, q] - 2.0 * kmat[p, q]
+            eta = diag[p] + diag[q] - 2.0 * kmat.item(p, q)
             # s_i rises and s_j falls by t; both rooms are strictly positive
             # by the eligibility masks
             t = min(gap / max(eta, 1e-12), hi[i] - s[i], s[j] - lo[j])
-            s[i] = min(s[i] + t, hi[i])
-            s[j] = max(s[j] - t, lo[j])
-            u += t * (kmat[i] - kmat[j])
+            s[i] = s_i = min(s[i] + t, hi[i])
+            s[j] = s_j = max(s[j] - t, lo[j])
+            y_up[i] = ys[i] if s_i < hi[i] else -np.inf
+            y_dn[i] = ys[i] if s_i > lo[i] else np.inf
+            y_up[j] = ys[j] if s_j < hi[j] else -np.inf
+            y_dn[j] = ys[j] if s_j > lo[j] else np.inf
+            np.subtract(kmat[i], kmat[j], out=du)
+            du *= t
+            u += du
 
-    resid, i, j = residual_extremes()
+    i, j = residual_extremes()
+    s = np.array(s)
     sv = np.abs(s) > 1e-10
     return SvmModel(
         support_vectors=x[sv],
         alphas=s[sv],
-        bias=float((resid[i] + resid[j]) / 2.0),
+        bias=(r_up.item(i) + r_dn.item(j)) / 2.0,
         gamma=gamma,
-        regularization_c=float(c),
+        regularization_c=c,
         converged=converged,
         passes=passes,
     )

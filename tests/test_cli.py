@@ -699,8 +699,11 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("sample_id,group,class,response\n,a,bonafide,0.1\n", "line 2: empty sample_id"),
-            ("sample_id,group,class,response\ns1,,bonafide,0.1\n", "line 2: empty group"),
+            (
+                "sample_id,group,class,response\n,a,bonafide,0.1\n",
+                "{path}: line 2: empty sample_id",
+            ),
+            ("sample_id,group,class,response\ns1,,bonafide,0.1\n", "{path}: line 2: empty group"),
             (
                 "group,sample_id,class,response\na,s1,bonafide,0.1\n",
                 "{path}: bad header: column order must be sample_id,group,class,response",
@@ -719,13 +722,26 @@ class TestInputErrors:
         data, codes = tmp_path / "responses.csv", tmp_path / "codes.csv"
         data.write_bytes(b"sample_id,group,class,response\ns\xff1,a,bonafide,0.5\n")
         assert main(["eer", "--data", str(data)]) == 1
-        assert capsys.readouterr() == ("", "error: line 2: not UTF-8 text (byte 0xff)\n")
+        assert capsys.readouterr() == ("", f"error: {data}: line 2: not UTF-8 text (byte 0xff)\n")
         codes.write_text("#K=4\nsample_id,group,c0\n" + "s" * 200_000 + ",a,1\n")
         assert main(["svm-sep", "--codes", str(codes)]) == 1
         limit = csv.field_size_limit()
         assert capsys.readouterr() == (
-            "", f"error: line 3: field larger than field limit ({limit})\n"
+            "", f"error: {codes}: line 3: field larger than field limit ({limit})\n"
         )
+
+    def test_row_error_names_the_codes_file(self, tmp_path, capsys, synth_dir):
+        # --data reads cleanly, so the one error line must say which input
+        # holds the bad row: the codes file, with a 0xff byte on line 3
+        data = synth_dir / "responses.csv"
+        lines = (synth_dir / "codes.csv").read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        codes = tmp_path / "bad-codes.csv"
+        codes.write_bytes(b"\n".join(lines))
+        out = tmp_path / "audit"
+        assert main(["audit", "--data", str(data), "--codes", str(codes), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {codes}: line 3: not UTF-8 text (byte 0xff)\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "size_line, message",

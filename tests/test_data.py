@@ -83,7 +83,8 @@ class TestLoadCsv:
         )
         with pytest.raises(RowError) as exc:
             load_csv(path)
-        assert exc.value.line == 3
+        assert (exc.value.path, exc.value.line) == (path, 3)
+        assert str(exc.value) == f"{path}: line 3: response must be finite and >= 0, got '-0.1'"
         path = write_csv(
             "sample_id,group,class,response\n"
             '"s\n1",A,bonafide,0.1\n'
@@ -243,9 +244,9 @@ def _plain_tables(draw) -> str:
 
 _HEADER = "sample_id,group,class,response\n"
 _NUL_ERROR = (
-    "line 3: bad response '0.5\\x00'"
+    "{path}: line 3: bad response '0.5\\x00'"
     if sys.version_info >= (3, 11)
-    else "line 3: line contains NUL"  # csv.reader refuses NUL before 3.11
+    else "{path}: line 3: line contains NUL"  # csv.reader refuses NUL before 3.11
 )
 
 
@@ -270,32 +271,33 @@ class TestBlockReader:
         "text, error, message",
         [
             ('"s\n1",A,bonafide,0.1\ns2,A,bonafide,-1\n', RowError,
-             "line 4: response must be finite and >= 0, got '-1'"),
+             "{path}: line 4: response must be finite and >= 0, got '-1'"),
             ('"s1","A",bonafide,0.1\ns2,A,"imposter",0.1\n', RowError,
-             "line 3: unknown class 'imposter'"),
+             "{path}: line 3: unknown class 'imposter'"),
             ("s1,A,bonafide,0.5\r\ns2,A,imposter,0.1\r\n", RowError,
-             "line 3: unknown class 'imposter'"),
+             "{path}: line 3: unknown class 'imposter'"),
             ("s1,A,bonafide,0.5\r\n\r\ns2,A,bonafide\r\n", RowError,
-             "line 4: expected 4 fields, got 3"),
+             "{path}: line 4: expected 4 fields, got 3"),
             ("s1,A,bonafide,0.5\ns2,A,bonafide,0.5\x00\n", RowError, _NUL_ERROR),
-            ("s1,A,bonafide,0.5\ns2,A,bonafide\n", RowError, "line 3: expected 4 fields, got 3"),
+            ("s1,A,bonafide,0.5\ns2,A,bonafide\n", RowError,
+             "{path}: line 3: expected 4 fields, got 3"),
             ("s1,A,bonafide,0.5\ns2,A,bonafide,0.5,x\n", RowError,
-             "line 3: expected 4 fields, got 5"),
+             "{path}: line 3: expected 4 fields, got 5"),
             # three fields, then five: eight in all, still refused at line 2
             ("s1,A,bonafide\n0.5,s2,A,bonafide,0.5\n", RowError,
-             "line 2: expected 4 fields, got 3"),
-            ("s1,A,bonafide,0.5\n ,A,bonafide,0.5\n", RowError, "line 3: empty sample_id"),
-            ("s1, ,bonafide,0.5\n", RowError, "line 2: empty group"),
+             "{path}: line 2: expected 4 fields, got 3"),
+            ("s1,A,bonafide,0.5\n ,A,bonafide,0.5\n", RowError, "{path}: line 3: empty sample_id"),
+            ("s1, ,bonafide,0.5\n", RowError, "{path}: line 2: empty group"),
             ("s1,A,bona fide,0.5\ns2,A,Imposter,0.5\n", RowError,
-             "line 3: unknown class 'Imposter'"),
-            ("s1,A,bonafide,zero\n", RowError, "line 2: bad response 'zero'"),
+             "{path}: line 3: unknown class 'Imposter'"),
+            ("s1,A,bonafide,zero\n", RowError, "{path}: line 2: bad response 'zero'"),
             ("s1,A,bonafide,nan\n", RowError,
-             "line 2: response must be finite and >= 0, got 'nan'"),
+             "{path}: line 2: response must be finite and >= 0, got 'nan'"),
             ("s1,A,bonafide,1e999\n", RowError,
-             "line 2: response must be finite and >= 0, got '1e999'"),
+             "{path}: line 2: response must be finite and >= 0, got '1e999'"),
             ("s1,A,bonafide,-0.5\n", RowError,
-             "line 2: response must be finite and >= 0, got '-0.5'"),
-            (" \n", RowError, "line 2: expected 4 fields, got 1"),
+             "{path}: line 2: response must be finite and >= 0, got '-0.5'"),
+            (" \n", RowError, "{path}: line 2: expected 4 fields, got 1"),
             ("\n\n", EmptyDatasetError, "{path}: no data rows"),
         ],
         ids=[
@@ -342,7 +344,10 @@ class TestBlockReader:
         finally:
             tracemalloc.stop()
         assert peak < 4 * limit  # the line itself is 40 times the limit
-        with pytest.raises(RowError, match=rf"^line 3: field larger than field limit \({limit}\)$"):
+        where = re.escape(str(path))
+        with pytest.raises(
+            RowError, match=rf"^{where}: line 3: field larger than field limit \({limit}\)$"
+        ):
             load_csv(path)
 
 
@@ -364,7 +369,10 @@ class TestUnreadableFile:
         # Latin-1 'é' in the last row; CRLF line ends count as one line each
         path.write_bytes(header.encode().replace(b"\n", b"\r\n") + rows + b"s\xe9,A,")
         line = header.count("\n") + 4
-        with pytest.raises(RowError, match=rf"^line {line}: not UTF-8 text \(byte 0xe9\)$"):
+        where = re.escape(str(path))
+        with pytest.raises(
+            RowError, match=rf"^{where}: line {line}: not UTF-8 text \(byte 0xe9\)$"
+        ):
             load(path)
 
     def test_field_over_the_csv_limit(self, tmp_path, loader):
@@ -377,8 +385,9 @@ class TestUnreadableFile:
         too_long = row.format(i=1).replace("s1", "s" * (limit + 1), 1)
         path.write_text(header + fits + too_long, encoding="utf-8")
         line = header.count("\n") + 2
+        where = re.escape(str(path))
         with pytest.raises(
-            RowError, match=rf"^line {line}: field larger than field limit \({limit}\)$"
+            RowError, match=rf"^{where}: line {line}: field larger than field limit \({limit}\)$"
         ):
             load(path)
 

@@ -199,6 +199,16 @@ class TestDipCriticalValue:
             sample = np.sort(np.random.default_rng([11, i]).random(60))
             assert got == oracle_dip(sample.tolist())
 
+    @pytest.mark.parametrize("n, replicas", [(4, 200), (5, 200), (200, 300)])
+    def test_null_matches_oracle_at_the_audit_sizes(self, n, replicas):
+        # n = 200 is the README demo's and quickstart's group size, where
+        # both hulls take numpy steps before their stack scans; n = 4 and 5
+        # are the smallest sizes the kernel computes rather than answering
+        # with the lower bound 1/(2n)
+        for i, got in enumerate(_null_stream(n, replicas, 23)):
+            sample = np.sort(np.random.default_rng([23, i]).random(n))
+            assert got == oracle_dip(sample.tolist())
+
     def test_chunked_draws_are_prefix_stable(self):
         # replica i does not depend on how many replicas were asked for
         full = list(_null_stream(120, 300, 5))

@@ -3,6 +3,9 @@
 machine's BLAS, so nothing is compared against a stored digest."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import _smo_oracle as oracle
 from biasaudit.svm import train_svm_smo
@@ -48,5 +51,35 @@ def _fit(train, x, y, c, tol, max_passes):
 @pytest.mark.parametrize("data", sorted(DATA))
 def test_fit_matches_the_alpha_form_bit_for_bit(data, c, tol, max_passes):
     x, y = DATA[data](np.random.default_rng(11))
+    mine = _fit(train_svm_smo, x, y, c, tol, max_passes)
+    assert mine == _fit(oracle.train_svm_smo, x, y, c, tol, max_passes)
+
+
+@st.composite
+def _problems(draw):
+    """A random training set: n rows of d features drawn, with repeats, from
+    a few distinct rows of small integers or floats; both labels present,
+    and rows 0 and 1 the same point with opposite labels."""
+    n, d = draw(st.integers(4, 40)), draw(st.integers(1, 4))
+    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0, width=32))
+    distinct = draw(hnp.arrays(float, (draw(st.integers(2, n)), d), elements=value))
+    rows = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    rows[1] = rows[0]
+    y = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    y[:2] = 1.0, -1.0
+    return distinct[rows], y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    _problems(),
+    st.sampled_from([0.05, 1.0, 10.0, np.inf]),
+    st.sampled_from([1e-3, 1e-9]),
+    st.sampled_from([1, 2, 200]),
+)
+def test_random_problems_match_the_alpha_form_bit_for_bit(problem, c, tol, max_passes):
+    # the boxes' bounds are reached and left in orders the fixed cases above
+    # meet only by chance
+    x, y = problem
     mine = _fit(train_svm_smo, x, y, c, tol, max_passes)
     assert mine == _fit(oracle.train_svm_smo, x, y, c, tol, max_passes)
