@@ -13,7 +13,6 @@ tables are read, checked and held here; ``svm`` probes the codes.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import re
 from collections import Counter
@@ -48,7 +47,6 @@ __all__ = [
     "group_pairs",
 ]
 
-log = logging.getLogger(__name__)
 
 EXPECTED_HEADER = ("sample_id", "group", "class", "response")
 
@@ -183,8 +181,11 @@ class Dataset:
 
         counts = Counter(ids)
         if len(counts) < n:  # only then look for the repeated ids
+            # logging is imported only here, as a clean table never needs it
+            import logging
+
             dupes = {sid: c for sid, c in counts.items() if c > 1}
-            log.warning(
+            logging.getLogger(__name__).warning(
                 "dataset contains %d duplicated sample_id value(s), e.g. %r",
                 len(dupes),
                 next(iter(sorted(dupes))),

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .report import AuditReport, _pcurve_csv
+from .stats import _distinct
 
 __all__ = ["render_plots"]
 
@@ -132,7 +133,7 @@ def _m4(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     ends = starts + sizes - 1
     by_p = np.lexsort((p, col))  # column by column, p ascending within each
     few = np.flatnonzero(np.repeat(sizes <= 4, sizes))
-    return np.unique(np.concatenate([starts, ends, by_p[starts], by_p[ends], few]))
+    return _distinct(np.concatenate([starts, ends, by_p[starts], by_p[ends], few]))
 
 
 def _pcurve_svg(grid, p_values, alpha, regions, title) -> str:

@@ -34,6 +34,7 @@ from .stats import (
     _COUNTS,
     SummaryStats,
     TestResult,
+    _distinct,
     chi_squared_one_sided,
     mann_whitney_u,
     summary_stats,
@@ -169,7 +170,7 @@ def _series_join(reprs: Iterable[str]) -> bytes:
 def _grid_texts(grids: list[np.ndarray]) -> list[bytes]:
     """Each grid's series text, formatting each distinct threshold among
     them once: a group's responses are in the grid of each of its pairs."""
-    values = np.unique(np.concatenate(grids))
+    values = _distinct(np.concatenate(grids))
     reprs = list(map(float.__repr__, values.tolist()))
     texts = []
     for grid in grids:

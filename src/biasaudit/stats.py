@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +42,6 @@ __all__ = [
     "summary_stats",
 ]
 
-_NORMAL = NormalDist()
-
 
 def _sample(values: Sequence[float], at_least: int, what: str) -> np.ndarray:
     """``values``, a 1-D sample of at least ``at_least`` finite numbers, as
@@ -63,6 +60,19 @@ def _sample(values: Sequence[float], at_least: int, what: str) -> np.ndarray:
     if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
         raise ParameterError(f"{what} needs finite values")
     return x
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, sorted; of values that compare
+    equal (0.0 and -0.0) the one given first is kept, where ``np.unique``
+    of floats leaves it to an unstable sort. Unlike ``np.unique``, it does
+    not import ``numpy.ma``. NaNs are not merged; every caller hands it
+    finite values."""
+    x = np.sort(values, kind="stable")
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 class Sidedness(enum.Enum):
@@ -274,9 +284,13 @@ def shapiro_wilk(a: Sequence[float]) -> TestResult:
     if x[0] == x[-1]:
         raise DegenerateDataError("sample is constant")
 
-    # Expected normal order statistics (Blom scores) for the upper half.
+    # Expected normal order statistics (Blom scores) for the upper half;
+    # statistics is imported here, as no other command needs it
+    from statistics import NormalDist
+
+    normal = NormalDist()
     half = n // 2
-    m = [_NORMAL.inv_cdf((n - i + 1 - 0.375) / (n + 0.25)) for i in range(1, half + 1)]
+    m = [normal.inv_cdf((n - i + 1 - 0.375) / (n + 0.25)) for i in range(1, half + 1)]
     mss = 2.0 * math.fsum(v * v for v in m)
 
     if n == 3:

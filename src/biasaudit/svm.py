@@ -93,32 +93,40 @@ def _resolve_gamma(x: np.ndarray, gamma: float | None) -> float:
     return 1.0 / (x.shape[1] * var)
 
 
-# train_svm_smo holds a dense n x n float64 kernel, and one more array of
-# that size while _rbf_matrix builds it, so it refuses training sets above
-# 8,192 rows
-_MAX_KERNEL_BYTES = 1 << 30
+# train_svm_smo holds one dense n x n float64 kernel, so it refuses training
+# sets above 8,192 rows (512 MiB)
+_MAX_KERNEL_BYTES = 1 << 29
+# rows of the kernel _rbf_matrix forms at a time beside the result
+_BLOCK_ROWS = 64
 
 
 def _check_kernel_rows(n: int) -> None:
-    need = 2 * n * n * 8
+    need = n * n * 8
     if need > _MAX_KERNEL_BYTES:
         raise ParameterError(
-            f"{n} training rows need {need / 2**30:.2f} GiB to build the kernel; "
-            f"the limit is 1 GiB ({math.isqrt(_MAX_KERNEL_BYTES // 16)} rows)"
+            f"{n} training rows need {need / 2**20:.1f} MiB for the kernel; "
+            f"the limit is 512 MiB ({math.isqrt(_MAX_KERNEL_BYTES // 8)} rows)"
         )
 
 
 def _rbf_matrix(x: np.ndarray, z: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma * |x_i - z_j|^2), built in place: at most two len(x) x
-    len(z) float64 arrays are alive at once."""
-    g = x @ z.T
-    sq = np.sum(x * x, axis=1)[:, None] + np.sum(z * z, axis=1)[None, :]
-    g *= 2.0
-    sq -= g
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -gamma
-    np.exp(sq, out=sq)
-    return sq
+    """exp(-gamma * |x_i - z_j|^2) in one len(x) x len(z) float64 array:
+    2 x.z^T is written there first, and each block of _BLOCK_ROWS rows is
+    then replaced by its kernel values, formed in a block-sized scratch."""
+    xx = np.sum(x * x, axis=1)
+    zz = np.sum(z * z, axis=1)
+    kmat = x @ z.T
+    kmat *= 2.0
+    scratch = np.empty((min(_BLOCK_ROWS, len(x)), len(z)))
+    for r in range(0, len(x), _BLOCK_ROWS):
+        rows = kmat[r : r + _BLOCK_ROWS]
+        sq = scratch[: len(rows)]
+        np.add(xx[r : r + _BLOCK_ROWS, None], zz, out=sq)
+        sq -= rows
+        np.maximum(sq, 0.0, out=sq)
+        sq *= -gamma
+        np.exp(sq, out=rows)
+    return kmat
 
 
 def train_svm_smo(
@@ -142,9 +150,12 @@ def train_svm_smo(
     if x.ndim != 2 or x.shape[0] < 2:
         raise ParameterError(f"features must be a 2-D matrix with >= 2 rows, got {x.shape}")
     y = np.asarray(labels, dtype=float)
-    if y.shape != (x.shape[0],) or not set(np.unique(y)) <= {-1.0, 1.0}:
+    if y.shape != (x.shape[0],):
         raise ParameterError("labels must be +1/-1, one per feature row")
-    if len(np.unique(y)) < 2:
+    classes = set(y.tolist())
+    if not classes <= {-1.0, 1.0}:
+        raise ParameterError("labels must be +1/-1, one per feature row")
+    if len(classes) < 2:
         raise DegenerateDataError("training data contains a single class")
     if not c > 0:
         raise ParameterError(f"c must be > 0, got {c}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import GroupPair, _read_only
 from .errors import ParameterError
-from .stats import _chi2_tests, _sample
+from .stats import _chi2_tests, _distinct, _sample
 
 __all__ = [
     "RocCurve",
@@ -90,7 +90,8 @@ class BiasCurve:
             raise ParameterError("bias curve grid must rise strictly")
         if not ((self.p_values >= 0.0) & (self.p_values <= 1.0)).all():
             raise ParameterError("bias curve p_values must lie in [0, 1]")
-        if not np.isin(self.signs, (-1, 0, 1)).all():
+        signs = self.signs
+        if not ((signs == -1) | (signs == 0) | (signs == 1)).all():
             raise ParameterError("bias curve signs must be -1, 0 or 1")
         object.__setattr__(self, "signs", _read_only(self.signs.astype(np.int8)))
         if not 0.0 < self.alpha < 1.0:
@@ -135,7 +136,7 @@ def _above(v: float) -> float:
 def roc_curve(bona: Sequence[float], attack: Sequence[float]) -> RocCurve:
     """Empirical ROC over all distinct pooled response values."""
     bona_s, att_s = (_sample(s, 1, "roc_curve") for s in (bona, attack))
-    pooled = np.unique(np.concatenate([bona_s, att_s]))
+    pooled = _distinct(np.concatenate([bona_s, att_s]))
     grid = np.concatenate([[_below(pooled[0])], pooled, [_above(pooled[-1])]])
     n_b, n_a = len(bona_s), len(att_s)
     far = np.searchsorted(att_s, grid, side="right") / n_a
@@ -197,7 +198,7 @@ def bias_sweep(
     if pair is None:
         pair = GroupPair("a", "b")
     a_s, b_s = (_sample(s, 1, "bias_sweep") for s in (bona_a, bona_b))
-    grid_arr = np.unique(np.concatenate([a_s, b_s]))
+    grid_arr = _distinct(np.concatenate([a_s, b_s]))
     if len(grid_arr) < 2:
         raise ParameterError(f"degenerate sweep grid of size {len(grid_arr)}")
 

@@ -1,7 +1,9 @@
 """``train_svm_smo`` as it was before the SMO loop was rewritten on the
 signed dual: ``alpha`` >= 0 with sign-dependent eligibility masks, rooms and
-clips. Kept verbatim as the reference that ``biasaudit.svm.train_svm_smo``
-must match bit for bit; not used by the package."""
+clips, and the RBF kernel as it was built before it was formed in one array,
+from two n x n arrays. Kept verbatim as the references that
+``biasaudit.svm.train_svm_smo`` and ``_rbf_matrix`` must match bit for bit;
+not used by the package."""
 from __future__ import annotations
 
 from typing import Sequence
@@ -12,9 +14,21 @@ from biasaudit.errors import DegenerateDataError, ParameterError
 from biasaudit.svm import (
     SvmModel,
     _check_kernel_rows,
-    _rbf_matrix,
     _resolve_gamma,
 )
+
+
+def rbf_matrix(x: np.ndarray, z: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * |x_i - z_j|^2), built in place: at most two len(x) x
+    len(z) float64 arrays are alive at once."""
+    g = x @ z.T
+    sq = np.sum(x * x, axis=1)[:, None] + np.sum(z * z, axis=1)[None, :]
+    g *= 2.0
+    sq -= g
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -gamma
+    np.exp(sq, out=sq)
+    return sq
 
 
 def train_svm_smo(
@@ -52,7 +66,7 @@ def train_svm_smo(
     _check_kernel_rows(n)
 
     gamma = _resolve_gamma(x, gamma)
-    kmat = _rbf_matrix(x, x, gamma)
+    kmat = rbf_matrix(x, x, gamma)
     alpha = np.zeros(n)
     # u[i] = kernel part of the decision value at x_i (no bias); the KKT
     # residual y_i - u_i of every free support vector equals the bias at

@@ -4,7 +4,9 @@ ContingencyTable2x2 and two bisections per threshold, a curve of tuples
 with a group name per threshold, a per-threshold region walk, and three
 hand-written tie walkers. Kept verbatim as the reference that
 ``bias_sweep``, ``significant_regions``, ``mann_whitney_u`` and
-``auc_from_scores`` must match bit for bit; not used by the package."""
+``auc_from_scores`` must match bit for bit, except that the default grid
+keeps the first given of 0.0 and -0.0, which ``np.unique`` of floats left
+to an unstable sort; not used by the package."""
 from __future__ import annotations
 
 import math
@@ -250,7 +252,8 @@ def bias_sweep(
     a_s = sorted(float(v) for v in bona_a)
     b_s = sorted(float(v) for v in bona_b)
     if grid is None:
-        grid_arr = np.unique(np.concatenate([a_s, b_s]))
+        # dict keys keep the first given of equal values (0.0 and -0.0)
+        grid_arr = np.array(sorted(dict.fromkeys(a_s + b_s)), dtype=float)
     else:
         grid_arr = np.asarray([float(t) for t in grid])
         if len(grid_arr) and np.any(np.diff(grid_arr) <= 0):

@@ -12,6 +12,7 @@ import biasaudit.svm as svm_module
 from biasaudit.cli import main
 from biasaudit.data import CodeMatrix, Dataset, load_codes_csv, load_csv
 from biasaudit.errors import InsufficientDataError, ParameterError
+from biasaudit.plots import render_plots
 from biasaudit.report import _SERIES_SEP, AuditConfig, render_json, run_audit
 from biasaudit.svm import FeatureMode
 from biasaudit.synth import demo_dataset, gen_code_vectors
@@ -423,6 +424,22 @@ class TestReportEdgeCases:
         assert pa.mann_whitney.p_value == 1.0
         for _, res in pa.chi_squared.values():
             assert res.p_value == 1.0
+
+    def test_signed_zero_threshold_is_the_first_given(self, make_dataset, tmp_path):
+        # group a gives -0.0 and group b 0.0: the grid's zero is a's in
+        # report.json and in the p-curve CSV, whatever order a sort of the
+        # pooled 80 values would leave them in
+        rng = np.random.default_rng(43)
+        a, b = rng.lognormal(-3, 0.4, (2, 40)).tolist()
+        a[7], b[3] = -0.0, 0.0
+        rows = [("a", "bonafide", v) for v in a] + [("b", "bonafide", v) for v in b]
+        rep = run_audit(make_dataset(rows), AuditConfig(**FAST))
+        grid = json.loads(render_json(rep))["bias_sweeps"]["a|b"]["grid"]
+        assert [repr(t) for t in grid[:2]] == ["-0.0", repr(min(v for v in a + b if v))]
+        render_plots(rep, tmp_path)
+        rows = (tmp_path / "pcurve_00_a_vs_b.csv").read_text().splitlines()
+        assert rows[1].startswith("-0.0,")
+        assert not any(r.startswith("0.0,") for r in rows)
 
     def test_single_group_rejected(self, make_dataset):
         rows = [("only", "bonafide", 0.1 * (i + 1)) for i in range(10)]

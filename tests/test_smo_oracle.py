@@ -1,6 +1,7 @@
-"""``train_svm_smo`` against the alpha-form SMO loop it replaced
-(``_smo_oracle``): equal bit for bit on every fit. Both run here, on this
-machine's BLAS, so nothing is compared against a stored digest."""
+"""``train_svm_smo`` against the alpha-form SMO loop it replaced, and
+``_rbf_matrix`` against the two-array kernel it replaced (``_smo_oracle``):
+equal bit for bit on every fit and every kernel entry. Both run here, on
+this machine's BLAS, so nothing is compared against a stored digest."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import _smo_oracle as oracle
-from biasaudit.svm import train_svm_smo
+from biasaudit.svm import _BLOCK_ROWS, _rbf_matrix, train_svm_smo
 
 
 def _blobs(rng):
@@ -83,3 +84,19 @@ def test_random_problems_match_the_alpha_form_bit_for_bit(problem, c, tol, max_p
     x, y = problem
     mine = _fit(train_svm_smo, x, y, c, tol, max_passes)
     assert mine == _fit(oracle.train_svm_smo, x, y, c, tol, max_passes)
+
+
+# below, at and above one block of rows, and over several blocks with a
+# partial last one
+@pytest.mark.parametrize("n", [1, 5, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+@pytest.mark.parametrize("shape", ["gram", "cross"])
+def test_kernel_matches_the_two_array_build_bit_for_bit(n, shape):
+    rng = np.random.default_rng(n)
+    for d, scale, gamma in [(1, 0.01, 3.0), (4, 1.0, 0.25), (16, 10.0, 1e-3)]:
+        x = rng.normal(0.0, scale, (n, d))
+        x[: n // 3] = np.round(x[: n // 3], 1)  # repeated rows give exact zeros
+        # the fit's Gram matrix, or a test fold against support vectors
+        z = x if shape == "gram" else rng.normal(0.0, scale, (int(rng.integers(1, 150)), d))
+        mine = _rbf_matrix(x, z, gamma)
+        assert mine.shape == (n, len(z))
+        assert mine.tobytes() == oracle.rbf_matrix(x, z, gamma).tobytes()

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from biasaudit.dip import dip_statistic
 from biasaudit.errors import (
@@ -20,6 +21,7 @@ from biasaudit.stats import (
     MWU_EXACT_LIMIT,
     MwuMode,
     Sidedness,
+    _distinct,
     chi2_survival,
     chi_squared_one_sided,
     mann_whitney_u,
@@ -490,3 +492,47 @@ class TestSampleContract:
         rnd.shuffle(x)
         rnd.shuffle(y)
         assert _outcome(call, x, y) == want
+
+
+def _first_given(values: list) -> list:
+    """The sorted distinct values, each equal set represented by the one
+    given first: dict keys keep the first of 0.0 and -0.0."""
+    return sorted(dict.fromkeys(values))
+
+
+class TestDistinct:
+    """``_distinct`` against ``np.unique``: the same values, and of 0.0 and
+    -0.0 the one given first, which ``np.unique`` of floats leaves to an
+    unstable sort."""
+
+    ZEROS_AND_TIES = st.lists(
+        st.sampled_from([0.0, -0.0]) | st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6),
+        max_size=80,
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ZEROS_AND_TIES, st.booleans())
+    @example([0.0, -0.0], False)
+    @example([-0.0, 0.0], False)
+    # two sorted runs, as a sweep or ROC grid pools two sorted samples; at
+    # this size np.unique's sort keeps the second run's 0.0
+    @example([v for v in range(-20, 20) if v] + [-0.0] + [v for v in range(-20, 20) if v] + [0.0], True)
+    def test_floats_match_np_unique_and_keep_the_first_given_zero(self, xs, runs):
+        x = np.array(xs, dtype=float)
+        if runs:
+            half = len(x) // 2
+            x = np.concatenate([np.sort(x[:half], kind="stable"), np.sort(x[half:], kind="stable")])
+        got, want = _distinct(x), np.unique(x)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert np.signbit(got).tolist() == np.signbit(_first_given(x.tolist())).tolist()
+        negative_zeros = np.signbit(x[x == 0.0])
+        if negative_zeros.all() or not negative_zeros.any():
+            # one sign of zero, or none: every bit is np.unique's
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(hnp.arrays(np.int64, st.integers(0, 60), elements=st.integers(-5, 5)))
+    def test_integers_equal_np_unique(self, x):
+        # plots._m4 pools vertex indices
+        got, want = _distinct(x), np.unique(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -15,8 +15,10 @@ from biasaudit.errors import (
 )
 from biasaudit.report import AuditConfig, _separability
 from biasaudit.svm import (
+    _BLOCK_ROWS,
     FeatureMode,
     _pair_rows,
+    _rbf_matrix,
     auc_from_scores,
     cross_validated_auc,
     decision_score,
@@ -35,6 +37,16 @@ def make_blobs(seed=2, n_per=40, d=8, offset=1.0, scale=0.6):
     )
     y = np.concatenate([np.ones(n_per), -np.ones(n_per)])
     return x, y
+
+
+def traced_peak(call, *args):
+    """The peak of the memory tracemalloc traces while ``call(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_xor(seed=5, n_per=20, spread=0.3):
@@ -297,28 +309,30 @@ class TestTrainSvmSmo:
         assert not model.converged
 
     def test_kernel_memory_guard(self):
-        # 8,193 rows need two 8193 x 8193 arrays, 1.00 GiB: refused before
-        # either is allocated
+        # 8,193 rows need one 8193 x 8193 array, 512.1 MiB: refused before it
+        # is allocated
         x = np.zeros((8_193, 1))
         y = np.where(np.arange(8_193) % 2 == 0, 1.0, -1.0)
-        limit = r"8193 training rows.*the limit is 1 GiB \(8192 rows\)"
+        limit = r"8193 training rows need 512\.1 MiB.*the limit is 512 MiB \(8192 rows\)"
         with pytest.raises(ParameterError, match=limit):
             train_svm_smo(x, y)
 
-    def test_fit_holds_two_kernel_sized_arrays(self):
-        # the guard counts two n x n float64 arrays, as the kernel is built
-        # in place; the rest of a fit is O(n) vectors and numpy's fixed-size
-        # ufunc buffers
+    def test_fit_holds_one_kernel_sized_array(self):
+        # the guard counts one n x n float64 array, as the kernel is formed
+        # in it block by block; the rest of a fit is one 64-row block, O(n)
+        # vectors and numpy's fixed-size ufunc buffers
         x, y = make_blobs(seed=9, n_per=150, d=4)
         train_svm_smo(x, y)  # first-call allocations
-        tracemalloc.start()
-        try:
-            train_svm_smo(x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         n = len(x)
-        assert peak <= 2 * n * n * 8 + 256 * 1024
+        assert traced_peak(train_svm_smo, x, y) <= n * n * 8 + _BLOCK_ROWS * n * 8 + 256 * 1024
+
+    def test_kernel_build_holds_one_array_and_one_block(self):
+        # 2,000 rows: 32 MB for the kernel, where the two-array build held 64
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2_000, 16))
+        _rbf_matrix(x[:100], x[:100], 0.1)  # first-call allocations
+        n = len(x)
+        assert traced_peak(_rbf_matrix, x, x, 0.1) <= n * n * 8 + _BLOCK_ROWS * n * 8 + 256 * 1024
 
     def test_input_validation(self):
         x, y = make_blobs(n_per=5, d=2)

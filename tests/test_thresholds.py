@@ -345,13 +345,15 @@ class TestBiasSweep:
             ([1.0, 2.0], [1.0, 0.25], [0, 2], "signs must be -1, 0 or 1"),
             ([1.0, 2.0], [1.0, 0.25], [0, 300], "signs must be -1, 0 or 1"),
             ([1.0, 2.0], [1.0, 0.25], [0, 1.5], "signs must be -1, 0 or 1"),
+            # an object column is refused before its values are compared
+            ([1.0, 2.0], [1.0, 0.25], [None, 1], "signs must be -1, 0 or 1"),
             # a tie below alpha would leave its region without a worse group
             ([1.0], [0.01], [0], "sign is 0 only where p is 1"),
         ],
         ids=[
             "empty", "short-p", "short-signs", "2-d", "nan-grid", "inf-grid", "nan-p", "inf-p",
             "flat-grid", "falling-grid", "negative-p", "p-above-1", "sign-2", "sign-300", "sign-1.5",
-            "tie-below-alpha",
+            "sign-none", "tie-below-alpha",
         ],
     )
     def test_invalid_curve_rejected(self, grid, p_values, signs, match):
@@ -383,6 +385,17 @@ class TestBiasSweep:
             bias_sweep([1.0, 2.0], [1.5, 2.5], alpha=0.0)
         with pytest.raises(ParameterError):
             bias_sweep([1.0, 2.0], [1.5, 2.5], alpha=1.0)
+
+    def test_signed_zero_grid_keeps_the_first_given(self):
+        # group a gives -0.0, group b 0.0; at 40 rows each the grid's first
+        # point is the first given, where np.unique's sort kept b's 0.0
+        rng = np.random.default_rng(43)
+        a, b = rng.lognormal(-3, 0.4, (2, 40))
+        a[7], b[3] = -0.0, 0.0
+        assert np.signbit(bias_sweep(a, b).grid).tolist() == [True] + [False] * 78
+        assert not np.signbit(bias_sweep(b, a).grid).any()
+        assert np.signbit(roc_curve(a, b).thresholds[1])
+        assert not np.signbit(roc_curve(b, a).thresholds[1])
 
 
 def make_curve(p_values, directions=None, alpha=0.05):
