@@ -10,17 +10,27 @@ from __future__ import annotations
 
 import argparse
 import sys
+from enum import EnumMeta
 from pathlib import Path
 
 from . import __version__
-from .data import bona_fide_responses, load_codes_csv, load_csv, save_codes_csv, save_csv
+from .data import (
+    _utf8_text,
+    bona_fide_responses,
+    load_codes_csv,
+    load_csv,
+    save_codes_csv,
+    save_csv,
+)
 from .errors import AuditError, ParameterError
 from .report import (
     AuditConfig,
     _dip_tests,
     _name_sides,
     _operating_points,
+    _pcurve_rows,
     _separability,
+    _series_texts,
     render_json,
     run_audit,
 )
@@ -30,46 +40,22 @@ from .svm import FeatureMode, _pair_rows
 from .synth import _demo_codes, demo_dataset
 
 
-def _number(kind, what: str):
-    """An argparse type: the text as a ``kind``, int or float, for the flag
-    ``what``. It raises ParameterError, not ValueError, so a bad value exits
-    1, with a message that names the flag."""
+def _flag(what: str, convert, expected: str | None = None):
+    """An argparse type for the flag ``what``: the text through ``convert``,
+    an int, a float, an enum or a function. It turns a ValueError into a
+    ParameterError, so a bad value exits 1, not 2, with a message that names
+    the flag and what it expects: ``expected``, else the enum's values or the
+    name of ``convert``."""
+    if expected is None:
+        expected = convert.__name__
+        if isinstance(convert, EnumMeta):
+            expected = f"one of {', '.join(m.value for m in convert)}"
 
     def parse(text: str):
         try:
-            return kind(text)
+            return convert(text)
         except ValueError:
-            raise ParameterError(f"{what}: expected {kind.__name__}, got {text!r}") from None
-
-    return parse
-
-
-def _parse_quantiles(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(q) for q in text.split(","))
-    except ValueError:
-        raise ParameterError(f"bad quantile list: {text!r}") from None
-
-
-def _parse_gamma(text: str) -> float | None:
-    if text.lower() == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise ParameterError(f"gamma must be a number or 'auto', got {text!r}") from None
-
-
-def _parse_enum(enum_cls, what: str):
-    """An argparse type: the member of ``enum_cls`` whose value is the text.
-    It raises ParameterError, not ValueError, so a bad value exits 1."""
-
-    def parse(text: str):
-        for member in enum_cls:
-            if member.value == text:
-                return member
-        choices = ", ".join(m.value for m in enum_cls)
-        raise ParameterError(f"unknown {what} {text!r} (choose from: {choices})")
+            raise ParameterError(f"{what}: expected {expected}, got {text!r}") from None
 
     return parse
 
@@ -79,18 +65,25 @@ _DEFAULT = AuditConfig()
 # Each AuditConfig field, in field order, to the type and help of its flag
 # --field-name; the same type reads the field's value in a --config file.
 _FLAGS = {
-    "alpha": dict(type=_number(float, "--alpha"), help="significance level"),
+    "alpha": dict(type=_flag("--alpha", float), help="significance level"),
     "quantiles": dict(
-        type=_parse_quantiles,
+        type=_flag(
+            "--quantiles", lambda t: tuple(map(float, t.split(","))), "comma-separated floats"
+        ),
         help="comma-separated bona fide rejection quantiles for anchor thresholds",
     ),
-    "dip_replicas": dict(type=_number(int, "--dip-replicas"), help="cap on the null replicas drawn for dip critical values"),
-    "seed": dict(type=_number(int, "--seed"), help="master RNG seed"),
-    "svm_c": dict(type=_number(float, "--svm-c"), help="SVM soft-margin C"),
-    "svm_gamma": dict(type=_parse_gamma, help="RBF gamma, or 'auto'"),
-    "svm_folds": dict(type=_number(int, "--svm-folds"), help="cross-validation folds"),
+    "dip_replicas": dict(type=_flag("--dip-replicas", int), help="cap on the null replicas drawn for dip critical values"),
+    "seed": dict(type=_flag("--seed", int), help="master RNG seed"),
+    "svm_c": dict(type=_flag("--svm-c", float), help="SVM soft-margin C"),
+    "svm_gamma": dict(
+        type=_flag(
+            "--svm-gamma", lambda t: None if t.lower() == "auto" else float(t), "float or 'auto'"
+        ),
+        help="RBF gamma, or 'auto'",
+    ),
+    "svm_folds": dict(type=_flag("--svm-folds", int), help="cross-validation folds"),
     "feature_mode": dict(
-        type=_parse_enum(FeatureMode, "feature mode"),
+        type=_flag("--feature-mode", FeatureMode),
         help="code featurization: scaled-indices or code-histogram",
     ),
 }
@@ -112,16 +105,17 @@ def _add_audit_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_svm_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--codes-k", type=_number(int, "--codes-k"), help="codebook size when the CSV has no #K line")
+    p.add_argument("--codes-k", type=_flag("--codes-k", int), help="codebook size when the CSV has no #K line")
     _add_flags(p, _SVM_FLAGS)
 
 
 def _read_config_file(path: str) -> dict:
-    """Parse key=value lines; '#' starts a comment. The keys are AuditConfig's
-    field names (dashes read as underscores), each value converted with the
-    type of its flag in _FLAGS."""
+    """Parse key=value lines of UTF-8 text, a leading byte-order mark
+    skipped, as the CSVs are read; '#' starts a comment. The keys are
+    AuditConfig's field names (dashes read as underscores), each value
+    converted with the type of its flag in _FLAGS."""
     out = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, raw in enumerate(_utf8_text(Path(path)).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -192,8 +186,8 @@ def _cmd_sweep(args) -> int:
     b = bona_fide_responses(ds, pair.b)
     curve = bias_sweep(a, b, alpha=args.alpha, pair=pair)
     regions = significant_regions(curve)
-    for t, p in zip(curve.grid.tolist(), curve.p_values.tolist()):
-        print(f"{t!r},{p!r}")
+    # the rows of the audit's p-curve CSV of the pair, from the one writer
+    print(_pcurve_rows(_series_texts([curve])[0]).decode())
     print(f"# {len(regions)} significant region(s) at alpha={args.alpha:g}", file=sys.stderr)
     for r in regions:
         print(
@@ -272,7 +266,7 @@ def _cmd_svm_sep(args) -> int:
     groups = codes.groups()
     if len(groups) < 2:
         raise ParameterError(f"need at least two groups in {args.codes}")
-    rows = _pair_rows(codes, groups, cfg.svm_folds)
+    rows = _pair_rows(codes, groups, cfg.svm_folds, cfg.feature_mode)
     for key, auc in _separability(codes, rows, cfg).items():
         print(f"{key} auc {auc:.6f}")
     return 0
@@ -322,33 +316,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
-    p.add_argument("--alpha", type=_number(float, "--alpha"), default=_DEFAULT.alpha)
+    p.add_argument("--alpha", type=_flag("--alpha", float), default=_DEFAULT.alpha)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("chi2", help="one-sided rate test on explicit 2x2 counts")
     for name in ("accepted-a", "rejected-a", "accepted-b", "rejected-b"):
-        p.add_argument(f"--{name}", type=_number(int, f"--{name}"), required=True)
+        p.add_argument(f"--{name}", type=_flag(f"--{name}", int), required=True)
     p.set_defaults(func=_cmd_chi2)
 
     p = sub.add_parser("mwu", help="Mann-Whitney U between two groups' bona fide responses")
     p.add_argument("--data", required=True)
     p.add_argument("--group-a", required=True)
     p.add_argument("--group-b", required=True)
-    p.add_argument("--mode", type=_parse_enum(MwuMode, "mode"), default=MwuMode.AUTO,
+    p.add_argument("--mode", type=_flag("--mode", MwuMode), default=MwuMode.AUTO,
                    help="auto, exact, or normal-approx")
     p.set_defaults(func=_cmd_mwu)
 
     p = sub.add_parser("dip", help="dip unimodality test for one group")
     p.add_argument("--data", required=True)
     p.add_argument("--group", required=True)
-    p.add_argument("--alpha", type=_number(float, "--alpha"), default=_DEFAULT.alpha)
+    p.add_argument("--alpha", type=_flag("--alpha", float), default=_DEFAULT.alpha)
     p.add_argument(
         "--replicas",
-        type=_number(int, "--replicas"),
+        type=_flag("--replicas", int),
         default=_DEFAULT.dip_replicas,
         help="cap on the null replicas drawn; drawing stops once the verdict is settled",
     )
-    p.add_argument("--seed", type=_number(int, "--seed"), default=_DEFAULT.seed)
+    p.add_argument("--seed", type=_flag("--seed", int), default=_DEFAULT.seed)
     p.set_defaults(func=_cmd_dip)
 
     p = sub.add_parser("sw", help="Shapiro-Wilk normality test for one group")
@@ -367,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a seeded synthetic dataset (and codes)")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-per-group", type=_number(int, "--n-per-group"), default=200)
-    p.add_argument("--seed", type=_number(int, "--seed"), default=_DEFAULT.seed)
+    p.add_argument("--n-per-group", type=_flag("--n-per-group", int), default=200)
+    p.add_argument("--seed", type=_flag("--seed", int), default=_DEFAULT.seed)
     p.add_argument("--no-attacks", action="store_true")
     p.add_argument("--no-codes", action="store_true")
     p.set_defaults(func=_cmd_synth)

@@ -115,16 +115,21 @@ def _csv_reader(path: Path):
             raise RowError(path, reader.line_num, str(exc)) from None
         except UnicodeDecodeError:
             # the reader decodes ahead of the row it is on, so find the
-            # first bad byte in the file itself; the BOM is valid UTF-8
-            raw = path.read_bytes()
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                before = raw[: exc.start].decode("utf-8")
-                line = len(re.split("\r\n|\r|\n", before))
-                message = f"not UTF-8 text (byte 0x{raw[exc.start]:02x})"
-                raise RowError(path, line, message) from None
+            # first bad byte in the file itself
+            _utf8_text(path)
             raise
+
+
+def _utf8_text(path: Path) -> str:
+    """The UTF-8 text of ``path``, a leading byte-order mark dropped. A byte
+    that is not UTF-8 raises RowError at its physical line."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")  # the BOM is valid UTF-8, so it counts
+    except UnicodeDecodeError as exc:
+        line = len(re.split("\r\n|\r|\n", raw[: exc.start].decode("utf-8")))
+        raise RowError(path, line, f"not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
+    return text.removeprefix("\ufeff")
 
 
 def _numbered_rows(reader):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .report import AuditReport, _pcurve_csv
+from .report import AuditReport, _pcurve_rows
 from .stats import _distinct
 
 __all__ = ["render_plots"]
@@ -218,7 +218,7 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for i, pa in enumerate(report.pairs):
+    for i, (pa, texts) in enumerate(zip(report.pairs, report._series)):
         pair = pa.pair
         stem = f"{i:02d}_{_sanitize(pair.a)}_vs_{_sanitize(pair.b)}"
         # Python floats and ints from here on: the files are written with repr
@@ -236,7 +236,8 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
             encoding="utf-8",
         )
         pcurve_csv = out / f"pcurve_{stem}.csv"
-        pcurve_csv.write_bytes(_pcurve_csv(pa))
+        # one unnamed join, so no copy of the rows outlives the write
+        pcurve_csv.write_bytes(b"".join([b"threshold,p_value\n", _pcurve_rows(texts), b"\n"]))
 
         hist_svg = out / f"hist_{stem}.svg"
         hist_svg.write_text(

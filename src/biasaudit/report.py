@@ -152,16 +152,6 @@ class PairAnalysis:
     hist_edges: np.ndarray
     hist_counts: np.ndarray
 
-    @cached_property
-    def _series_text(self) -> tuple[bytes, bytes]:
-        """The sweep's grid and p-values, each as the shortest round-trip
-        reprs of its floats joined by ``_SERIES_SEP``, in ASCII bytes: the
-        items of report.json's lists and the columns of the p-curve CSV,
-        formatted and held once for both. The curve holds finite floats
-        only. ``render_json`` gives every pair its text at once, through
-        ``_format_series``."""
-        return _series_texts([self])[0]
-
 
 def _series_join(reprs: Iterable[str]) -> bytes:
     return _SERIES_SEP.join(reprs).encode()
@@ -182,32 +172,26 @@ def _grid_texts(grids: list[np.ndarray]) -> list[bytes]:
     return texts
 
 
-def _series_texts(pairs: Sequence[PairAnalysis]) -> list[tuple[bytes, bytes]]:
-    """Each pair's ``_series_text``: the grids through ``_grid_texts``, whose
-    table is freed before the p-values are formatted."""
-    grids = _grid_texts([pa.curve.grid for pa in pairs])
+def _series_texts(curves: Sequence[BiasCurve]) -> list[tuple[bytes, bytes]]:
+    """Each curve's grid and p-values, each as the shortest round-trip reprs
+    of its floats joined by ``_SERIES_SEP``, in ASCII bytes: the items of
+    report.json's lists and the columns of the p-curve CSV. The grids go
+    through ``_grid_texts``, whose table is freed before the p-values are
+    formatted. A curve holds finite floats only."""
+    grids = _grid_texts([c.grid for c in curves])
     return [
-        (grid, _series_join(map(float.__repr__, pa.curve.p_values.tolist())))
-        for pa, grid in zip(pairs, grids)
+        (grid, _series_join(map(float.__repr__, c.p_values.tolist())))
+        for c, grid in zip(curves, grids)
     ]
 
 
-def _format_series(pairs: Sequence[PairAnalysis]) -> None:
-    """Give each pair that has none its ``_series_text``, all through one
-    ``_series_texts``, stored where cached_property stores it."""
-    todo = [pa for pa in pairs if "_series_text" not in vars(pa)]
-    if todo:
-        for pa, text in zip(todo, _series_texts(todo)):
-            vars(pa)["_series_text"] = text
-
-
-def _pcurve_csv(pa: PairAnalysis) -> bytes:
-    """The pair's p-curve CSV bytes: a header and one row per threshold, the
-    reprs report.json holds, split out of ``_series_text``. A float repr
-    never needs CSV quoting, so one join writes csv.writer's bytes."""
-    grid, p_values = (text.split(_SERIES_SEP.encode()) for text in pa._series_text)
-    rows = b"\n".join(map(b",".join, zip(grid, p_values)))
-    return b"".join([b"threshold,p_value\n", rows, b"\n"])
+def _pcurve_rows(texts: tuple[bytes, bytes]) -> bytes:
+    """The p-curve CSV's rows, ``threshold,p_value`` each, split out of a
+    curve's series texts and joined by newlines, with no header and no final
+    newline. A float repr never needs CSV quoting, so one join writes
+    csv.writer's bytes."""
+    grid, p_values = (text.split(_SERIES_SEP.encode()) for text in texts)
+    return b"\n".join(map(b",".join, zip(grid, p_values)))
 
 
 @dataclass(frozen=True)
@@ -224,6 +208,12 @@ class AuditReport:
     per_group_hter: dict[str, OperatingPoint] | None
     pairs: tuple[PairAnalysis, ...]
     svm_auc: dict[str, float] | None
+
+    @cached_property
+    def _series(self) -> tuple[tuple[bytes, bytes], ...]:
+        """Each pair's ``_series_texts``, in pair order, formed in one batch
+        on first use, by render_json or render_plots, and held for both."""
+        return tuple(_series_texts([pa.curve for pa in self.pairs]))
 
     def to_dict(self) -> dict:
         return self._dict(np.ndarray.tolist)
@@ -407,7 +397,7 @@ def run_audit(
             )
         bona[g] = vals
     # checked here so that bad codes fail before the dip null, not after
-    rows = None if codes is None else _pair_rows(codes, groups, cfg.svm_folds)
+    rows = None if codes is None else _pair_rows(codes, groups, cfg.svm_folds, cfg.feature_mode)
     pooled_bona = bona_fide_responses(ds)
     pooled_attack = attack_responses(ds)
 
@@ -461,12 +451,10 @@ def render_json(report: AuditReport) -> bytes:
 
     Floats use Python's shortest round-trip repr (up to 17 significant
     digits), so equal reports render to identical bytes. The sweep series
-    are each pair's ``_series_text``, with each distinct threshold of the
-    report formatted once, written as the bytes ``json.dumps`` would give
-    them and spliced into the encoded rest of the report by one join, the
-    only report-sized buffer made here.
+    are the report's ``_series``, the bytes ``json.dumps`` would give them,
+    spliced into the encoded rest of the report by one join, the only
+    report-sized buffer made here.
     """
-    _format_series(report.pairs)
     encoded = json.dumps(
         report._dict(lambda _: _SERIES_HOLE), sort_keys=True, indent=2, allow_nan=False
     ).encode()
@@ -476,8 +464,9 @@ def render_json(report: AuditReport) -> bytes:
     pieces = [parts[0]]
     holes = iter(parts[1:])
     # sort_keys lays the holes out by pair key, then grid before p_values
-    for pa in sorted(report.pairs, key=lambda pa: pa.pair.key):
-        for text in pa._series_text:
+    # (the count check above makes the keys unique)
+    for _, texts in sorted(zip([pa.pair.key for pa in report.pairs], report._series)):
+        for text in texts:
             # a list at bias_sweeps.A|B.name: items 8 spaces in, the bracket
             # 6; the text goes in as its own piece, so it is copied once
             pieces += [b"[\n        ", text, b"\n      ]", next(holes)]

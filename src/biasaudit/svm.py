@@ -43,12 +43,13 @@ class FeatureMode(enum.Enum):
 
 def featurize(m: CodeMatrix, mode: FeatureMode = FeatureMode.SCALED_INDICES) -> np.ndarray:
     """Real-valued features, one row per code vector: (n, d) scaled indices
-    or (n, k) code histograms."""
+    or (n, k) code histograms, the latter held to the kernel's 512 MiB."""
     if not isinstance(mode, FeatureMode):
         raise ParameterError(f"mode must be a FeatureMode, got {mode!r}")
     if mode is FeatureMode.SCALED_INDICES:
         return m.codes / (m.k - 1)
     n, d = m.codes.shape
+    _check_histogram(n, m.k)
     # row i's codes land in bins [i * k, (i + 1) * k)
     flat = (m.codes + m.k * np.arange(n)[:, None]).ravel()
     return np.bincount(flat, minlength=n * m.k).reshape(n, m.k) / d
@@ -106,6 +107,16 @@ def _check_kernel_rows(n: int) -> None:
         raise ParameterError(
             f"{n} training rows need {need / 2**20:.1f} MiB for the kernel; "
             f"the limit is 512 MiB ({math.isqrt(_MAX_KERNEL_BYTES // 8)} rows)"
+        )
+
+
+def _check_histogram(n: int, k: int) -> None:
+    """Code-histogram features are an n x k float64 matrix."""
+    need = n * k * 8
+    if need > _MAX_KERNEL_BYTES:
+        raise ParameterError(
+            f"code-histogram features of {n} rows by k = {k} need {need / 2**20:.1f} MiB; "
+            f"the limit is 512 MiB"
         )
 
 
@@ -313,12 +324,18 @@ def cross_validated_auc(
     return float(np.mean(aucs))
 
 
-def _pair_rows(m: CodeMatrix, groups: Sequence[str], folds: int) -> dict[str, np.ndarray]:
+def _pair_rows(
+    m: CodeMatrix,
+    groups: Sequence[str],
+    folds: int,
+    mode: FeatureMode = FeatureMode.SCALED_INDICES,
+) -> dict[str, np.ndarray]:
     """Each of ``groups``' row indices in ``m``, in input order, once every
-    group is checked to have at least ``folds`` rows and every pair's
-    largest training set (the last fold holds out floor(n/k) rows of each
-    group, the fewest) to fit the kernel limit; so inputs the pairwise SVM
-    would refuse fail before anything is trained."""
+    group is checked to have at least ``folds`` rows, every pair's largest
+    training set (the last fold holds out floor(n/k) rows of each group, the
+    fewest) to fit the kernel limit, and every pair's ``mode`` features to
+    fit the same limit; so inputs the pairwise SVM would refuse fail before
+    anything is trained."""
     code_of = {g: i for i, g in enumerate(m.groups())}
     rows = {g: np.flatnonzero(m.group_codes == code_of.get(g, -1)) for g in groups}
     for g, idx in rows.items():
@@ -329,4 +346,6 @@ def _pair_rows(m: CodeMatrix, groups: Sequence[str], folds: int) -> dict[str, np
     train = {g: len(idx) - len(idx) // folds for g, idx in rows.items()}
     for a, b in combinations(groups, 2):
         _check_kernel_rows(train[a] + train[b])
+        if mode is FeatureMode.CODE_HISTOGRAM:
+            _check_histogram(len(rows[a]) + len(rows[b]), m.k)
     return rows

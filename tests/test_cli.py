@@ -13,6 +13,7 @@ import pytest
 import biasaudit
 import biasaudit.cli as cli_module
 import biasaudit.dip as dip_module
+import biasaudit.svm as svm_module
 from biasaudit.cli import _config_from_args, build_parser, main
 from biasaudit.data import load_codes_csv
 from biasaudit.report import AuditConfig
@@ -285,6 +286,39 @@ class TestAuditCommand:
         with pytest.raises(AssertionError, match="the dip null ran"):
             main(["audit", "--out", str(tmp_path / "o")] + demo)
 
+    def test_oversized_code_histograms_rejected_before_any_fit(
+        self, synth_dir, tmp_path, monkeypatch, capsys
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the dip null or an SVM fit ran")
+
+        monkeypatch.setattr(dip_module, "_sequential_null", unreachable)
+        monkeypatch.setattr(svm_module, "train_svm_smo", unreachable)
+        # the demo codes with a codebook of 10^12 entries: a pair's histogram
+        # features would need 2^40 times the kernel's 512 MiB limit
+        lines = (synth_dir / "codes.csv").read_text().split("\n", 1)
+        assert lines[0] == "#K=64"
+        codes = tmp_path / "codes.csv"
+        codes.write_text("#K=1000000000000\n" + lines[1])
+        out = tmp_path / "o"
+        hist = ["--codes", str(codes), "--feature-mode", "code-histogram"]
+        for argv in (
+            ["audit", "--data", str(synth_dir / "responses.csv"), "--out", str(out)] + hist,
+            ["svm-sep"] + hist,
+        ):
+            assert main(argv) == 1, argv
+            text = capsys.readouterr()
+            assert text.out == ""
+            assert re.fullmatch(
+                r"error: code-histogram features of 80 rows by k = 1000000000000 need "
+                r"[0-9.]+ MiB; the limit is 512 MiB\n",
+                text.err,
+            )
+        assert not out.exists()
+        # control: scaled indices do not grow with k, and reach the fit
+        with pytest.raises(AssertionError, match="an SVM fit ran"):
+            main(["svm-sep", "--codes", str(codes)])
+
     def test_missing_data_file_is_io_error(self, tmp_path, capsys):
         code = main(
             ["audit", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]
@@ -438,6 +472,26 @@ class TestConfigFile:
         assert code == 1
         assert f"{cfg}:1: bad value for alpha" in capsys.readouterr().err
 
+    def test_byte_order_mark_skipped(self, synth_dir, tmp_path, capsys):
+        # read as the CSVs are: a leading BOM is not part of the first key
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfsvm_folds = 3\n")
+        codes = str(synth_dir / "codes.csv")
+        assert main(["--config", str(cfg), "svm-sep", "--codes", codes]) == 0
+        from_file = capsys.readouterr()
+        assert main(["svm-sep", "--codes", codes, "--svm-folds", "3"]) == 0
+        assert capsys.readouterr() == from_file
+
+    def test_bad_byte_names_file_and_line(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfalpha = 0.01\r\n# seed\r\nseed = \xff7\n")
+        out = tmp_path / "o"
+        data = str(synth_dir / "responses.csv")
+        code = main(["--config", str(cfg), "audit", "--data", data, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {cfg}: line 3: not UTF-8 text (byte 0xff)\n")
+        assert not out.exists()
+
 
 class TestStatSubcommands:
     def test_chi2(self, capsys):
@@ -488,7 +542,9 @@ class TestStatSubcommands:
             ]
         )
         assert code == 1
-        assert "unknown mode" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --mode: expected one of auto, exact, normal-approx, got 'bogus'\n"
+        )
 
     def test_svm_sep_bad_feature_mode(self, synth_dir, capsys):
         code = main(
@@ -496,8 +552,7 @@ class TestStatSubcommands:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "unknown feature mode 'bogus'" in err
-        assert "scaled-indices" in err
+        assert "--feature-mode: expected one of scaled-indices, code-histogram, got 'bogus'" in err
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -656,6 +711,19 @@ class TestStatSubcommands:
         assert main(["sweep", "--data", data, "--group-a", "beta", "--group-b", "alpha"]) == 0
         assert capsys.readouterr() == captured
 
+    def test_sweep_rows_are_the_pcurve_csv(self, synth_dir, audit_dir, capsys):
+        # one writer forms both: the audit's p-curve CSV of each pair, header
+        # aside, whichever order the groups are named in
+        data = str(synth_dir / "responses.csv")
+        paths = sorted(audit_dir.glob("pcurve_*.csv"))
+        assert len(paths) == 6
+        for path in paths:
+            a, b = path.stem.split("_")[2::2]
+            assert main(["sweep", "--data", data, "--group-a", b, "--group-b", a]) == 0
+            header, rows = path.read_text().split("\n", 1)
+            assert header == "threshold,p_value"
+            assert capsys.readouterr().out == rows
+
     def test_svm_sep(self, synth_dir, capsys):
         code = main(["svm-sep", "--codes", str(synth_dir / "codes.csv")])
         assert code == 0
@@ -672,8 +740,11 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "flag, message",
         [
-            (["--quantiles", "0.1,,0.2"], "bad quantile list: '0.1,,0.2'"),
-            (["--svm-gamma", "abc"], "gamma must be a number or 'auto', got 'abc'"),
+            (
+                ["--quantiles", "0.1,,0.2"],
+                "--quantiles: expected comma-separated floats, got '0.1,,0.2'",
+            ),
+            (["--svm-gamma", "abc"], "--svm-gamma: expected float or 'auto', got 'abc'"),
             (["--alpha", "abc"], "--alpha: expected float, got 'abc'"),
             (["--dip-replicas", "1.5"], "--dip-replicas: expected int, got '1.5'"),
             (

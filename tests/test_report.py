@@ -346,14 +346,36 @@ class TestRenderJsonOracle:
         keeps the sign of its own zero."""
         rep = make(tmp_path)
         render_json(rep)
-        for pa in rep.pairs:
-            assert "_series_text" in vars(pa)  # given by render_json
+        assert "_series" in vars(rep)  # formed by render_json
+        for pa, texts in zip(rep.pairs, rep._series, strict=True):
             want = [_SERIES_SEP.join(map(float.__repr__, a.tolist())).encode()
                     for a in (pa.curve.grid, pa.curve.p_values)]
-            assert list(pa._series_text) == want
+            assert list(texts) == want
         if make is _signed_zeros:
             signs = {math.copysign(1.0, pa.curve.grid[0]) for pa in rep.pairs}
             assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize(
+        "make", [_readme_demo, _tied, _signed_zeros], ids=["readme-demo", "tied", "signed-zeros"]
+    )
+    def test_writers_share_one_text_in_any_order(self, make, tmp_path):
+        """The report forms its series once, for whichever writer runs first:
+        render_plots alone, before render_json and after it writes the same
+        p-curve CSVs, and render_json after render_plots is still one
+        json.dumps of to_dict()."""
+        csvs = {}
+        for order in ("alone", "before", "after"):
+            rep = make(tmp_path)
+            out = tmp_path / order
+            if order == "after":
+                render_json(rep)
+            render_plots(rep, out)
+            if order == "before":
+                want = json.dumps(rep.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+                assert render_json(rep) == want.encode() + b"\n"
+            csvs[order] = {p.name: p.read_bytes() for p in out.glob("pcurve_*.csv")}
+        assert len(csvs["alone"]) == len(rep.pairs)
+        assert csvs["alone"] == csvs["before"] == csvs["after"]
 
     @pytest.mark.parametrize("name", ["grid", "p_values"])
     def test_non_finite_series_rejected(self, report, name):
@@ -387,8 +409,7 @@ class TestRenderJsonMemory:
             np.concatenate([rng.lognormal(-3, 0.4, n), rng.lognormal(-2.9, 0.4, n)]),
         )
         rep = run_audit(ds, AuditConfig(dip_replicas=50))
-        for pa in rep.pairs:
-            pa._series_text
+        rep._series
         tracemalloc.start()
         try:
             out = render_json(rep)

@@ -198,6 +198,16 @@ class TestFeaturize:
         m = CodeMatrix([(2, 2, 2)], ["g"], k=16)
         assert featurize(m, FeatureMode.CODE_HISTOGRAM).shape == (1, 16)
 
+    def test_histogram_over_the_kernel_limit_refused(self):
+        # 3 rows by k = 10^12 would be 22 TiB of float64; refused, not allocated
+        m = CodeMatrix([(0, 5), (1, 2), (3, 3)], ["a", "b", "a"], k=10**12)
+        with pytest.raises(
+            ParameterError,
+            match=r"features of 3 rows by k = 1000000000000 need .* MiB; the limit is 512 MiB",
+        ):
+            featurize(m, FeatureMode.CODE_HISTOGRAM)
+        assert featurize(m).shape == (3, 2)  # scaled indices do not grow with k
+
     def test_many_rows_match_per_row_features(self):
         rng = np.random.default_rng(31)
         codes = rng.integers(0, 10, (25, 7))
@@ -483,6 +493,17 @@ class TestCrossValidatedAuc:
             _pair_rows(codes(5121, 5120), ["a", "b"], 5)
         with pytest.raises(InsufficientDataError, match="group 'b'"):
             _pair_rows(codes(10, 4), ["a", "b"], 5)
+
+    def test_pair_histograms_checked_against_the_kernel_limit(self):
+        # a pair featurizes all of its rows: 2 + 2 rows by k = 2^24 are
+        # exactly 512 MiB of float64, one more codebook entry is over
+        m = CodeMatrix(np.zeros((6, 1), dtype=np.int64), ["a", "b", "c"] * 2, 2**24)
+        hist = FeatureMode.CODE_HISTOGRAM
+        assert len(_pair_rows(m, ["a", "b", "c"], 2, hist)) == 3
+        wider = CodeMatrix(m.codes, m.labels(), 2**24 + 1)
+        with pytest.raises(ParameterError, match="features of 4 rows by k = 16777217 need"):
+            _pair_rows(wider, ["a", "b", "c"], 2, hist)
+        assert len(_pair_rows(wider, ["a", "b", "c"], 2)) == 3  # scaled indices
 
     def test_folds_and_seed_validation(self):
         rng = np.random.default_rng(47)
