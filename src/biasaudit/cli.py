@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import (
+    _lines,
     _utf8_text,
     bona_fide_responses,
     load_codes_csv,
@@ -22,7 +23,7 @@ from .data import (
     save_codes_csv,
     save_csv,
 )
-from .errors import AuditError, ParameterError
+from .errors import AuditError, ParameterError, RowError
 from .report import (
     AuditConfig,
     _dip_tests,
@@ -111,24 +112,25 @@ def _add_svm_options(p: argparse.ArgumentParser) -> None:
 
 def _read_config_file(path: str) -> dict:
     """Parse key=value lines of UTF-8 text, a leading byte-order mark
-    skipped, as the CSVs are read; '#' starts a comment. The keys are
-    AuditConfig's field names (dashes read as underscores), each value
-    converted with the type of its flag in _FLAGS."""
+    skipped and the lines numbered, as the CSVs are read; '#' starts a
+    comment. The keys are AuditConfig's field names (dashes read as
+    underscores), each value converted with the type of its flag in _FLAGS.
+    A bad line raises RowError at its physical line."""
     out = {}
-    for ln, raw in enumerate(_utf8_text(Path(path)).splitlines(), 1):
+    for ln, raw in enumerate(_lines(_utf8_text(Path(path))), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParameterError(f"{path}:{ln}: expected key=value, got {raw!r}")
+            raise RowError(path, ln, f"expected key=value, got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
         if key not in _FLAGS:
-            raise ParameterError(f"{path}:{ln}: unknown config key {key!r}")
+            raise RowError(path, ln, f"unknown config key {key!r}")
         try:
             out[key] = _FLAGS[key]["type"](value)
         except ParameterError as exc:
-            raise ParameterError(f"{path}:{ln}: bad value for {key}: {exc}") from None
+            raise RowError(path, ln, f"bad value for {key}: {exc}") from None
     return out
 
 

@@ -127,9 +127,15 @@ def _utf8_text(path: Path) -> str:
     try:
         text = raw.decode("utf-8")  # the BOM is valid UTF-8, so it counts
     except UnicodeDecodeError as exc:
-        line = len(re.split("\r\n|\r|\n", raw[: exc.start].decode("utf-8")))
+        line = len(_lines(raw[: exc.start].decode("utf-8")))
         raise RowError(path, line, f"not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
     return text.removeprefix("\ufeff")
+
+
+def _lines(text: str) -> list[str]:
+    """The physical lines of ``text``, as csv.reader counts them: each ends
+    at \\r\\n, \\r or \\n and at nothing else."""
+    return re.split("\r\n|\r|\n", text)
 
 
 def _numbered_rows(reader):

@@ -14,16 +14,12 @@ every sample point bit for bit, at a cost that grows with the number of
 distinct values rather than with n. The reference it must match is the
 one-point-per-sample kernel in tests/_dip_oracle.py.
 
-Each pass takes the GCM and the LCM of the kept points in the modal
-interval. A hull knot lies strictly below (GCM) or above (LCM) every chord
-of two other points on either side of it, so numpy steps drop, all at once,
-each point that fails that test: first against the chord of the two ends,
-whose products the first pass's two hulls share, then against its two
-neighbours, until few points are left, and a stack scan finishes. The knots
-of a wider pass that lie in the narrower interval are knots of its hulls
-too, so a pass rebuilds only the piece of each hull past the last of them;
-the knots carry their values and sample indices as lists from pass to
-pass.
+Each pass builds the GCM and the LCM of the kept points in the modal
+interval whole. A hull knot lies strictly below (GCM) or above (LCM) every
+chord of two other points on either side of it, so numpy steps drop, all at
+once, each point that fails that test: first against the chord of the two
+ends, whose products the pass's two hulls share, then against its two
+neighbours, until few points are left, and a stack scan finishes.
 
 Null critical values are not tabulated; they are simulated from the uniform
 null (any unimodal null gives the same dip distribution in the limit, and the
@@ -47,7 +43,6 @@ is the settled verdict; a dip that never settles gets the fixed-cap verdict.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
@@ -71,10 +66,10 @@ _Knots = tuple[list[int], list[float], list[float]]
 # one look's draws, the driver's small objects and what numpy allocates on
 # its first calls (tracemalloc reads 2-19 KiB on a cold call, 1.6 KiB once
 # numpy's caches are warm), and _POINT_BYTES per sample point for the
-# kernel's arrays: the sample's three rows and, at the first pass, the
+# kernel's arrays: the sample's three rows and, at each pass, the
 # chord products both hulls share, the points a hull's step keeps, its
 # differences and products and the deviation scan's per-point terms
-# (tracemalloc reads at most 128 B per point over 400 replicas at n = 200,
+# (tracemalloc reads at most 129 B per point over 400 replicas at n = 200,
 # 114 over 100 at n = 2,000 and 113 over 100 at n = 20,000, the sample's
 # rows included)
 _MAX_NULL_BYTES = 1 << 30
@@ -160,7 +155,7 @@ def _drop(span: np.ndarray, products: np.ndarray, upper: bool) -> np.ndarray:
     return span.compress(keep, axis=1)
 
 
-def _hull(span: np.ndarray, upper: bool, chord: np.ndarray | None = None) -> _Knots:
+def _hull(span: np.ndarray, upper: bool, chord: np.ndarray | None) -> _Knots:
     """The knots of the GCM, or with ``upper`` the LCM, of the kept points
     in ``span``: their indices, values and sample indices, three ascending
     lists.
@@ -170,16 +165,17 @@ def _hull(span: np.ndarray, upper: bool, chord: np.ndarray | None = None) -> _Kn
     each point that lies on or above (GCM) or on or below (LCM) the chord of
     two others, which a knot never does; within a run of equal values that
     drops every point but the first (GCM) or last (LCM) one, and the other
-    only if it ends ``span``. The first step tests each point against the
-    chord of the two ends (``chord``, when the caller has those products
-    already), which drops a concave stretch at once; the others against its
-    neighbours. Once at most ``_STACK`` points are left, or a step drops
-    none, a stack scan finishes: from the left for the GCM, as the reference
-    kernel's prefix hulls are; for the LCM, from the right on the points
-    mirrored through the origin, as its suffix hulls are, and negation is
-    exact, so its tests give the same bits."""
+    only if it ends ``span``. A ``span`` of more than ``_STACK`` points comes
+    with ``chord``, the ``_chord_products`` of its points, which the first
+    step tests each point against, dropping a concave stretch at once; the
+    other steps test each point against its neighbours. Once at most
+    ``_STACK`` points are left, or a step drops none, a stack scan finishes:
+    from the left for the GCM, as the reference kernel's prefix hulls are;
+    for the LCM, from the right on the points mirrored through the origin, as
+    its suffix hulls are, and negation is exact, so its tests give the same
+    bits."""
     if span.shape[1] > _STACK:
-        span = _drop(span, _chord_products(span) if chord is None else chord, upper)
+        span = _drop(span, chord, upper)
     while span.shape[1] > _STACK:
         m = span.shape[1]
         d = span[:2, 1:] - span[:2, :-1]
@@ -217,8 +213,6 @@ def _deviation(pts: np.ndarray, below: _Knots, above: _Knots) -> float:
             terms.append((xs[b], ps[b] - s, dp / dx, s) if dp > 1 and dx != 0 else (0.0,) * 4)
     if not lens:
         return 0.0
-    if not any(term[3] for term in terms):
-        return 1.0
     x, p = spans[0] if len(spans) == 1 else np.concatenate(spans, axis=1)
     xb, q, c, s = np.repeat(np.array(terms).T, lens, axis=1)
     t = s * ((p - q) - (x - xb) * c)
@@ -238,14 +232,13 @@ def _dip_points(pts: np.ndarray) -> float:
         return 1.0 / (2 * n)
 
     low, high = 0, m - 1
-    # both hulls of the first pass test each point against the same chord
-    chord = _chord_products(pts) if m > _STACK else None
-    gcm = _hull(pts, False, chord)
-    lcm = _hull(pts, True, chord)
     dip2n = 0.0  # dip in units of 2n * sup-deviation
     for _ in range(m + 2):  # the interval shrinks; m + 2 passes is a safe cap
-        gk, gx, gp = gcm
-        lk, lx, lp = lcm
+        span = pts[:, low : high + 1]
+        # both hulls test each point against the same chord first
+        chord = _chord_products(span) if span.shape[1] > _STACK else None
+        gk, gx, gp = _hull(span, False, chord)
+        lk, lx, lp = _hull(span, True, chord)
         top_g = len(gk) - 1
         top_l = len(lk) - 1
         ig, ih = 0, top_l
@@ -295,18 +288,6 @@ def _dip_points(pts: np.ndarray) -> float:
         if low == gk[ig] and high == lk[ih]:
             break
         low, high = gk[ig], lk[ih]
-        # each hull's knots inside [low, high] are knots of its hull there;
-        # only the piece past the last of them is built anew
-        g = bisect_right(gk, high)
-        gcm = (gk[ig:g], gx[ig:g], gp[ig:g])
-        if gk[g - 1] < high:
-            piece = _hull(pts[:, gk[g - 1] : high + 1], False)
-            gcm = tuple(v[:-1] + w for v, w in zip(gcm, piece))
-        h = bisect_left(lk, low)
-        lcm = (lk[h : ih + 1], lx[h : ih + 1], lp[h : ih + 1])
-        if lk[h] > low:
-            piece = _hull(pts[:, low : lk[h] + 1], True)
-            lcm = tuple(w + v[1:] for v, w in zip(lcm, piece))
     else:  # pragma: no cover - loop cap is unreachable for valid input
         raise RuntimeError("dip search failed to stabilize")
 

@@ -29,8 +29,8 @@ class SchemaError(AuditError):
 
 
 class RowError(AuditError):
-    """A row of an input file failed validation: a CSV record, or any line
-    that is not UTF-8 text.
+    """A row of an input file failed validation: a CSV record, a config
+    line, or any line that is not UTF-8 text.
 
     Carries the file's ``path`` and the 1-based ``line`` number of the
     offending row, and names both: ``{path}: line {line}: {message}``.

@@ -14,6 +14,7 @@ import biasaudit
 import biasaudit.cli as cli_module
 import biasaudit.dip as dip_module
 import biasaudit.svm as svm_module
+from biasaudit import synth
 from biasaudit.cli import _config_from_args, build_parser, main
 from biasaudit.data import load_codes_csv
 from biasaudit.report import AuditConfig
@@ -470,7 +471,46 @@ class TestConfigFile:
         data = str(synth_dir / "responses.csv")
         code = main(["--config", str(cfg), "audit", "--data", data, "--out", str(tmp_path / "o")])
         assert code == 1
-        assert f"{cfg}:1: bad value for alpha" in capsys.readouterr().err
+        assert f"{cfg}: line 1: bad value for alpha" in capsys.readouterr().err
+
+    def test_lines_numbered_as_the_csvs_are(self, synth_dir, tmp_path, capsys):
+        # only \r\n, \r and \n end a line, as for csv.reader and the bad-byte
+        # search: the form feed is inside line 1, and every error of a config
+        # line names the file and the line in RowError's form
+        data = str(synth_dir / "responses.csv")
+        out = tmp_path / "o"
+        for text, message in (
+            ("alpha = 0.05\x0c# x\nseed = abc\n", "line 2: bad value for seed: "),
+            ("alpha = 0.05\r\x0b\rnot_a_key = 5\n", "line 3: unknown config key 'not_a_key'"),
+            ("\u2028\n\x85\rseed 7\n", "line 3: expected key=value, got 'seed 7'"),
+        ):
+            cfg = tmp_path / "ff.cfg"
+            cfg.write_text(text, encoding="utf-8", newline="")
+            code = main(["--config", str(cfg), "audit", "--data", data, "--out", str(out)])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {cfg}: {message}")
+            assert captured.err.count("\n") == 1
+            assert not out.exists()
+
+    def test_crlf_and_bom_configs_audit_as_the_flags_do(self, synth_dir, tmp_path):
+        data = str(synth_dir / "responses.csv")
+        args = ["audit", "--data", data, "--dip-replicas", "150"]
+
+        def tree(name):
+            return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+        assert main(args + ["--out", str(tmp_path / "flags"), "--seed", "3", "--alpha", "0.1"]) == 0
+        want = tree("flags")
+        for name, raw in (
+            ("crlf", b"seed = 3\r\n# alpha\r\nalpha = 0.1\r\n"),
+            ("bom", b"\xef\xbb\xbfseed = 3\nalpha = 0.1"),
+        ):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(raw)
+            assert main(["--config", str(cfg)] + args + ["--out", str(tmp_path / name)]) == 0
+            assert tree(name) == want
 
     def test_byte_order_mark_skipped(self, synth_dir, tmp_path, capsys):
         # read as the CSVs are: a leading BOM is not part of the first key
@@ -607,6 +647,41 @@ class TestStatSubcommands:
             assert t["replicas"] < 10000
             verdicts[g] = t["unimodal"]
         assert verdicts == {"alpha": True, "beta": True, "delta": False, "gamma": True}
+
+    def test_dip_equals_the_audit_with_two_group_sizes(self, tmp_path, capsys):
+        # three groups of 60 bona fide rows and one of 40 with 20 attack rows,
+        # 60 rows in all: each size draws its own null, stopped on the dips
+        # of the groups with as many bona fide rows, and dip must pick the
+        # same peers as the audit
+        samples = {
+            "a": (synth.gen_lognormal(-3.6, 0.45, 60, 1), 0),
+            "b": (synth.gen_mixture(((0.5, -4.3, 0.25), (0.5, -2.9, 0.25)), 60, 2), 0),
+            "c": (synth.gen_lognormal(-3.6, 0.9, 60, 3), 0),
+            "d": (synth.gen_lognormal(-3.25, 0.45, 40, 4), 20),
+        }
+        lines = ["sample_id,group,class,response"]
+        for g, (bona, n_attack) in samples.items():
+            lines += [f"{g}{i},{g},bonafide,{v!r}" for i, v in enumerate(bona.tolist())]
+            attack = synth.gen_lognormal(-1.8, 0.35, n_attack, 5).tolist() if n_attack else []
+            lines += [f"{g}x{i},{g},attack,{v!r}" for i, v in enumerate(attack)]
+        data = tmp_path / "two-sizes.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "audit"
+        assert main(["audit", "--data", str(data), "--out", str(out), "--dip-replicas", "2000"]) == 0
+        per_group = json.loads((out / "report.json").read_text())["per_group"]
+        capsys.readouterr()
+        for g, entry in per_group.items():
+            t = entry["dip_test"]
+            assert main(["dip", "--data", str(data), "--group", g, "--replicas", "2000"]) == 0
+            assert capsys.readouterr().out == (
+                f"dip {t['dip']!r}\n"
+                f"critical_value {t['critical_value']!r} (n={t['n']}, alpha=0.05)\n"
+                f"critical_value_se {t['critical_value_se']!r} (replicas={t['replicas']})\n"
+                f"verdict {'unimodal' if t['unimodal'] else 'NOT unimodal'}\n"
+            )
+        assert {g: e["dip_test"]["n"] for g, e in per_group.items()} == {
+            "a": 60, "b": 60, "c": 60, "d": 40
+        }
 
     def test_dip_null_over_one_gib_is_validation_error(
         self, synth_dir, tmp_path, monkeypatch, capsys

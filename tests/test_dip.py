@@ -10,6 +10,7 @@ from scipy import stats as sps
 
 import biasaudit.dip as dip_module
 from _dip_oracle import _dip_sorted as oracle_dip
+from biasaudit import synth
 from biasaudit.data import bona_fide_responses
 from biasaudit.dip import (
     _binomial_tails,
@@ -105,6 +106,28 @@ class TestRunKernelMatchesOracle:
         shuffled = list(expanded)
         rnd.shuffle(shuffled)
         assert dip_statistic(shuffled) == oracle_dip(expanded)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            pytest.param(synth.gen_lognormal(-3.6, 0.45, 10_000, 1), id="lognormal-10000"),
+            pytest.param(synth.gen_lognormal(-3.25, 0.45, 10_000, 2), id="shifted-10000"),
+            pytest.param(synth.gen_lognormal(-3.6, 0.9, 10_000, 3), id="spread-10000"),
+            pytest.param(
+                synth.gen_mixture(((0.5, -4.3, 0.25), (0.5, -2.9, 0.25)), 10_000, 4),
+                id="mixture-10000",
+            ),
+            pytest.param(
+                synth.inject_outliers(synth.gen_lognormal(-3.6, 0.45, 2_500, 5), 0.05, 4.0, 6),
+                id="tail-2500",
+            ),
+            pytest.param(np.random.default_rng(7).random(10_000), id="uniform-10000"),
+        ],
+    )
+    def test_benchmark_shaped_groups(self, x):
+        # samples the size and shape of the benchmark's groups, where the
+        # modal interval shrinks over many passes of thousands of points
+        assert dip_statistic(x) == oracle_dip(sorted(x.tolist()))
 
 
 class TestDipProperties:
