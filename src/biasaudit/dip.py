@@ -5,16 +5,10 @@ CDF and any unimodal CDF. It is computed here with the classic greatest
 convex minorant / least concave majorant alternation: maintain the GCM and
 LCM of the empirical CDF over a shrinking modal interval, take the larger of
 the one-sided deviations, and stop when the interval is stable. The result
-lives in [1/(2n), 0.25].
-
-The kernel works on the kept points of the sorted sample: the first and
-the last sample index of each run of tied values. The points in between are
-never hull knots nor the largest deviation, so the result equals the dip of
-every sample point bit for bit, at a cost that grows with the number of
-distinct values rather than with n. The reference it must match is the
+lives in [1/(2n), 0.25]. The reference it must match bit for bit is the
 one-point-per-sample kernel in tests/_dip_oracle.py.
 
-Each pass builds the GCM and the LCM of the kept points in the modal
+Each pass builds the GCM and the LCM of the sample points in the modal
 interval whole. A hull knot lies strictly below (GCM) or above (LCM) every
 chord of two other points on either side of it, so numpy steps drop, all at
 once, each point that fails that test: first against the chord of the two
@@ -57,8 +51,8 @@ __all__ = ["CriticalValue", "DipResult", "dip_statistic", "dip_critical_value"]
 _LOOK = 64  # replicas per look of the sequential null
 _EPSILON = 1e-3  # bound on the chance that a stopped test flips a verdict
 _STACK = 32  # a hull's numpy steps stop at this many points; a stack scan ends it
-# a hull's knots: their column indices, values and sample indices, ascending
-_Knots = tuple[list[int], list[float], list[float]]
+# a hull's knots: their values and sample indices, ascending
+_Knots = tuple[list[float], list[float]]
 
 # dip_critical_value refuses a null whose working set exceeds this: 8 bytes
 # per float64 replica dip (sorted in place, not copied), 16 per replica for
@@ -66,11 +60,11 @@ _Knots = tuple[list[int], list[float], list[float]]
 # one look's draws, the driver's small objects and what numpy allocates on
 # its first calls (tracemalloc reads 2-19 KiB on a cold call, 1.6 KiB once
 # numpy's caches are warm), and _POINT_BYTES per sample point for the
-# kernel's arrays: the sample's three rows and, at each pass, the
-# chord products both hulls share, the points a hull's step keeps, its
+# kernel's arrays: the sample's two rows and, at each pass, the chord
+# products both hulls share, the points a hull's step keeps, its
 # differences and products and the deviation scan's per-point terms
-# (tracemalloc reads at most 129 B per point over 400 replicas at n = 200,
-# 114 over 100 at n = 2,000 and 113 over 100 at n = 20,000, the sample's
+# (tracemalloc reads at most 112 B per point over 400 replicas at n = 200,
+# 101 over 100 at n = 2,000 and 99 over 100 at n = 20,000, the sample's
 # rows included)
 _MAX_NULL_BYTES = 1 << 30
 _POINT_BYTES = 160
@@ -136,9 +130,9 @@ def _scan(xs: list[float], ps: list[float]) -> list[int]:
 def _chord_products(span: np.ndarray) -> np.ndarray:
     """Each inner point b of ``span`` against the chord of its two ends a
     and c: rows (x_c - x_b)(p_b - p_a) and (p_c - p_b)(x_b - x_a)."""
-    inner = span[:2, 1:-1]
-    before = inner - span[:2, :1]
-    after = span[:2, -1:] - inner
+    inner = span[:, 1:-1]
+    before = inner - span[:, :1]
+    after = span[:, -1:] - inner
     after *= before[::-1]
     return after
 
@@ -156,19 +150,18 @@ def _drop(span: np.ndarray, products: np.ndarray, upper: bool) -> np.ndarray:
 
 
 def _hull(span: np.ndarray, upper: bool, chord: np.ndarray | None) -> _Knots:
-    """The knots of the GCM, or with ``upper`` the LCM, of the kept points
-    in ``span``: their indices, values and sample indices, three ascending
-    lists.
+    """The knots of the GCM, or with ``upper`` the LCM, of the points in
+    ``span``: their values and sample indices, two ascending lists.
 
-    ``span`` holds a point per column: its value x (non-decreasing), its
-    sample index p (rising) and its index. Numpy steps drop, all at once,
-    each point that lies on or above (GCM) or on or below (LCM) the chord of
-    two others, which a knot never does; within a run of equal values that
-    drops every point but the first (GCM) or last (LCM) one, and the other
-    only if it ends ``span``. A ``span`` of more than ``_STACK`` points comes
-    with ``chord``, the ``_chord_products`` of its points, which the first
-    step tests each point against, dropping a concave stretch at once; the
-    other steps test each point against its neighbours. Once at most
+    ``span`` holds a point per column: its value x (non-decreasing) and its
+    sample index p (rising). Numpy steps drop, all at once, each point that
+    lies on or above (GCM) or on or below (LCM) the chord of two others,
+    which a knot never does; within a run of equal values that drops every
+    point but the first (GCM) or last (LCM) one, and the other only if it
+    ends ``span``. A ``span`` of more than ``_STACK`` points comes with
+    ``chord``, the ``_chord_products`` of its points, which the first step
+    tests each point against, dropping a concave stretch at once; the other
+    steps test each point against its neighbours. Once at most
     ``_STACK`` points are left, or a step drops none, a stack scan finishes:
     from the left for the GCM, as the reference kernel's prefix hulls are;
     for the LCM, from the right on the points mirrored through the origin, as
@@ -178,38 +171,39 @@ def _hull(span: np.ndarray, upper: bool, chord: np.ndarray | None) -> _Knots:
         span = _drop(span, chord, upper)
     while span.shape[1] > _STACK:
         m = span.shape[1]
-        d = span[:2, 1:] - span[:2, :-1]
+        d = span[:, 1:] - span[:, :-1]
         span = _drop(span, d[:, 1:] * d[::-1, :-1], upper)
         if span.shape[1] == m:
             break
-    xs, ps, ids = span.tolist()
+    xs, ps = span.tolist()
     if upper:
         last = len(xs) - 1
         mirrored = _scan([-v for v in reversed(xs)], [-v for v in reversed(ps)])
         knots = [last - k for k in reversed(mirrored)]
     else:
         knots = _scan(xs, ps)
-    return [int(ids[k]) for k in knots], [xs[k] for k in knots], [ps[k] for k in knots]
+    return [xs[k] for k in knots], [ps[k] for k in knots]
 
 
 def _deviation(pts: np.ndarray, below: _Knots, above: _Knots) -> float:
     """Largest deviation, in units of 1/(2n), of the empirical CDF below the
-    GCM knots ``below`` or above the LCM knots ``above`` (indices, values,
-    sample indices): at least 1.0, or 0.0 with no segment. A segment over
-    fewer than three sample indices or over one value adds nothing. Each
-    point after a segment's start (where t is exactly 1) gets t = s ((p -
-    p_b + s) - (x - x_b) c), c = (p_e - p_b) / (x_e - x_b), with s 1.0 below
-    the GCM and -1.0 above the LCM: the float operations of the reference
-    kernel's loop, in its order (p - p_b + s is formed as p - (p_b - s),
-    which is the same integer). The points of a segment that adds nothing
-    get s = c = 0, so t = 0."""
+    GCM knots ``below`` or above the LCM knots ``above`` (values, sample
+    indices) over the sample points ``pts`` (rows value and sample index, so
+    that a point's column is its sample index): at least 1.0, or 0.0 with no
+    segment. A segment over fewer than three sample indices or over one value
+    adds nothing. Each point after a segment's start (where t is exactly 1)
+    gets t = s ((p - p_b + s) - (x - x_b) c), c = (p_e - p_b) / (x_e - x_b),
+    with s 1.0 below the GCM and -1.0 above the LCM: the float operations of
+    the reference kernel's loop, in its order (p - p_b + s is formed as
+    p - (p_b - s), which is the same integer). The points of a segment that
+    adds nothing get s = c = 0, so t = 0."""
     terms, lens, spans = [], [], []
-    for (ids, xs, ps), s in ((below, 1.0), (above, -1.0)):
-        if len(ids) > 1:
-            spans.append(pts[:2, ids[0] + 1 : ids[-1] + 1])
-        for b in range(len(ids) - 1):
-            lens.append(ids[b + 1] - ids[b])
+    for (xs, ps), s in ((below, 1.0), (above, -1.0)):
+        if len(ps) > 1:
+            spans.append(pts[:, int(ps[0]) + 1 : int(ps[-1]) + 1])
+        for b in range(len(ps) - 1):
             dp, dx = ps[b + 1] - ps[b], xs[b + 1] - xs[b]
+            lens.append(int(dp))
             terms.append((xs[b], ps[b] - s, dp / dx, s) if dp > 1 and dx != 0 else (0.0,) * 4)
     if not lens:
         return 0.0
@@ -220,27 +214,26 @@ def _deviation(pts: np.ndarray, below: _Knots, above: _Knots) -> float:
 
 
 def _dip_points(pts: np.ndarray) -> float:
-    """Dip of a sample given as its kept points: a column each, with rows
-    value (non-decreasing), sample index (rising, from 0 to n - 1) and column
-    index. Constant samples and n < 4 sit at the exact lower bound 1/(2n):
-    every empirical CDF on at most three support points can be matched by a
-    unimodal CDF to within 1/(2n) (direct construction), and no sample can
-    do better."""
-    m = pts.shape[1]
-    n = int(pts[1, m - 1]) + 1
-    if n < 4 or pts[0, 0] == pts[0, m - 1]:
+    """Dip of a sorted sample given as its points: a column each, with rows
+    value (non-decreasing) and sample index (0 to n - 1), so that a point's
+    column is its sample index. Constant samples and n < 4 sit at the exact
+    lower bound 1/(2n): every empirical CDF on at most three support points
+    can be matched by a unimodal CDF to within 1/(2n) (direct construction),
+    and no sample can do better."""
+    n = pts.shape[1]
+    if n < 4 or pts[0, 0] == pts[0, n - 1]:
         return 1.0 / (2 * n)
 
-    low, high = 0, m - 1
+    low, high = 0, n - 1
     dip2n = 0.0  # dip in units of 2n * sup-deviation
-    for _ in range(m + 2):  # the interval shrinks; m + 2 passes is a safe cap
+    for _ in range(n + 2):  # the interval shrinks; n + 2 passes is a safe cap
         span = pts[:, low : high + 1]
         # both hulls test each point against the same chord first
         chord = _chord_products(span) if span.shape[1] > _STACK else None
-        gk, gx, gp = _hull(span, False, chord)
-        lk, lx, lp = _hull(span, True, chord)
-        top_g = len(gk) - 1
-        top_l = len(lk) - 1
+        gx, gp = _hull(span, False, chord)
+        lx, lp = _hull(span, True, chord)
+        top_g = len(gp) - 1
+        top_l = len(lp) - 1
         ig, ih = 0, top_l
         ix = iv = 1
 
@@ -248,7 +241,7 @@ def _dip_points(pts: np.ndarray) -> float:
         d = 0.0
         if top_g != 1 or top_l != 1:
             while True:
-                if gk[ix] > lk[iv]:
+                if gp[ix] > lp[iv]:
                     # LCM knot inside a GCM segment
                     a = ix - 1
                     dx = (lp[iv] - gp[a] + 1) - (lx[iv] - gx[a]) * (gp[ix] - gp[a]) / (
@@ -270,11 +263,7 @@ def _dip_points(pts: np.ndarray) -> float:
                         d = dx
                         ig = ix - 1
                         ih = iv
-                if ix > top_g:
-                    ix = top_g
-                if iv > top_l:
-                    iv = top_l
-                if gk[ix] == lk[iv]:
+                if gp[ix] == lp[iv]:
                     break
 
         if d < dip2n:
@@ -282,12 +271,12 @@ def _dip_points(pts: np.ndarray) -> float:
 
         # Max deviation of the empirical CDF below the GCM on [low, gcm[ig]]
         # and above the LCM on [lcm[ih], high].
-        below = (gk[: ig + 1], gx[: ig + 1], gp[: ig + 1])
-        above = (lk[ih:], lx[ih:], lp[ih:])
+        below = (gx[: ig + 1], gp[: ig + 1])
+        above = (lx[ih:], lp[ih:])
         dip2n = max(dip2n, _deviation(pts, below, above))
-        if low == gk[ig] and high == lk[ih]:
+        if low == gp[ig] and high == lp[ih]:
             break
-        low, high = gk[ig], lk[ih]
+        low, high = int(gp[ig]), int(lp[ih])
     else:  # pragma: no cover - loop cap is unreachable for valid input
         raise RuntimeError("dip search failed to stabilize")
 
@@ -297,20 +286,16 @@ def _dip_points(pts: np.ndarray) -> float:
 def dip_statistic(a: Sequence[float]) -> float:
     """Dip statistic of a sample of at least 4 values."""
     x = _sample(a, 4, "dip_statistic")
-    # a run's first and last sample index: the value differs before or after
-    new = x[1:] != x[:-1]
-    kept = np.flatnonzero(np.r_[True, new] | np.r_[new, True])
-    return _dip_points(np.stack((x[kept], kept, np.arange(len(kept)))))
+    return _dip_points(np.stack((x, np.arange(len(x), dtype=float))))
 
 
 def _null_stream(n: int, replicas: int, seed: int) -> Iterator[float]:
     """Dips of up to ``replicas`` uniform null samples of size n, in replica
     order, drawn as they are consumed. Replica i is the same for every
-    ``replicas`` > i. Every uniform is a kept point: where two tie, the
-    kernel gives the same bits as with the run compressed, since a run's
-    inner points are never knots nor its largest deviation."""
-    pts = np.empty((3, n))
-    pts[1] = pts[2] = np.arange(n)
+    ``replicas`` > i. Each sample enters the kernel as two rows: the sorted
+    uniforms and their sample indices."""
+    pts = np.empty((2, n))
+    pts[1] = np.arange(n)
     for i in range(replicas):
         np.random.default_rng([seed, i]).random(out=pts[0])
         pts[0].sort()

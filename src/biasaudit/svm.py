@@ -52,7 +52,10 @@ def featurize(m: CodeMatrix, mode: FeatureMode = FeatureMode.SCALED_INDICES) -> 
     _check_histogram(n, m.k)
     # row i's codes land in bins [i * k, (i + 1) * k)
     flat = (m.codes + m.k * np.arange(n)[:, None]).ravel()
-    return np.bincount(flat, minlength=n * m.k).reshape(n, m.k) / d
+    # the counts as float64 (exact integers), divided in place: one matrix
+    counts = np.bincount(flat, weights=np.ones(flat.size), minlength=n * m.k)
+    counts /= d
+    return counts.reshape(n, m.k)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""The dip kernel as it was before tie runs were compressed: one point per
-sample, O(n) per call. Kept verbatim as the reference that the run-length
-kernel in ``biasaudit.dip`` must match bit for bit; not used by the package."""
+"""The dip kernel as first written: one point per sample, its prefix and
+suffix hulls built by stack scans, O(n) per call. Kept verbatim as the
+reference that the kernel in ``biasaudit.dip`` must match bit for bit; not
+used by the package."""
 from __future__ import annotations
 
 from typing import Sequence

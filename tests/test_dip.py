@@ -36,6 +36,12 @@ TIED = st.tuples(SIZES, st.integers(1, 6)).flatmap(
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
+def _two_digits(x):
+    """``x`` rounded to 2 significant digits: 131 levels for the first
+    benchmark-shaped lognormal, 124 for its tail group."""
+    return np.array([float(f"{v:.2g}") for v in x])
+
+
 class TestDipExactValues:
     def test_two_equal_atoms_hits_upper_bound(self):
         # perfectly bimodal: half the mass at 0, half at 1 -> dip = 1/4
@@ -70,8 +76,8 @@ class TestDipExactValues:
 
 
 class TestRunKernelMatchesOracle:
-    """The tie-run kernel against the one-point-per-sample kernel it replaced:
-    equal bit for bit, not within a tolerance."""
+    """The package's hull-step kernel against the stack-scan reference kernel
+    in _dip_oracle: equal bit for bit, not within a tolerance."""
 
     @PROPERTY
     @given(CONTINUOUS)
@@ -122,11 +128,28 @@ class TestRunKernelMatchesOracle:
                 id="tail-2500",
             ),
             pytest.param(np.random.default_rng(7).random(10_000), id="uniform-10000"),
+            pytest.param(
+                np.floor(np.random.default_rng(8).random(10_000) * 20), id="uniform-20-levels"
+            ),
+            pytest.param(
+                _two_digits(synth.gen_lognormal(-3.6, 0.45, 10_000, 1)), id="lognormal-2-digits"
+            ),
+            pytest.param(
+                _two_digits(
+                    synth.inject_outliers(synth.gen_lognormal(-3.6, 0.45, 2_500, 5), 0.05, 4.0, 6)
+                ),
+                id="tail-2-digits",
+            ),
+            # a convex and a concave empirical CDF: the first pass's LCM, and
+            # then its GCM, is one segment from the first point to the last
+            pytest.param(np.sqrt(np.random.default_rng(8).random(2_000)), id="sqrt-2000"),
+            pytest.param(np.random.default_rng(2).random(2_000) ** 2, id="square-2000"),
         ],
     )
     def test_benchmark_shaped_groups(self, x):
         # samples the size and shape of the benchmark's groups, where the
-        # modal interval shrinks over many passes of thousands of points
+        # modal interval shrinks over many passes of thousands of points;
+        # rounded, they hold runs of tied values hundreds of points long
         assert dip_statistic(x) == oracle_dip(sorted(x.tolist()))
 
 

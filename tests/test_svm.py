@@ -219,6 +219,15 @@ class TestFeaturize:
             assert scaled[i].tolist() == (row / 9).tolist()
             assert hist[i].tolist() == (np.bincount(row, minlength=10) / 7).tolist()
 
+    def test_histogram_holds_one_matrix(self):
+        # the counts are built as float64 and divided in place, so the peak
+        # is one n x k float64 matrix
+        rng = np.random.default_rng(37)
+        n, d, k = 50, 9, 20_000
+        m = CodeMatrix(rng.integers(0, k, (n, d)), ["a", "b"] * (n // 2), k=k)
+        peak = traced_peak(featurize, m, FeatureMode.CODE_HISTOGRAM)
+        assert peak < 1.1 * n * k * 8
+
 
 class TestTrainSvmSmo:
     def test_separable_blobs_fit_perfectly(self):
