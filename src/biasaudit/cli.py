@@ -37,7 +37,7 @@ from .report import (
 )
 from .plots import render_plots
 from .stats import MwuMode, chi_squared_one_sided, mann_whitney_u, shapiro_wilk
-from .svm import FeatureMode, _pair_rows
+from .svm import FeatureMode
 from .synth import _demo_codes, demo_dataset
 
 
@@ -268,8 +268,7 @@ def _cmd_svm_sep(args) -> int:
     groups = codes.groups()
     if len(groups) < 2:
         raise ParameterError(f"need at least two groups in {args.codes}")
-    rows = _pair_rows(codes, groups, cfg.svm_folds, cfg.feature_mode)
-    for key, auc in _separability(codes, rows, cfg).items():
+    for key, auc in _separability(codes, groups, cfg).items():
         print(f"{key} auc {auc:.6f}")
     return 0
 

@@ -105,19 +105,23 @@ def _encode_groups(labels: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
 @contextmanager
 def _csv_reader(path: Path):
     """A csv.reader over the UTF-8 text of ``path``, a leading byte-order
-    mark skipped. A byte that is not UTF-8, or a csv error such as a field
-    over csv's size limit, raises RowError at its physical line."""
+    mark skipped. The whole file is decoded once before the reader is made,
+    so a byte that is not UTF-8 raises RowError at its physical line before
+    any header or row fault; a csv error, such as a field over csv's size
+    limit, raises RowError at its physical line."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            while fh.read(_BLOCK):
+                pass
+    except UnicodeDecodeError:
+        _utf8_text(path)  # raises at the first bad byte's line
+        raise
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield reader
         except csv.Error as exc:
             raise RowError(path, reader.line_num, str(exc)) from None
-        except UnicodeDecodeError:
-            # the reader decodes ahead of the row it is on, so find the
-            # first bad byte in the file itself
-            _utf8_text(path)
-            raise
 
 
 def _utf8_text(path: Path) -> str:
@@ -285,7 +289,8 @@ def load_csv(path: str | Path) -> Dataset:
     return Dataset(*(_plain_columns(path) or _reader_columns(path)))
 
 
-# characters of a plain response CSV read at a time
+# characters of a plain response CSV, or of a file checked for UTF-8,
+# read at a time
 _BLOCK = 1 << 15
 
 

@@ -329,18 +329,19 @@ def _operating_points(ds: Dataset) -> tuple[OperatingPoint, dict[str, OperatingP
 
 
 def _separability(
-    codes: CodeMatrix, rows: dict[str, np.ndarray], cfg: AuditConfig
+    codes: CodeMatrix, groups: Sequence[str], cfg: AuditConfig
 ) -> dict[str, float]:
-    """Cross-validated SVM AUC of every pair of ``rows``' groups, in their
-    order, keyed like GroupPair.key, with the SVM values of ``cfg``. Each
-    pair trains on group a's rows of ``codes`` then group b's, as
-    ``_pair_rows`` gives and checks them."""
+    """Cross-validated SVM AUC of every pair of ``groups``, in their order,
+    keyed like GroupPair.key, with the SVM values of ``cfg``. Every pair is
+    checked by ``_pair_rows`` before any fit; each then trains on group a's
+    rows of ``codes`` then group b's."""
+    rows = _pair_rows(codes, groups, cfg.svm_folds, cfg.feature_mode)
     return {
         GroupPair(a, b).key: cross_validated_auc(
             codes.take(np.concatenate([rows[a], rows[b]])),
             cfg.feature_mode, cfg.svm_c, cfg.svm_gamma, cfg.svm_folds, cfg.seed,
         )
-        for a, b in combinations(rows, 2)
+        for a, b in combinations(groups, 2)
     }
 
 
@@ -382,8 +383,8 @@ def run_audit(
     thresholds come from bona fide quantiles alone. ``codes`` enables the
     per-pair SVM separability section; when given, every dataset group must
     appear among the code vectors with at least ``cfg.svm_folds`` samples,
-    and every pair's training folds must fit the SVM kernel limit. These
-    checks run before any statistic is computed.
+    and every pair's kernel and features must fit the SVM's 512 MiB limit.
+    These checks and the SVM fits run before any other statistic.
     """
     pairs = group_pairs(ds)  # also enforces >= 2 groups
     groups = tuple(ds.groups())
@@ -396,8 +397,7 @@ def run_audit(
                 f"group {g!r} has {len(vals)} bona fide rows; the audit needs >= 4"
             )
         bona[g] = vals
-    # checked here so that bad codes fail before the dip null, not after
-    rows = None if codes is None else _pair_rows(codes, groups, cfg.svm_folds, cfg.feature_mode)
+    svm_auc = None if codes is None else _separability(codes, groups, cfg)
     pooled_bona = bona_fide_responses(ds)
     pooled_attack = attack_responses(ds)
 
@@ -421,8 +421,6 @@ def run_audit(
         anchors.append({"label": "eer", "kind": "eer", "threshold": eer.threshold})
 
     analyses = tuple(_analyze_pair(p, bona, anchors, cfg.alpha) for p in pairs)
-
-    svm_auc = None if codes is None else _separability(codes, rows, cfg)
 
     return AuditReport(
         version=__version__,

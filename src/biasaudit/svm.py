@@ -43,13 +43,13 @@ class FeatureMode(enum.Enum):
 
 def featurize(m: CodeMatrix, mode: FeatureMode = FeatureMode.SCALED_INDICES) -> np.ndarray:
     """Real-valued features, one row per code vector: (n, d) scaled indices
-    or (n, k) code histograms, the latter held to the kernel's 512 MiB."""
+    or (n, k) code histograms, the latter held to 512 MiB."""
     if not isinstance(mode, FeatureMode):
         raise ParameterError(f"mode must be a FeatureMode, got {mode!r}")
     if mode is FeatureMode.SCALED_INDICES:
         return m.codes / (m.k - 1)
     n, d = m.codes.shape
-    _check_histogram(n, m.k)
+    _check_matrix("code-histogram features", n, m.k)
     # row i's codes land in bins [i * k, (i + 1) * k)
     flat = (m.codes + m.k * np.arange(n)[:, None]).ravel()
     # the counts as float64 (exact integers), divided in place: one matrix
@@ -97,29 +97,21 @@ def _resolve_gamma(x: np.ndarray, gamma: float | None) -> float:
     return 1.0 / (x.shape[1] * var)
 
 
-# train_svm_smo holds one dense n x n float64 kernel, so it refuses training
-# sets above 8,192 rows (512 MiB)
-_MAX_KERNEL_BYTES = 1 << 29
+# every float64 matrix of a fit, the n x n kernel of train_svm_smo and the
+# n x k code histograms of featurize, is held to 512 MiB
+_MAX_MATRIX_BYTES = 1 << 29
 # rows of the kernel _rbf_matrix forms at a time beside the result
 _BLOCK_ROWS = 64
 
 
-def _check_kernel_rows(n: int) -> None:
-    need = n * n * 8
-    if need > _MAX_KERNEL_BYTES:
+def _check_matrix(what: str, rows: int, cols: int) -> None:
+    """Refuse a ``rows`` x ``cols`` float64 ``what`` over _MAX_MATRIX_BYTES,
+    before it is allocated."""
+    need = rows * cols * 8
+    if need > _MAX_MATRIX_BYTES:
         raise ParameterError(
-            f"{n} training rows need {need / 2**20:.1f} MiB for the kernel; "
-            f"the limit is 512 MiB ({math.isqrt(_MAX_KERNEL_BYTES // 8)} rows)"
-        )
-
-
-def _check_histogram(n: int, k: int) -> None:
-    """Code-histogram features are an n x k float64 matrix."""
-    need = n * k * 8
-    if need > _MAX_KERNEL_BYTES:
-        raise ParameterError(
-            f"code-histogram features of {n} rows by k = {k} need {need / 2**20:.1f} MiB; "
-            f"the limit is 512 MiB"
+            f"{what}: {rows} rows by {cols} columns of float64 need "
+            f"{need / 2**20:.1f} MiB; the limit is {_MAX_MATRIX_BYTES >> 20} MiB"
         )
 
 
@@ -178,7 +170,7 @@ def train_svm_smo(
     if max_passes < 1:
         raise ParameterError(f"max_passes must be >= 1, got {max_passes}")
     n = x.shape[0]
-    _check_kernel_rows(n)
+    _check_matrix("SVM kernel", n, n)
     c = float(c)
 
     gamma = _resolve_gamma(x, gamma)
@@ -348,7 +340,8 @@ def _pair_rows(
             )
     train = {g: len(idx) - len(idx) // folds for g, idx in rows.items()}
     for a, b in combinations(groups, 2):
-        _check_kernel_rows(train[a] + train[b])
+        n = train[a] + train[b]
+        _check_matrix("SVM kernel", n, n)
         if mode is FeatureMode.CODE_HISTOGRAM:
-            _check_histogram(len(rows[a]) + len(rows[b]), m.k)
+            _check_matrix("code-histogram features", len(rows[a]) + len(rows[b]), m.k)
     return rows

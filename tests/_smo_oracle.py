@@ -13,7 +13,7 @@ import numpy as np
 from biasaudit.errors import DegenerateDataError, ParameterError
 from biasaudit.svm import (
     SvmModel,
-    _check_kernel_rows,
+    _check_matrix,
     _resolve_gamma,
 )
 
@@ -63,7 +63,7 @@ def train_svm_smo(
     if max_passes < 1:
         raise ParameterError(f"max_passes must be >= 1, got {max_passes}")
     n = x.shape[0]
-    _check_kernel_rows(n)
+    _check_matrix("SVM kernel", n, n)
 
     gamma = _resolve_gamma(x, gamma)
     kmat = rbf_matrix(x, x, gamma)

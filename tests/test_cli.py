@@ -311,8 +311,8 @@ class TestAuditCommand:
             text = capsys.readouterr()
             assert text.out == ""
             assert re.fullmatch(
-                r"error: code-histogram features of 80 rows by k = 1000000000000 need "
-                r"[0-9.]+ MiB; the limit is 512 MiB\n",
+                r"error: code-histogram features: 80 rows by 1000000000000 columns of "
+                r"float64 need [0-9.]+ MiB; the limit is 512 MiB\n",
                 text.err,
             )
         assert not out.exists()

@@ -375,6 +375,23 @@ class TestUnreadableFile:
         ):
             load(path)
 
+    @pytest.mark.parametrize("bad_line", [6, 3_000])
+    def test_bad_byte_reported_before_a_bad_header(self, tmp_path, loader, bad_line):
+        # the whole file is decoded before the header is read, so the byte
+        # wins wherever it lies, also past the first blocks csv.reader reads
+        load, header, row = _TABLES[loader]
+        header = header.replace(",class,", ",klass,").replace(",group,", ",grp,")
+        lines = header.encode().split(b"\n")[:-1]
+        lines += [row.format(i=i % 4).rstrip("\n").encode() for i in range(4_000)]
+        lines[bad_line - 1] = b"\xff" + lines[bad_line - 1]
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        where = re.escape(str(path))
+        with pytest.raises(
+            RowError, match=rf"^{where}: line {bad_line}: not UTF-8 text \(byte 0xff\)$"
+        ):
+            load(path)
+
     def test_field_over_the_csv_limit(self, tmp_path, loader):
         load, header, row = _TABLES[loader]
         limit = csv.field_size_limit()

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +210,17 @@ class TestReportStructure:
     def test_svm_section_absent_without_codes(self, report, report_dict):
         assert report.svm_auc is None
         assert "svm_auc" not in report_dict
+
+    def test_readme_report_layout_names_every_section(self, demo, demo_codes):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        layout = readme.split("\n### Report layout\n", 1)[1].split("\n## ", 1)[0]
+        d = run_audit(demo, AuditConfig(**FAST), codes=demo_codes).to_dict()
+        assert {"operating_points", "svm_auc"} <= d.keys()
+        sweep = next(iter(d["bias_sweeps"].values()))
+        anchor = d["anchor_thresholds"][0]
+        # a key is named alone, `key`, or as the head of a path, `key.sub`
+        for key in [*d, *sweep, *d["record_counts"], *anchor]:
+            assert re.search(rf"`{re.escape(key)}[`.]", layout), key
 
 
 class TestReportDeterminism:
@@ -513,7 +526,7 @@ class TestSvmSection:
         # 2 * (5121 - 1024) = 8,194 rows, above the kernel limit of 8,192
         groups = [g for g in demo.groups() for _ in range(5121)]
         oversized = CodeMatrix(np.zeros((len(groups), 1), dtype=np.int64), groups, 64)
-        with pytest.raises(ParameterError, match="8194 training rows"):
+        with pytest.raises(ParameterError, match="SVM kernel: 8194 rows by 8194 columns"):
             run_audit(demo, AuditConfig(**FAST), codes=oversized)
 
     def test_pair_rows_run_once(self, demo, demo_codes, monkeypatch):

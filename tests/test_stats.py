@@ -100,6 +100,16 @@ class TestChiSquaredOneSided:
         assert res.p_value == pytest.approx(3.9446e-05, rel=1e-3)
         assert res.direction == "a"
 
+    def test_p_underflows_to_zero_past_a_statistic_of_1481(self):
+        # erfc(sqrt(s / 2)) / 2 falls below the smallest double once the
+        # statistic s passes about 1,480.35; the direction stays
+        for counts, worse in (((1900, 100, 100, 1900), "b"), ((100, 1900, 1900, 100), "a")):
+            res = chi_squared_one_sided(*counts)
+            assert res.statistic > 1481
+            assert res.p_value == 0.0
+            assert res.direction == worse
+        assert chi2_survival(1480.35) > 0.0
+
     def test_matches_pooled_two_proportion_z(self):
         # the one-sided p must equal the normal tail of the pooled
         # two-proportion z statistic (algebraically z^2 = the statistic)

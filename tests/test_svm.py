@@ -203,7 +203,8 @@ class TestFeaturize:
         m = CodeMatrix([(0, 5), (1, 2), (3, 3)], ["a", "b", "a"], k=10**12)
         with pytest.raises(
             ParameterError,
-            match=r"features of 3 rows by k = 1000000000000 need .* MiB; the limit is 512 MiB",
+            match=r"code-histogram features: 3 rows by 1000000000000 columns of float64 "
+            r"need .* MiB; the limit is 512 MiB",
         ):
             featurize(m, FeatureMode.CODE_HISTOGRAM)
         assert featurize(m).shape == (3, 2)  # scaled indices do not grow with k
@@ -332,7 +333,10 @@ class TestTrainSvmSmo:
         # is allocated
         x = np.zeros((8_193, 1))
         y = np.where(np.arange(8_193) % 2 == 0, 1.0, -1.0)
-        limit = r"8193 training rows need 512\.1 MiB.*the limit is 512 MiB \(8192 rows\)"
+        limit = (
+            r"SVM kernel: 8193 rows by 8193 columns of float64 need 512\.1 MiB; "
+            r"the limit is 512 MiB$"
+        )
         with pytest.raises(ParameterError, match=limit):
             train_svm_smo(x, y)
 
@@ -486,7 +490,7 @@ class TestCrossValidatedAuc:
         rows = {g: np.flatnonzero(np.array(labels) == g) for g in "ab"}
         in_order = m.take(np.sort(np.concatenate([rows["a"], rows["b"]])))
         a_then_b = m.take(np.concatenate([rows["a"], rows["b"]]))
-        aucs = _separability(m, _pair_rows(m, ["a", "b"], 5), AuditConfig(seed=0))
+        aucs = _separability(m, ["a", "b"], AuditConfig(seed=0))
         assert aucs == {"a|b": cross_validated_auc(a_then_b)}
         assert aucs["a|b"] != cross_validated_auc(in_order)
 
@@ -498,7 +502,7 @@ class TestCrossValidatedAuc:
 
         rows = _pair_rows(codes(5120, 5120), ["a", "b"], 5)
         assert [len(rows["a"]), len(rows["b"])] == [5120, 5120]
-        with pytest.raises(ParameterError, match="8193 training rows"):
+        with pytest.raises(ParameterError, match="SVM kernel: 8193 rows by 8193 columns"):
             _pair_rows(codes(5121, 5120), ["a", "b"], 5)
         with pytest.raises(InsufficientDataError, match="group 'b'"):
             _pair_rows(codes(10, 4), ["a", "b"], 5)
@@ -510,7 +514,7 @@ class TestCrossValidatedAuc:
         hist = FeatureMode.CODE_HISTOGRAM
         assert len(_pair_rows(m, ["a", "b", "c"], 2, hist)) == 3
         wider = CodeMatrix(m.codes, m.labels(), 2**24 + 1)
-        with pytest.raises(ParameterError, match="features of 4 rows by k = 16777217 need"):
+        with pytest.raises(ParameterError, match="features: 4 rows by 16777217 columns of float64 need"):
             _pair_rows(wider, ["a", "b", "c"], 2, hist)
         assert len(_pair_rows(wider, ["a", "b", "c"], 2)) == 3  # scaled indices
 

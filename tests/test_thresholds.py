@@ -263,6 +263,15 @@ class TestBiasSweep:
         assert regions
         assert all(r.worse_group == "west" for r in regions)
 
+    def test_underflowed_p_still_names_its_region(self):
+        # between the groups every bona fide sample of west is rejected and
+        # none of east: a statistic of 2,000, whose p underflows to 0.0
+        a = np.linspace(0.0, 1.0, 1000)
+        curve = bias_sweep(a, a + 2.0, pair=GroupPair.of("east", "west"))
+        assert curve.p_values[999] == 0.0
+        regions = significant_regions(curve)
+        assert [(r.min_p, r.worse_group) for r in regions] == [(0.0, "west")]
+
     def test_bimodal_group_yields_multiple_regions(self):
         rng_a = np.random.default_rng(301)
         rng_b = np.random.default_rng(302)
