@@ -255,10 +255,12 @@ def _cmd_eer(args) -> int:
     )
     for g in ds.groups():
         op = per_group_hter.get(g)
-        if op is None:
+        if op is not None:
+            print(f"{g}: far={op.far!r} frr={op.frr!r} hter={op.hter!r}")
+        elif len(bona_fide_responses(ds, g)):
             print(f"{g}: no attack rows, skipped")
         else:
-            print(f"{g}: far={op.far!r} frr={op.frr!r} hter={op.hter!r}")
+            print(f"{g}: no bona fide rows, skipped")
     return 0
 
 

@@ -16,7 +16,7 @@ import csv
 import math
 import re
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from pathlib import Path
@@ -102,13 +102,12 @@ def _encode_groups(labels: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return groups, _read_only(codes)
 
 
-@contextmanager
-def _csv_reader(path: Path):
-    """A csv.reader over the UTF-8 text of ``path``, a leading byte-order
-    mark skipped. The whole file is decoded once before the reader is made,
-    so a byte that is not UTF-8 raises RowError at its physical line before
-    any header or row fault; a csv error, such as a field over csv's size
-    limit, raises RowError at its physical line."""
+def _records(path: Path):
+    """(physical line where the record starts, fields) for every record of
+    the UTF-8 CSV ``path``, blank ones too, a byte-order mark skipped. The
+    file is decoded whole before the first record, so a byte that is not
+    UTF-8 raises RowError at its line before any header or row fault; a csv
+    error, such as a field over csv's size limit, raises RowError at its line."""
     try:
         with path.open(encoding="utf-8") as fh:
             while fh.read(_BLOCK):
@@ -118,8 +117,11 @@ def _csv_reader(path: Path):
         raise
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        end = 0
         try:
-            yield reader
+            for row in reader:
+                start, end = end + 1, reader.line_num
+                yield start, row
         except csv.Error as exc:
             raise RowError(path, reader.line_num, str(exc)) from None
 
@@ -142,14 +144,32 @@ def _lines(text: str) -> list[str]:
     return re.split("\r\n|\r|\n", text)
 
 
-def _numbered_rows(reader):
-    """(physical line where the record starts, fields) for each non-blank
-    record left in a csv.reader; a quoted field may span lines."""
-    end = reader.line_num
-    for row in reader:
-        start, end = end + 1, reader.line_num
-        if row:
-            yield start, row
+def _rows(path: Path, records, width: int):
+    """(line, sample_id, group, the other fields) of each non-blank record
+    left in ``records``, which must hold ``width`` fields and a sample_id and
+    group that are not empty once stripped."""
+    labels: dict[str, str] = {}  # one str per distinct label, not per row
+    for line, row in records:
+        if not row:  # blank lines tolerated
+            continue
+        if len(row) != width:
+            raise RowError(path, line, f"expected {width} fields, got {len(row)}")
+        sid, group = row[0].strip(), row[1].strip()
+        if not sid:
+            raise RowError(path, line, "empty sample_id")
+        if not group:
+            raise RowError(path, line, "empty group")
+        yield line, sid, labels.setdefault(group, group), row[2:]
+
+
+def _write_csv(path: str | Path, header: Sequence, rows, preamble: str = "") -> None:
+    """Write ``preamble``, then ``header`` and ``rows`` as csv.writer records,
+    each ending in \\n, to the UTF-8 file ``path``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(preamble)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class Dataset:
@@ -365,9 +385,9 @@ def _reader_columns(path: Path) -> tuple[list, list, list, list]:
     """The four Dataset columns of any response CSV, read row by row by
     csv.reader; a bad header, row or file raises, naming the fault and,
     for a row, its physical line."""
-    with _csv_reader(path) as reader:
+    with closing(_records(path)) as records:
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
             raise EmptyDatasetError(f"{path}: file is empty") from None
         normalized = [h.strip().lower() for h in header]
@@ -384,15 +404,8 @@ def _reader_columns(path: Path) -> tuple[list, list, list, list]:
             raise SchemaError(f"{path}: bad header: {'; '.join(detail)}")
 
         ids, groups, bona_fide, responses = [], [], [], []
-        labels: dict[str, str] = {}  # one str per distinct label, not per row
-        for line_no, row in _numbered_rows(reader):  # blank lines tolerated
-            if len(row) != 4:
-                raise RowError(path, line_no, f"expected 4 fields, got {len(row)}")
-            sid, group, cls_text, resp_text = (f.strip() for f in row)
-            if not sid:
-                raise RowError(path, line_no, "empty sample_id")
-            if not group:
-                raise RowError(path, line_no, "empty group")
+        for line_no, sid, group, rest in _rows(path, records, 4):
+            cls_text, resp_text = (f.strip() for f in rest)
             cls_norm = cls_text.lower()
             if cls_norm in _BONA_FIDE_NAMES:
                 is_bona = True
@@ -409,7 +422,7 @@ def _reader_columns(path: Path) -> tuple[list, list, list, list]:
                     path, line_no, f"response must be finite and >= 0, got {resp_text!r}"
                 )
             ids.append(sid)
-            groups.append(labels.setdefault(group, group))
+            groups.append(group)
             bona_fide.append(is_bona)
             responses.append(resp)
 
@@ -420,19 +433,14 @@ def _reader_columns(path: Path) -> tuple[list, list, list, list]:
 
 def save_csv(ds: Dataset, path: str | Path) -> None:
     """Write a dataset back to CSV; responses as shortest round-trip decimals."""
-    path = Path(path)
-    groups = ds.groups()
     class_text = {True: "bonafide", False: "attack"}
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EXPECTED_HEADER)
-        for sid, code, is_bona, resp in zip(
-            ds.sample_ids,
-            ds.group_codes.tolist(),
-            ds.bona_fide.tolist(),
-            ds.responses.tolist(),
-        ):
-            writer.writerow([sid, groups[code], class_text[is_bona], repr(resp)])
+    rows = zip(
+        ds.sample_ids,
+        map(ds.groups().__getitem__, ds.group_codes.tolist()),
+        map(class_text.__getitem__, ds.bona_fide.tolist()),
+        map(repr, ds.responses.tolist()),
+    )
+    _write_csv(path, EXPECTED_HEADER, rows)
 
 
 _CODES_K_PREFIX = "#k="
@@ -447,9 +455,9 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
     line where the record starts.
     """
     path = Path(path)
-    with _csv_reader(path) as reader:
+    with closing(_records(path)) as records:
         # the header is checked as csv.reader parsed it, like the rows
-        fields = next(reader, [])
+        _, fields = next(records, (0, []))
         line = ",".join(fields)
         file_k: int | None = None
         if line.lower().startswith(_CODES_K_PREFIX):
@@ -457,7 +465,7 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
                 file_k = int(line[len(_CODES_K_PREFIX):].strip())
             except ValueError:
                 raise SchemaError(f"{path}: bad #K= line: {line.strip()!r}") from None
-            fields = next(reader, [])
+            _, fields = next(records, (0, []))
         k_eff = k if k is not None else file_k
         if k_eff is None:
             raise SchemaError(f"{path}: codebook size not given (no #K= line and no k argument)")
@@ -472,15 +480,9 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
             raise SchemaError(f"{path}: code columns must be named c0..c{d - 1}")
 
         ids, groups, rows = [], [], []
-        labels: dict[str, str] = {}  # one str per distinct label, not per row
-        for line_no, row in _numbered_rows(reader):
-            if len(row) != d + 2:
-                raise RowError(path, line_no, f"expected {d + 2} fields, got {len(row)}")
-            sid, group = row[0].strip(), row[1].strip()
-            if not sid or not group:
-                raise RowError(path, line_no, "empty sample_id or group")
+        for line_no, sid, group, values in _rows(path, records, d + 2):
             try:
-                codes = [int(v) for v in row[2:]]
+                codes = [int(v) for v in values]
             except ValueError:
                 raise RowError(path, line_no, "code entries must be integers") from None
             bad = [v for v in codes if not 0 <= v < k_eff]
@@ -489,7 +491,7 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
                     path, line_no, f"code indices must be in [0, {k_eff - 1}], got {bad[0]}"
                 )
             ids.append(sid)
-            groups.append(labels.setdefault(group, group))
+            groups.append(group)
             rows.append(codes)
     if not rows:
         raise SchemaError(f"{path}: no code rows")
@@ -499,13 +501,9 @@ def load_codes_csv(path: str | Path, k: int | None = None) -> CodeMatrix:
 def save_codes_csv(m: CodeMatrix, path: str | Path) -> None:
     """Write code vectors with a ``#K=`` size line; inverse of load_codes_csv,
     so a file this writes loads and saves back to the same bytes."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"#K={m.k}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "group"] + [f"c{i}" for i in range(m.codes.shape[1])])
-        for sid, group, codes in zip(m.sample_ids, m.labels(), m.codes.tolist()):
-            writer.writerow([sid, group, *codes])
+    header = ["sample_id", "group"] + [f"c{i}" for i in range(m.codes.shape[1])]
+    rows = zip(m.sample_ids, m.labels(), m.codes.tolist())
+    _write_csv(path, header, ((s, g, *c) for s, g, c in rows), preamble=f"#K={m.k}\n")
 
 
 def _responses(ds: Dataset, bona_fide: bool, group: str | None) -> np.ndarray:

@@ -7,13 +7,13 @@ significant regions) and the overlaid response histogram.
 """
 from __future__ import annotations
 
-import csv
 import math
 import re
 from pathlib import Path
 
 import numpy as np
 
+from .data import _write_csv
 from .report import AuditReport, _pcurve_rows
 from .stats import _distinct
 
@@ -245,9 +245,7 @@ def render_plots(report: AuditReport, out_dir: str | Path) -> list[Path]:
             encoding="utf-8",
         )
         hist_csv = out / f"hist_{stem}.csv"
-        with hist_csv.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["bin_lo", "bin_hi", pair.a, pair.b])
-            writer.writerows(zip(map(repr, edges), map(repr, edges[1:]), *counts))
+        hist_rows = zip(map(repr, edges), map(repr, edges[1:]), *counts)
+        _write_csv(hist_csv, ["bin_lo", "bin_hi", pair.a, pair.b], hist_rows)
         written.extend([pcurve_svg, pcurve_csv, hist_svg, hist_csv])
     return written

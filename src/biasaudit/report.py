@@ -314,17 +314,17 @@ def _analyze_pair(
 
 
 def _operating_points(ds: Dataset) -> tuple[OperatingPoint, dict[str, OperatingPoint]]:
-    """The pooled EER point, and the HTER at its threshold of each group that
-    has attack rows. Raises InsufficientDataError without attack rows."""
+    """The pooled EER point, and the HTER at its threshold of each group with
+    both classes. Raises InsufficientDataError without attack rows."""
     attack = attack_responses(ds)
     if not len(attack):
         raise InsufficientDataError("no attack rows: the EER needs both classes")
     eer = eer_operating_point(roc_curve(bona_fide_responses(ds), attack))
     per_group_hter = {}
     for g in ds.groups():
-        att_g = attack_responses(ds, g)
-        if len(att_g):
-            per_group_hter[g] = hter_at(bona_fide_responses(ds, g), att_g, eer.threshold)
+        bona_g, att_g = bona_fide_responses(ds, g), attack_responses(ds, g)
+        if len(bona_g) and len(att_g):
+            per_group_hter[g] = hter_at(bona_g, att_g, eer.threshold)
     return eer, per_group_hter
 
 

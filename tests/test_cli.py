@@ -763,6 +763,20 @@ class TestStatSubcommands:
         assert main(["eer", "--data", str(data)]) == 1
         assert capsys.readouterr() == ("", "error: no attack rows: the EER needs both classes\n")
 
+    def test_eer_skips_a_group_without_bona_fide_rows(self, synth_dir, tmp_path, capsys):
+        # gamma keeps only its attack rows: no HTER, and no failure either
+        lines = (synth_dir / "responses.csv").read_text().splitlines(keepends=True)
+        data = tmp_path / "no-gamma-bona.csv"
+        data.write_text("".join(ln for ln in lines if ",gamma,bonafide," not in ln))
+        assert main(["eer", "--data", str(data)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[4] == "gamma: no bona fide rows, skipped"  # groups in sorted order
+        assert all(re.fullmatch(rf"{g}: far=\S+ frr=\S+ hter=\S+", line)
+                   for g, line in zip(("alpha", "beta", "delta"), lines[1:4]))
+        assert len(lines) == 5
+
     def test_sweep_csv_and_regions(self, synth_dir, capsys):
         code = main(
             [

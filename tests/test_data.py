@@ -2,6 +2,7 @@ import csv
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from biasaudit.data import (
     group_pairs,
     load_codes_csv,
     load_csv,
+    save_codes_csv,
     save_csv,
 )
 from biasaudit.errors import (
@@ -29,6 +31,8 @@ from biasaudit.errors import (
     SchemaError,
     UnknownGroupError,
 )
+from biasaudit.plots import render_plots
+from biasaudit.report import AuditConfig, run_audit
 
 
 class TestLoadCsv:
@@ -409,6 +413,69 @@ class TestUnreadableFile:
             load(path)
 
 
+@pytest.mark.parametrize("loader", _TABLES)
+class TestRowRules:
+    """Both loaders hold a row to one set of rules, with the same messages,
+    at the physical line where the record starts."""
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("short-row", "expected {width} fields, got {short}"),
+            ("empty-sample-id", "empty sample_id"),
+            ("empty-group", "empty group"),
+        ],
+    )
+    def test_row_fault(self, tmp_path, loader, fault, message):
+        load, header, row = _TABLES[loader]
+        bad = row.format(i=1)
+        width = bad.count(",") + 1
+        bad = {
+            "short-row": bad.rsplit(",", 1)[0] + "\n",
+            "empty-sample-id": bad.replace("s1,", " ,", 1),
+            "empty-group": bad.replace(",A,", ", ,", 1),
+        }[fault]
+        path = tmp_path / "table.csv"
+        path.write_text(header + row.format(i=0) + "\n" + bad, encoding="utf-8")
+        line = header.count("\n") + 3  # the blank line between the rows counts
+        expected = f"{path}: line {line}: " + message.format(width=width, short=width - 1)
+        with pytest.raises(RowError) as exc:
+            load(path)
+        assert str(exc.value) == expected
+
+    def test_blank_line_before_the_header_is_a_header_fault(self, tmp_path, loader):
+        load, header, row = _TABLES[loader]
+        lines = header.splitlines(keepends=True)
+        lines.insert(len(lines) - 1, "\n")  # just above the column names
+        path = tmp_path / "table.csv"
+        path.write_text("".join(lines) + row.format(i=0), encoding="utf-8")
+        detail = {
+            "responses": "bad header: missing column(s): sample_id, group, class, response",
+            "codes": "bad header: expected sample_id,group,c0,...  got ''",
+        }[loader]
+        with pytest.raises(SchemaError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: {detail}"
+
+    def test_file_closed_after_a_row_fault(self, tmp_path, loader, monkeypatch):
+        load, header, row = _TABLES[loader]
+        path = tmp_path / "table.csv"
+        path.write_text(header + row.format(i=0) + row.format(i=1).replace("s1,", " ,", 1))
+        opened = []
+        path_open = Path.open
+
+        def recording_open(self, *args, **kwargs):
+            fh = path_open(self, *args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        with pytest.raises(RowError) as exc:
+            load(path)
+        assert str(exc.value).endswith(": empty sample_id")
+        assert opened and all(fh.closed for fh in opened)
+
+
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path, make_dataset):
         rng = np.random.default_rng(90210)
@@ -428,6 +495,29 @@ class TestRoundTrip:
         assert back.bona_fide.tolist() == ds.bona_fide.tolist()
         # exact, not approximate
         assert back.responses.tolist() == ds.responses.tolist()
+
+    def test_labels_that_need_quoting_go_through_every_writer(self, tmp_path, make_dataset):
+        odd = 'R,"D"'  # a comma and double quotes: csv.writer quotes it
+        rng = np.random.default_rng(11)
+        rows = [(g, "bonafide", v) for g in (odd, "ops") for v in rng.lognormal(-3, 0.4, 12)]
+        rows += [(g, "attack", v) for g in (odd, "ops") for v in rng.lognormal(-1, 0.4, 3)]
+        ds = make_dataset(rows)
+        path = tmp_path / "responses.csv"
+        save_csv(ds, path)
+        assert f',"R,""D""",bonafide,' in path.read_text(encoding="utf-8")
+        assert _columns(load_csv(path)) == _columns(ds)
+
+        codes = CodeMatrix([[i % 4, 3] for i in range(len(rows))], [g for g, _, _ in rows], 4)
+        path = tmp_path / "codes.csv"
+        save_codes_csv(codes, path)
+        assert '\ncode-00000,"R,""D""",0,3\n' in path.read_text(encoding="utf-8")
+        back = load_codes_csv(path)
+        assert (back.labels(), back.codes.tolist()) == (codes.labels(), codes.codes.tolist())
+
+        render_plots(run_audit(ds, AuditConfig(dip_replicas=50)), tmp_path / "plots")
+        (hist,) = (tmp_path / "plots").glob("hist_*.csv")
+        header = hist.read_text(encoding="utf-8").split("\n", 1)[0]
+        assert header == 'bin_lo,bin_hi,"R,""D""",ops'
 
 
 class TestDatasetInvariants:
